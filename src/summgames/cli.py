@@ -21,7 +21,6 @@ import time
 
 from . import __version__
 from .core import MixedProfile
-from .discretization import make_grid
 from .documents import (
     certificate_to_doc,
     load_certificate,
@@ -34,7 +33,6 @@ from .learning import (
     Converged,
     LearnConfig,
     broadcast_mean,
-    default_step_cap,
     run_summ_learn,
 )
 from .oracle import brute_min_epsilon, validate_certificate
@@ -85,19 +83,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     game, digest = load_game(args.game)
-    grid = make_grid(args.epsilon, game.rho)
-    beta = args.beta if args.beta is not None else grid.alpha / 2.0
-    if args.max_steps is not None:
-        max_steps = args.max_steps
-    elif args.delta > 0.0:
-        max_steps = default_step_cap(grid, beta, args.delta)
-    else:
-        max_steps = None  # LearnConfig rejects this combination.
     config = LearnConfig(
         epsilon=args.epsilon,
         delta=args.delta,
-        beta=beta,
-        max_steps=max_steps,
+        beta=args.beta,
+        max_steps=args.max_steps,
         snapshot_every=args.snapshot_every,
         snapshot_probs=args.snapshot_probs,
     )
@@ -113,6 +103,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         mc_samples=args.samples,
         mc_seed=args.seed,
     )
+    grid, beta = trajectory.grid, trajectory.beta
     if args.trajectory:
         write_trajectory_csv(
             args.trajectory, trajectory, grid.alpha, beta, args.delta, args.seed
@@ -130,7 +121,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             "intervals": grid.K,
             "beta": beta,
             "delta": args.delta,
-            "max_steps": max_steps,
+            "max_steps": trajectory.max_steps,
             "seed": args.seed,
             "samples": args.samples,
             "initial_prob": args.initial_prob,

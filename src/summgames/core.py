@@ -156,20 +156,23 @@ def _profile_bits(codes: np.ndarray, n: int) -> np.ndarray:
 class Summarization:
     """Aggregates a joint pure play into a single value in [0, 1].
 
-    Subclasses provide scalar evaluation, per-player influence, and batch
-    paths used by the exhaustive and Monte-Carlo machinery. The batch
-    protocol is: ``batch_state`` builds a per-row intermediate from a bits
-    matrix, ``batch_value`` maps it to summarization values, and
-    ``batch_deviation`` yields the values after forcing player i to 0 and
-    to 1. The generic implementations loop over rows, which is only
-    tolerable for small custom games; the catalog subclasses vectorize.
+    Subclasses provide per-player influence and one arithmetic path, the
+    batch protocol, over a (rows, n) 0/1 float matrix of profiles:
+    ``batch_state`` builds a per-row intermediate, ``batch_value`` maps it
+    to summarization values, and ``batch_deviation(state, x, i)``, given
+    player i's column x, yields the values after forcing i to 0 and to 1.
+    A row's state must not depend on the other rows of the batch, so
+    ``evaluate`` -- that path on one row -- agrees bit for bit with every
+    batch containing the same profile.
     """
 
     n: int
     is_linear: bool = False
 
     def evaluate(self, actions: Sequence[int]) -> float:
-        raise NotImplementedError
+        self._check_arity(actions)
+        bits = np.asarray(actions, dtype=np.float64)[None, :]
+        return float(self.batch_value(self.batch_state(bits))[0])
 
     def influence(self, i: int) -> float:
         """The largest |S(x with i playing 0) - S(x with i playing 1)|."""
@@ -187,24 +190,13 @@ class Summarization:
     # Batch protocol (rows are profiles, columns are players).
 
     def batch_state(self, bits: np.ndarray):
-        return bits
+        raise NotImplementedError
 
     def batch_value(self, state) -> np.ndarray:
-        bits = state
-        return np.array(
-            [self.evaluate(tuple(int(b) for b in row)) for row in bits]
-        )
+        raise NotImplementedError
 
-    def batch_deviation(self, state, bits: np.ndarray, i: int):
-        lo = []
-        hi = []
-        for row in bits:
-            acts = [int(b) for b in row]
-            acts[i] = 0
-            lo.append(self.evaluate(tuple(acts)))
-            acts[i] = 1
-            hi.append(self.evaluate(tuple(acts)))
-        return np.array(lo), np.array(hi)
+    def batch_deviation(self, state, x: np.ndarray, i: int):
+        raise NotImplementedError
 
 
 def _exact_influence(summ: Summarization, i: int) -> float:
@@ -226,38 +218,42 @@ def _exact_influence(summ: Summarization, i: int) -> float:
 
 
 class _LinearBase(Summarization):
-    """Shared machinery for summarizations of the form sum_i w_i x_i.
-
-    Subclasses expose the weight vector as ``weights``.
-    """
+    """Summarizations of the form sum_i w_i x_i; subclasses expose the
+    weight vector as ``weights``."""
 
     is_linear = True
     weights: tuple[float, ...]
-
-    def evaluate(self, actions: Sequence[int]) -> float:
-        self._check_arity(actions)
-        total = math.fsum(w for w, a in zip(self.weights, actions) if a)
-        return min(1.0, max(0.0, total))
 
     def influence(self, i: int) -> float:
         if not 0 <= i < self.n:
             raise InputError(f"player index {i} out of range for n={self.n}")
         return self.weights[i]
 
+
+class _CountBase(Summarization):
+    """Summarizations that depend only on the number of players playing 1.
+
+    The state is that count, an exact integer in float64, so a deviation's
+    count is exact and its value is the float that evaluating the deviated
+    profile gives.
+    """
+
+    def _of_count(self, ones: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return bits @ np.asarray(self.weights)
+        return bits.sum(axis=1)
 
     def batch_value(self, state: np.ndarray) -> np.ndarray:
-        return np.clip(state, 0.0, 1.0)
+        return self._of_count(state)
 
-    def batch_deviation(self, state: np.ndarray, bits: np.ndarray, i: int):
-        w = self.weights[i]
-        lo = state - w * bits[:, i]
-        return np.clip(lo, 0.0, 1.0), np.clip(lo + w, 0.0, 1.0)
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
+        ones_lo = state - x
+        return self._of_count(ones_lo), self._of_count(ones_lo + 1.0)
 
 
 @dataclass(frozen=True)
-class Mean(_LinearBase):
+class Mean(_CountBase, _LinearBase):
     """The vote fraction: every player carries weight 1/n."""
 
     n: int
@@ -270,16 +266,8 @@ class Mean(_LinearBase):
     def weights(self) -> tuple[float, ...]:
         return (1.0 / self.n,) * self.n
 
-    def evaluate(self, actions: Sequence[int]) -> float:
-        self._check_arity(actions)
-        return sum(1 for a in actions if a) / self.n
-
-    def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return bits.sum(axis=1) / self.n
-
-    def batch_deviation(self, state: np.ndarray, bits: np.ndarray, i: int):
-        lo = state - bits[:, i] / self.n
-        return lo, lo + 1.0 / self.n
+    def _of_count(self, ones: np.ndarray) -> np.ndarray:
+        return ones / self.n
 
 
 @dataclass(frozen=True)
@@ -316,9 +304,23 @@ class LinearWeighted(_LinearBase):
     def n(self) -> int:
         return len(self.weights)
 
+    # einsum reduces each row on its own, so a row's sum does not depend on
+    # the batch it sits in; a BLAS matrix-vector product does not promise
+    # that.
+    def batch_state(self, bits: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,j->i", bits, np.asarray(self.weights))
+
+    def batch_value(self, state: np.ndarray) -> np.ndarray:
+        return np.clip(state, 0.0, 1.0)
+
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
+        w = self.weights[i]
+        lo = state - w * x
+        return np.clip(lo, 0.0, 1.0), np.clip(lo + w, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
-class MajorityFraction(Summarization):
+class MajorityFraction(_CountBase):
     """The fraction of players currently playing the majority action.
 
     Reports only how large the majority is, not which action it is, so the
@@ -330,11 +332,6 @@ class MajorityFraction(Summarization):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("player count must be >= 1")
-
-    def evaluate(self, actions: Sequence[int]) -> float:
-        self._check_arity(actions)
-        ones = sum(1 for a in actions if a)
-        return max(ones, self.n - ones) / self.n
 
     def influence(self, i: int) -> float:
         if not 0 <= i < self.n:
@@ -356,18 +353,8 @@ class MajorityFraction(Summarization):
             worst = max(worst, abs(low - high))
         return worst
 
-    def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return bits.sum(axis=1)
-
-    def batch_value(self, state: np.ndarray) -> np.ndarray:
-        return np.maximum(state, self.n - state) / self.n
-
-    def batch_deviation(self, state: np.ndarray, bits: np.ndarray, i: int):
-        ones_lo = state - bits[:, i]
-        ones_hi = ones_lo + 1.0
-        lo = np.maximum(ones_lo, self.n - ones_lo) / self.n
-        hi = np.maximum(ones_hi, self.n - ones_hi) / self.n
-        return lo, hi
+    def _of_count(self, ones: np.ndarray) -> np.ndarray:
+        return np.maximum(ones, self.n - ones) / self.n
 
 
 @dataclass(frozen=True)
@@ -408,6 +395,22 @@ class CustomSummarization(Summarization):
 
     def influence_bound(self) -> float:
         return self.declared_influence
+
+    # The black box is evaluated row by row, which is only tolerable for
+    # small custom games.
+
+    def batch_state(self, bits: np.ndarray) -> np.ndarray:
+        return bits
+
+    def batch_value(self, state: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.evaluate(tuple(int(b) for b in row)) for row in state]
+        )
+
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
+        lo, hi = state.copy(), state.copy()
+        lo[:, i], hi[:, i] = 0.0, 1.0
+        return self.batch_value(lo), self.batch_value(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -649,25 +652,43 @@ def payoff(game: SummGame, i: int, b: int, z: float) -> float:
     return game.payoffs[i][b].evaluate(z)
 
 
+def _deviation_payoffs(game: SummGame, bits: np.ndarray):
+    """Yield, player by player, the payoffs of unilateral deviations.
+
+    For each row x of the (rows, n) 0/1 matrix ``bits`` and each player i
+    in order, yields (f0, f1, current): f_b[r] = F_b^i(S(x_r with i playing
+    b)) and current[r] = f_{x_ri}[r], the payoff i actually receives. Every
+    regret in this library is a reduction over this kernel. For catalog
+    summarizations it allocates only (rows,) arrays per player.
+    """
+    summ = game.summarization
+    state = summ.batch_state(bits)
+    for i, (pay0, pay1) in enumerate(game.payoffs):
+        # One strided read of the column; the rest runs on contiguous rows.
+        x = bits[:, i].copy()
+        lo, hi = summ.batch_deviation(state, x, i)
+        f0 = pay0.evaluate_array(lo)
+        f1 = pay1.evaluate_array(hi)
+        # When x_i = b, S(x with i playing b) is S(x) itself, so the
+        # realized payoff is f_b on that row.
+        yield f0, f1, np.where(x == 1.0, f1, f0)
+
+
 def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
     """Per-player regret at a pure profile.
 
     regret[i] is the payoff i forgoes by not playing their best unilateral
     deviation; the profile is an eps-Nash equilibrium iff every entry is
-    <= eps. Costs O(n) summarization evaluations.
+    <= eps. The profile's summarization state is built once and each
+    deviation updates it, so catalog summarizations cost O(n) in total;
+    custom ones re-evaluate S per deviation, O(n^2).
     """
     game._check_profile(profile.n)
-    summ = game.summarization
-    regrets = []
-    for i, a in enumerate(profile.actions):
-        vals = [
-            game.payoffs[i][b].evaluate(
-                summ.evaluate(profile.with_action(i, b).actions)
-            )
-            for b in (0, 1)
-        ]
-        regrets.append(max(vals) - vals[a])
-    return tuple(regrets)
+    bits = np.array([profile.actions], dtype=np.float64)
+    return tuple(
+        float((np.maximum(f0, f1) - current)[0])
+        for f0, f1, current in _deviation_payoffs(game, bits)
+    )
 
 
 @dataclass(frozen=True)
@@ -684,35 +705,12 @@ class MixedRegret:
         return max(self.regrets)
 
 
-def _batch_regret_terms(game: SummGame, bits: np.ndarray, weights: np.ndarray):
-    """Weighted payoff sums for one block of profiles.
-
-    Returns (dev, cur): dev[i, b] accumulates sum_x w(x) F_b^i(S(x with i
-    playing b)) and cur[i] accumulates sum_x w(x) F_{x_i}^i(S(x)). The
-    deterministic reduction order (fixed blocks, fixed player order) keeps
-    repeated runs bit-identical.
-    """
-    n = game.n
-    summ = game.summarization
-    state = summ.batch_state(bits)
-    dev = np.zeros((n, 2))
-    cur = np.zeros(n)
-    for i in range(n):
-        lo, hi = summ.batch_deviation(state, bits, i)
-        f0 = game.payoffs[i][0].evaluate_array(lo)
-        f1 = game.payoffs[i][1].evaluate_array(hi)
-        dev[i, 0] = weights @ f0
-        dev[i, 1] = weights @ f1
-        # When x_i = b, S(x with i playing b) is S(x) itself, so the
-        # realized payoff is f_b on that row.
-        cur[i] = weights @ np.where(bits[:, i] == 1.0, f1, f0)
-    return dev, cur
-
-
 def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     n = game.n
     probs = np.asarray(profile.probs)
     total = 1 << n
+    # dev[i, b] sums w(x) F_b^i(S(x with i playing b)), cur[i] sums w(x)
+    # F_{x_i}^i(S(x)); fixed block and player order keep runs bit-identical.
     dev = np.zeros((n, 2))
     cur = np.zeros(n)
     for start in range(0, total, _BATCH_ROWS):
@@ -721,9 +719,10 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
         weights = np.ones(len(codes))
         for j in range(n):
             weights *= np.where(bits[:, j] == 1.0, probs[j], 1.0 - probs[j])
-        block_dev, block_cur = _batch_regret_terms(game, bits, weights)
-        dev += block_dev
-        cur += block_cur
+        for i, (f0, f1, current) in enumerate(_deviation_payoffs(game, bits)):
+            dev[i, 0] += weights @ f0
+            dev[i, 1] += weights @ f1
+            cur[i] += weights @ current
     regrets = tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
     return MixedRegret(regrets, None, "exact")
 
@@ -743,13 +742,7 @@ def _monte_carlo_mixed_regret(
     while drawn < samples:
         rows = min(_BATCH_ROWS, samples - drawn)
         bits = (rng.random((rows, n)) < probs[None, :]).astype(np.float64)
-        summ = game.summarization
-        state = summ.batch_state(bits)
-        for i in range(n):
-            lo, hi = summ.batch_deviation(state, bits, i)
-            f0 = game.payoffs[i][0].evaluate_array(lo)
-            f1 = game.payoffs[i][1].evaluate_array(hi)
-            current = np.where(bits[:, i] == 1.0, f1, f0)
+        for i, (f0, f1, current) in enumerate(_deviation_payoffs(game, bits)):
             for b, fb in ((0, f0), (1, f1)):
                 g = fb - current
                 g_sum[i, b] += g.sum()

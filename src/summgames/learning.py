@@ -128,9 +128,15 @@ class MaxStepsReached:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The recorded run, plus the parameters it was run with: the grid made
+    from epsilon, beta and the step cap, as resolved from the config."""
+
     steps: tuple[TrajectoryStep, ...]
     terminated: Converged | MaxStepsReached
     final: MixedProfile
+    grid: AlphaGrid
+    beta: float
+    max_steps: int
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,8 @@ def run_summ_learn(
 
     The exact mean recursion is asserted at every step against the V table
     built on the same grid; a violation means the linearity contract broke
-    and raises ContractError.
+    and raises ContractError. The grid, beta and step cap the run resolved
+    from the config are reported on the trajectory.
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -315,7 +322,7 @@ def run_summ_learn(
         visits.append(Visit(visit_interval, visit_start, visit_len))
 
     final = MixedProfile(probs)
-    trajectory = Trajectory(tuple(records), terminated, final)
+    trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)
 
     if game.n <= EXACT_REGRET_MAX_PLAYERS:
         result = regret_mixed(game, final, mode="exact")

@@ -16,6 +16,7 @@ from .core import (
     EXACT_REGRET_MAX_PLAYERS,
     PureProfile,
     SummGame,
+    _deviation_payoffs,
     _profile_bits,
     regret_mixed,
     regret_pure,
@@ -62,20 +63,14 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             f"exhaustive search is capped at n <= {BRUTE_FORCE_MAX_PLAYERS} "
             f"(got n={n})"
         )
-    summ = game.summarization
     total = 1 << n
     best_value = math.inf
     best_code = 0
     for start in range(0, total, _CHUNK_ROWS):
         codes = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
         bits = _profile_bits(codes, n)
-        state = summ.batch_state(bits)
         worst = np.zeros(len(codes))
-        for i in range(n):
-            lo, hi = summ.batch_deviation(state, bits, i)
-            f0 = game.payoffs[i][0].evaluate_array(lo)
-            f1 = game.payoffs[i][1].evaluate_array(hi)
-            current = np.where(bits[:, i] == 1.0, f1, f0)
+        for f0, f1, current in _deviation_payoffs(game, bits):
             np.maximum(worst, np.maximum(f0, f1) - current, out=worst)
         idx = int(np.argmin(worst))  # first minimum = lexicographic winner
         if worst[idx] < best_value:

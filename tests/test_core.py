@@ -81,6 +81,43 @@ def test_eval_summarization_arity_mismatch():
         eval_summarization(Mean(4), PureProfile((1, 0)))
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_evaluate_is_the_batch_path_on_one_row(data):
+    n = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["mean", "majority", "linear"]))
+    if kind == "mean":
+        summ = Mean(n)
+    elif kind == "majority":
+        summ = MajorityFraction(n)
+    else:
+        raw = data.draw(
+            st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=n, max_size=n)
+        )
+        summ = LinearWeighted(tuple(raw), normalize=True)
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    bits = np.array(rows, dtype=np.float64)
+    state = summ.batch_state(bits)
+    values = summ.batch_value(state)
+    for r, row in enumerate(rows):
+        assert summ.evaluate(tuple(row)) == values[r]
+    if kind == "linear":
+        return
+    # Count-based states are exact, so a deviation equals evaluating the
+    # deviated profile from scratch.
+    for i in range(n):
+        lo, hi = summ.batch_deviation(state, bits[:, i], i)
+        for r, row in enumerate(rows):
+            assert lo[r] == summ.evaluate(tuple(row[:i]) + (0,) + tuple(row[i + 1 :]))
+            assert hi[r] == summ.evaluate(tuple(row[:i]) + (1,) + tuple(row[i + 1 :]))
+
+
 def test_linear_weighted_validation():
     with pytest.raises(InputError):
         LinearWeighted((0.8, 0.4))  # sums past 1
@@ -310,6 +347,18 @@ def test_regret_mixed_pure_embedding_matches_regret_pure():
         assert mixed.stderrs is None
         for a, b in zip(pure, mixed.regrets):
             assert abs(a - b) <= 1e-12
+
+
+def test_regret_mixed_pure_embedding_is_bit_identical_to_regret_pure():
+    # Both are reductions over the same deviation kernel, so a degenerate
+    # mixed profile must reproduce the pure regrets exactly.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        g = random_game(rng, n, "mean" if rng.uniform() < 0.5 else "linear")
+        profile = PureProfile(tuple(int(a) for a in rng.integers(0, 2, size=n)))
+        mixed = regret_mixed(g, profile.as_mixed(), mode="exact")
+        assert mixed.regrets == regret_pure(g, profile)
 
 
 def test_regret_mixed_constant_game():

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_payoff_suite
+from conftest import bar_game, catalog_payoff_suite
 from summgames import (
     Affine,
     AlphaGrid,
     CapabilityError,
     Constant,
     InputError,
+    LearnConfig,
     discretize,
     interval_of,
     make_grid,
+    run_summ_learn,
+    summ_nash,
 )
+from summgames import discretization
+from summgames.cli import main
 
 
 def test_make_grid_examples():
@@ -44,6 +49,28 @@ def test_make_grid_interval_cap():
     assert "1000000" in str(err.value)  # names the cap
     grid = make_grid(1e-3, 3.0, max_intervals=10**8)
     assert grid.K == 24000
+
+
+def test_grid_cell_cap_fails_before_discretizing(monkeypatch, capsys):
+    # n = 1000 at K = 8000 is 8e6 cells, refused without building them.
+    with pytest.raises(CapabilityError) as err:
+        summ_nash(bar_game(1000), 1e-3)
+    assert str(discretization.MAX_GRID_CELLS) in str(err.value)
+
+    # bar10 at epsilon = 0.5 has K = 16, so 160 cells.
+    monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 159)
+    with pytest.raises(CapabilityError, match="159"):
+        summ_nash(bar_game(10), 0.5)
+    with pytest.raises(CapabilityError, match="159"):
+        run_summ_learn(bar_game(10), LearnConfig(epsilon=0.5, delta=1e-3))
+    for command in ("solve", "learn"):
+        argv = [command, "samples/bar10.json", "--epsilon", "0.5"]
+        if command == "learn":
+            argv += ["--delta", "1e-3"]
+        assert main(argv) == 3
+        assert "159" in capsys.readouterr().err
+    monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 160)
+    summ_nash(bar_game(10), 0.5)  # exactly at the cap
 
 
 def test_discretize_examples():

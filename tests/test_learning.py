@@ -25,6 +25,7 @@ from summgames import (
     make_grid,
     run_summ_learn,
 )
+from summgames.learning import default_step_cap
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,18 @@ def test_config_validation():
     LearnConfig(epsilon=0.5, delta=0.0, max_steps=100)
     with pytest.raises(InputError):
         LearnConfig(epsilon=0.5, delta=0.01, snapshot_every=0)
+
+
+def test_run_reports_resolved_parameters():
+    game = bar_game(4)
+    trajectory, _, _ = run_summ_learn(game, LearnConfig(epsilon=2.0, delta=1e-3))
+    grid = make_grid(2.0, game.rho)
+    assert trajectory.grid == grid
+    assert trajectory.beta == grid.alpha / 2.0
+    assert trajectory.max_steps == default_step_cap(grid, grid.alpha / 2.0, 1e-3)
+    config = LearnConfig(epsilon=2.0, delta=0.0, beta=0.1, max_steps=7)
+    trajectory, _, _ = run_summ_learn(game, config)
+    assert (trajectory.beta, trajectory.max_steps) == (0.1, 7)
 
 
 def test_run_rejects_nonlinear_and_bad_beta():

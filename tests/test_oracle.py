@@ -86,6 +86,17 @@ def test_brute_matches_scalar_enumeration():
         assert report.best_profile.actions == best[1]
 
 
+def test_brute_epsilon_star_is_the_pure_regret_of_its_profile():
+    # The search and regret_pure reduce the same deviation kernel, so the
+    # reported minimum is exactly the best profile's max pure regret.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        game = random_game(rng, n, "mean" if rng.uniform() < 0.5 else "linear")
+        report = brute_min_epsilon(game)
+        assert report.epsilon_star == max(regret_pure(game, report.best_profile))
+
+
 def test_brute_is_minimal_over_solver_outputs():
     rng = np.random.default_rng(40)
     for _ in range(10):
