@@ -163,7 +163,9 @@ class Summarization:
     player i's column x, yields the values after forcing i to 0 and to 1.
     A row's state must not depend on the other rows of the batch, so
     ``evaluate`` -- that path on one row -- agrees bit for bit with every
-    batch containing the same profile.
+    row-major batch containing the same profile. (``LinearWeighted`` sums
+    the rows of a column-major batch in another order, so their last bits
+    can differ.)
     """
 
     n: int
@@ -281,6 +283,7 @@ class LinearWeighted(_LinearBase):
 
     weights: tuple[float, ...]
     normalize: bool = False
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ws = tuple(float(w) for w in self.weights)
@@ -298,7 +301,10 @@ class LinearWeighted(_LinearBase):
                 f"weights sum to {total}, which exceeds 1; pass normalize=True "
                 "to rescale"
             )
+        w = np.array(ws)
+        w.setflags(write=False)
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_w", w)
 
     @property
     def n(self) -> int:
@@ -308,7 +314,7 @@ class LinearWeighted(_LinearBase):
     # the batch it sits in; a BLAS matrix-vector product does not promise
     # that.
     def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,j->i", bits, np.asarray(self.weights))
+        return np.einsum("ij,j->i", bits, self._w)
 
     def batch_value(self, state: np.ndarray) -> np.ndarray:
         return np.clip(state, 0.0, 1.0)

@@ -23,6 +23,7 @@ from .errors import CapabilityError, InputError
 __all__ = [
     "AlphaGrid",
     "StepPayoff",
+    "StepTable",
     "make_grid",
     "discretize",
     "discretize_game",
@@ -33,9 +34,10 @@ __all__ = [
 
 DEFAULT_MAX_INTERVALS = 10**6
 
-# The step payoffs and the V table built from them cost about 110 bytes per
-# player-interval cell (measured at n = 150 and 600, K = 10^4), so this cap
-# keeps a discretized game under about half a gigabyte.
+# The two float64 step arrays and the V table's boolean best-response
+# matrix hold about 17 bytes per player-interval cell, and building V peaks
+# at about 25 (tracemalloc at n = 150 and 400, K = 10^4), so this cap keeps
+# a discretized game near 100 MB.
 MAX_GRID_CELLS = 4 * 10**6
 
 
@@ -134,18 +136,37 @@ def discretize(fn: Payoff, grid: AlphaGrid) -> StepPayoff:
     return StepPayoff(grid, tuple(float(v) for v in values))
 
 
-def discretize_game(
-    game: SummGame, grid: AlphaGrid
-) -> tuple[tuple[StepPayoff, StepPayoff], ...]:
-    """Step approximations of all 2n payoff functions, one pair per player;
-    refuses up front a game whose n*K cells exceed ``MAX_GRID_CELLS``."""
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """Every player's two payoff functions frozen onto one grid.
+
+    f0[i, k] and f1[i, k] are F_0^i(k*alpha) and F_1^i(k*alpha), the values
+    ``discretize`` gives one function at a time, held as read-only (n, K)
+    float64 arrays.
+    """
+
+    grid: AlphaGrid
+    f0: np.ndarray
+    f1: np.ndarray
+
+
+def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
+    """Step approximations of all 2n payoff functions as one ``StepTable``,
+    filled by one ``evaluate_array`` call per payoff; refuses up front a
+    game whose n*K cells exceed ``MAX_GRID_CELLS``."""
     cells = game.n * grid.K
     if cells > MAX_GRID_CELLS:
         raise CapabilityError(
             f"n={game.n} players on K={grid.K} intervals make {cells} grid "
             f"cells, over the cap of n*K <= {MAX_GRID_CELLS}"
         )
-    return tuple(
-        (discretize(pair[0], grid), discretize(pair[1], grid))
-        for pair in game.payoffs
-    )
+    points = grid.grid_points()
+    tables = np.empty((2, game.n, grid.K))
+    for i, pair in enumerate(game.payoffs):
+        for b in (0, 1):
+            tables[b, i] = pair[b].evaluate_array(points)
+    # min/max propagate NaN, which then fails the comparison.
+    if not (0.0 <= tables.min() and tables.max() <= 1.0):
+        raise InputError("step values must lie in [0, 1]")
+    tables.setflags(write=False)
+    return StepTable(grid, tables[0], tables[1])

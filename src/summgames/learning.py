@@ -38,8 +38,7 @@ from .core import (
 )
 from .discretization import (
     AlphaGrid,
-    StepPayoff,
-    discretize_game,
+    StepTable,
     interval_of,
     make_grid,
 )
@@ -183,18 +182,19 @@ def broadcast_mean(game: SummGame, profile: MixedProfile) -> float:
 
 def learn_step(
     game: SummGame,
-    steps: tuple[tuple[StepPayoff, StepPayoff], ...],
+    steps: StepTable,
     profile: MixedProfile,
     beta: float,
 ) -> MixedProfile:
     """One synchronous update: every player moves beta of the way toward
     their apparent best response to the current broadcast mean.
 
-    The best response is read off the step payoffs at the grid point of
-    the interval containing the mean (ties to action 0), so a profile
-    already at that pure best response is a fixed point.
+    The best response is read off the step table at the grid point of the
+    interval containing the mean (ties to action 0), by the same rule as
+    the V table, so a profile already at that pure best response is a
+    fixed point.
     """
-    grid = steps[0][0].grid
+    grid = steps.grid
     if not 0.0 < beta < grid.alpha:
         raise InputError(f"beta must lie in (0, alpha={grid.alpha}), got {beta}")
     mu = broadcast_mean(game, profile)
@@ -257,8 +257,7 @@ def run_summ_learn(
     else:
         max_steps = default_step_cap(grid, beta, config.delta)
 
-    steps_payoffs = discretize_game(game, grid)
-    table: VTable = build_v_table(game, grid, steps_payoffs)
+    table: VTable = build_v_table(game, grid)
 
     if initial is None:
         profile = MixedProfile((0.5,) * game.n)

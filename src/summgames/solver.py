@@ -26,6 +26,7 @@ ascending player order, so identical inputs produce identical outputs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,15 +36,15 @@ from .core import MixedProfile, PureProfile, SummGame, regret_pure
 from .discretization import (
     DEFAULT_MAX_INTERVALS,
     AlphaGrid,
-    StepPayoff,
+    StepTable,
     discretize_game,
-    interval_of,
     make_grid,
 )
-from .errors import ContractError
+from .errors import ContractError, InputError
 
 __all__ = [
     "VTable",
+    "BestResponses",
     "Horizontal",
     "Vertical",
     "Learned",
@@ -57,16 +58,44 @@ __all__ = [
 ]
 
 
+# Rows per block of the walk are capped so a block holds at most this many
+# player cells (8 MB of float64).
+_WALK_BLOCK_CELLS = 1 << 20
+
+
+class BestResponses(Sequence):
+    """BR(I_0), ..., BR(I_{K-1}) as a read-only sequence over a (K, n) 0/1
+    matrix. Row k becomes a validated ``PureProfile`` only when it is first
+    read, and the same object is returned on every later read."""
+
+    def __init__(self, bits: np.ndarray) -> None:
+        self._bits = bits
+        self._rows: list[PureProfile | None] = [None] * bits.shape[0]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = PureProfile(tuple(self._bits[k].tolist()))
+        return row
+
+
 @dataclass(frozen=True)
 class VTable:
     """Per-interval apparent best responses and their summarization values.
 
     br[k] is the profile of per-player favorite actions when the
-    summarization value sits in interval k; v[k] = S(br[k]).
+    summarization value sits in interval k; v[k] = S(br[k]) as a tuple of
+    floats. ``build_v_table`` fills br with a ``BestResponses`` that builds
+    each profile on first read; any sequence of profiles works.
     """
 
     grid: AlphaGrid
-    br: tuple[PureProfile, ...]
+    br: Sequence[PureProfile]
     v: tuple[float, ...]
 
     def rows(self) -> list[tuple[float, float]]:
@@ -120,43 +149,59 @@ class EquilibriumCertificate:
         return max(self.regrets)
 
 
-def apparent_br_at(
-    game: SummGame, steps: tuple[tuple[StepPayoff, StepPayoff], ...], k: int
-) -> PureProfile:
+def _prefers_one(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """The best-response rule: action 1 exactly where it pays strictly
+    more, so ties go to action 0."""
+    return f1 > f0
+
+
+def apparent_br_at(game: SummGame, steps: StepTable, k: int) -> PureProfile:
     """Each player's favorite action when the summarization value is in I_k.
 
-    Compares the two step payoffs at the interval's left endpoint; ties go
-    to action 0.
+    Compares column k of the step table's F_0 and F_1 arrays, the values
+    at the interval's left endpoint; ties go to action 0.
     """
-    return PureProfile(
-        tuple(1 if s1.at_index(k) > s0.at_index(k) else 0 for s0, s1 in steps)
-    )
+    return PureProfile(tuple(_prefers_one(steps.f0[:, k], steps.f1[:, k]).tolist()))
 
 
 def build_v_table(
-    game: SummGame,
-    grid: AlphaGrid,
-    steps: tuple[tuple[StepPayoff, StepPayoff], ...] | None = None,
+    game: SummGame, grid: AlphaGrid, steps: StepTable | None = None
 ) -> VTable:
-    """Tabulate BR(I_k) and V(I_k) = S(BR(I_k)) for every interval."""
+    """Tabulate BR(I_k) and V(I_k) = S(BR(I_k)) for every interval.
+
+    The best responses stay a (K, n) boolean matrix behind a
+    ``BestResponses`` sequence; V comes from one batch evaluation of it.
+    """
     if steps is None:
         steps = discretize_game(game, grid)
-    a0 = np.array([s0.values for s0, _ in steps])
-    a1 = np.array([s1.values for _, s1 in steps])
-    bits = (a1 > a0).T.astype(np.float64)  # (K, n), ties to action 0
-    values = game.summarization.batch_value(game.summarization.batch_state(bits))
-    br = tuple(
-        PureProfile(tuple(int(b) for b in bits[k])) for k in range(grid.K)
-    )
-    return VTable(grid, br, tuple(float(v) for v in values))
+    bits = _prefers_one(steps.f0, steps.f1).T
+    summ = game.summarization
+    # The transpose keeps the matrix column-major, the layout V has always
+    # been summed in (see ``Summarization``).
+    values = summ.batch_value(summ.batch_state(bits.astype(np.float64)))
+    return VTable(grid, BestResponses(bits), tuple(values.tolist()))
+
+
+def _checked_v(table: VTable) -> np.ndarray:
+    v = np.asarray(table.v, dtype=np.float64)
+    # min/max propagate NaN, which then fails the comparison.
+    if not (0.0 <= v.min() and v.max() <= 1.0):
+        raise InputError("V table values must lie in [0, 1]")
+    return v
 
 
 def find_horizontal(table: VTable) -> int | None:
-    """The smallest k whose V value lands back inside I_k, if any."""
-    for k in range(table.grid.K):
-        if interval_of(table.grid, table.v[k]) == k:
-            return k
-    return None
+    """The smallest k whose V value lands back inside I_k, if any.
+
+    I_k is [k*alpha, (k+1)*alpha) under exact float comparisons, the last
+    interval closed at 1, as in ``interval_of``.
+    """
+    v = _checked_v(table)
+    edges = table.grid.grid_points()
+    inside = edges <= v
+    inside[:-1] &= v[:-1] < edges[1:]
+    hits = np.flatnonzero(inside)
+    return int(hits[0]) if hits.size else None
 
 
 def _walk(
@@ -164,20 +209,37 @@ def _walk(
 ) -> tuple[int, PureProfile]:
     """Flip start's bits toward goal (ascending player order) and return the
     first profile whose summarization value is strictly within tau of the
-    boundary. Position 0 is the unflipped start."""
+    boundary. Position 0 is the unflipped start.
+
+    The walk's profiles are evaluated in row-major blocks of consecutive
+    positions through the batch protocol, doubling from one row up to
+    ``_WALK_BLOCK_CELLS``. A row's value does not depend on its block, so
+    the result is the one a flip-by-flip scan finds; a block may evaluate
+    up to twice as many profiles as that scan would.
+    """
     tau = game.tau
     summ = game.summarization
-    actions = list(start.actions)
+    current = np.array(start.actions, dtype=np.float64)
+    target = np.array(goal.actions, dtype=np.float64)
+    flips = np.flatnonzero(current != target)
+    max_rows = max(1, _WALK_BLOCK_CELLS // game.n)
     position = 0
-    if abs(summ.evaluate(tuple(actions)) - boundary) < tau:
-        return position, start
-    for i in range(game.n):
-        if start.actions[i] == goal.actions[i]:
-            continue
-        actions[i] = goal.actions[i]
-        position += 1
-        if abs(summ.evaluate(tuple(actions)) - boundary) < tau:
-            return position, PureProfile(tuple(actions))
+    rows = 1
+    while position <= flips.size:
+        rows = min(rows, max_rows, flips.size + 1 - position)
+        # Row r is the profile at position + r: the first r of cols flipped.
+        cols = flips[position : position + rows]
+        block = np.repeat(current[None, :], rows, axis=0)
+        flipped = np.arange(rows)[:, None] > np.arange(cols.size)[None, :]
+        block[:, cols] = np.where(flipped, target[cols], current[cols])
+        values = summ.batch_value(summ.batch_state(block))
+        hits = np.flatnonzero(np.abs(values - boundary) < tau)
+        if hits.size:
+            r = int(hits[0])
+            return position + r, PureProfile(tuple(int(b) for b in block[r]))
+        current[cols] = target[cols]
+        position += rows
+        rows *= 2
     raise ContractError(
         "no profile on the best-response walk reached the crossing boundary; "
         "the game's declared influence bound is smaller than its actual "
@@ -196,25 +258,18 @@ def find_vertical_and_walk(
     is relaxed to >=, restoring the totality guarantee). Returns
     (k, walk position, profile).
     """
-    grid = table.grid
-    v = table.v
-    crossing_k: int | None = None
-    for k in range(1, grid.K):
-        edge = grid.left_edge(k)
-        if v[k - 1] > edge > v[k]:
-            crossing_k = k
-            break
-    if crossing_k is None:
-        for k in range(1, grid.K):
-            edge = grid.left_edge(k)
-            if v[k - 1] >= edge > v[k]:
-                crossing_k = k
-                break
-    if crossing_k is None:
+    v = _checked_v(table)
+    edges = table.grid.grid_points()
+    left, edge, right = v[:-1], edges[1:], v[1:]
+    drops = np.flatnonzero((left > edge) & (edge > right))
+    if not drops.size:
+        drops = np.flatnonzero((left >= edge) & (edge > right))
+    if not drops.size:
         raise ContractError(
             "no horizontal or vertical crossing exists; the game definition "
             "violates the bounds that guarantee one"
         )
+    crossing_k = int(drops[0]) + 1
     start = table.br[crossing_k - 1]
     goal = table.br[crossing_k]
     if start == goal:
@@ -222,7 +277,7 @@ def find_vertical_and_walk(
             "vertical crossing with identical best-response profiles on both "
             "sides; V cannot drop across the boundary in that case"
         )
-    position, profile = _walk(game, start, goal, grid.left_edge(crossing_k))
+    position, profile = _walk(game, start, goal, table.grid.left_edge(crossing_k))
     return crossing_k, position, profile
 
 

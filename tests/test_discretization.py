@@ -13,7 +13,11 @@ from summgames import (
     Constant,
     InputError,
     LearnConfig,
+    Mean,
+    Payoff,
+    SummGame,
     discretize,
+    discretize_game,
     interval_of,
     make_grid,
     run_summ_learn,
@@ -160,3 +164,41 @@ def test_step_payoff_validation():
         from summgames import StepPayoff
 
         StepPayoff(grid, (0.1, 0.2))
+
+
+class _FixedArrayPayoff(Payoff):
+    """A payoff whose array evaluation returns one fixed value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def evaluate(self, z):
+        return self.value
+
+    def evaluate_array(self, z):
+        return np.full_like(z, self.value, dtype=np.float64)
+
+    def derivative_bound(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
+def test_discretize_game_rejects_step_values_outside_unit_interval(value):
+    game = SummGame(
+        Mean(2), ((Constant(0.5), Constant(0.5)), (Constant(0.5), _FixedArrayPayoff(value)))
+    )
+    with pytest.raises(InputError, match="step values"):
+        discretize_game(game, AlphaGrid(4))
+
+
+def test_discretize_game_arrays_match_per_function_view():
+    game = bar_game(3)
+    grid = AlphaGrid(5)
+    steps = discretize_game(game, grid)
+    assert steps.grid == grid
+    assert steps.f0.shape == steps.f1.shape == (3, 5)
+    for i, (pay0, pay1) in enumerate(game.payoffs):
+        assert tuple(steps.f0[i].tolist()) == discretize(pay0, grid).values
+        assert tuple(steps.f1[i].tolist()) == discretize(pay1, grid).values
+    with pytest.raises(ValueError):
+        steps.f0[0, 0] = 0.5  # read-only

@@ -1,0 +1,170 @@
+"""The array solver against a scalar reference solver.
+
+The reference builds the same algorithm from the per-function views:
+``discretize`` tuples for each payoff, one validated ``PureProfile`` per
+interval, ``interval_of`` scans in Python and a walk that evaluates the
+summarization once per flip. The solver must match it exactly: the V
+table, every best-response row, the crossing, the walk position, the
+profile and the regrets.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import bar_game, random_game
+from summgames import (
+    Affine,
+    AlphaGrid,
+    ContractError,
+    Horizontal,
+    PureProfile,
+    SummGame,
+    VTable,
+    Vertical,
+    discretize,
+    find_horizontal,
+    find_vertical_and_walk,
+    interval_of,
+    make_grid,
+    regret_pure,
+    summ_nash_with_table,
+)
+from summgames import solver
+from summgames.documents import load_game
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.json"))
+
+
+def _reference_walk(game, start, goal, boundary):
+    actions = list(start.actions)
+    position = 0
+    if abs(game.summarization.evaluate(tuple(actions)) - boundary) < game.tau:
+        return position, start
+    for i in range(game.n):
+        if start.actions[i] == goal.actions[i]:
+            continue
+        actions[i] = goal.actions[i]
+        position += 1
+        if abs(game.summarization.evaluate(tuple(actions)) - boundary) < game.tau:
+            return position, PureProfile(tuple(actions))
+    raise ContractError("the reference walk never reached the boundary")
+
+
+def _reference_scans(grid, v):
+    """(smallest horizontal k, smallest vertical k), each None if absent."""
+    horizontal = [k for k in range(grid.K) if interval_of(grid, v[k]) == k]
+    drops = [
+        k for k in range(1, grid.K) if v[k - 1] > grid.left_edge(k) > v[k]
+    ] or [k for k in range(1, grid.K) if v[k - 1] >= grid.left_edge(k) > v[k]]
+    return (horizontal or [None])[0], (drops or [None])[0]
+
+
+def reference_solve(game, epsilon):
+    """(V, BR rows, crossing, profile, regrets), one scalar step at a time."""
+    grid = make_grid(epsilon, game.rho)
+    steps = [(discretize(f0, grid), discretize(f1, grid)) for f0, f1 in game.payoffs]
+    br = tuple(
+        PureProfile(
+            tuple(1 if s1.at_index(k) > s0.at_index(k) else 0 for s0, s1 in steps)
+        )
+        for k in range(grid.K)
+    )
+    # V is one batch evaluation of the interval-by-player matrix stored
+    # player-major (Fortran order), the layout the solver has always summed;
+    # einsum sums a weighted row of that layout in another order than
+    # ``evaluate`` sums the same row alone.
+    summ = game.summarization
+    matrix = np.array([row.actions for row in br], dtype=np.float64, order="F")
+    v = tuple(summ.batch_value(summ.batch_state(matrix)).tolist())
+    horizontal, k = _reference_scans(grid, v)
+    if horizontal is not None:
+        profile = br[horizontal]
+        return v, br, Horizontal(horizontal), profile, regret_pure(game, profile)
+    position, profile = _reference_walk(game, br[k - 1], br[k], grid.left_edge(k))
+    return v, br, Vertical(k, position), profile, regret_pure(game, profile)
+
+
+def _assert_matches_reference(game, epsilon):
+    v, br, crossing, profile, regrets = reference_solve(game, epsilon)
+    cert, table = summ_nash_with_table(game, epsilon)
+    assert table.v == v
+    assert len(table.br) == len(br)
+    assert all(table.br[k] == br[k] for k in range(len(br)))
+    assert cert.crossing == crossing
+    assert cert.profile == profile
+    assert cert.regrets == regrets
+    return crossing
+
+
+def test_solver_matches_reference_on_random_games():
+    rng = np.random.default_rng(20260)
+    walk_flips = 0
+    for index in range(210):
+        kind = ("mean", "linear")[index % 2]
+        epsilon = (0.5, 0.2, 0.01)[index % 3]
+        game = random_game(rng, int(rng.integers(2, 16)), kind)
+        _assert_matches_reference(game, epsilon)
+        # Random payoffs rarely need a walk of more than zero flips. Under bar
+        # payoffs V drops from 1 to 0 at z = 1/2 and the walk runs through
+        # about half the players; the walk does not depend on K.
+        bar = SummGame(game.summarization, ((Affine(0.0, 1.0), Affine(1.0, -1.0)),) * game.n)
+        walk_flips += _assert_matches_reference(bar, 0.5).walk_position
+    assert walk_flips > 500
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01])
+def test_solver_matches_reference_on_samples(epsilon):
+    assert len(SAMPLES) == 12
+    for path in SAMPLES:
+        game, _ = load_game(str(path))
+        _assert_matches_reference(game, epsilon)
+
+
+def test_walk_blocks_capped_by_cell_budget(monkeypatch):
+    # Capping blocks at one or a few rows changes how the walk is cut into
+    # blocks, never where it stops.
+    for name in ("bar100.json", "weighted-voting100.json", "voting100.json"):
+        game, _ = load_game(str(SAMPLES[0].parent / name))
+        for cells in (1, 3 * game.n, 7 * game.n):
+            monkeypatch.setattr(solver, "_WALK_BLOCK_CELLS", cells)
+            _assert_matches_reference(game, 0.5)
+
+
+def _edge_heavy_values(grid):
+    edges = [grid.left_edge(k) for k in range(grid.K)] + [1.0]
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from(edges),
+        st.sampled_from(edges).map(lambda e: max(0.0, float(np.nextafter(e, 0.0)))),
+        st.sampled_from(edges).map(lambda e: min(1.0, float(np.nextafter(e, 1.0)))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 30), data=st.data())
+def test_crossing_scans_match_reference_scans(K, data):
+    # V values on, just below and just above the grid edges.
+    grid = AlphaGrid(K)
+    v = data.draw(st.lists(_edge_heavy_values(grid), min_size=K, max_size=K))
+    # One player with tau = 1: every walk stops at position 0, so the
+    # vertical result is the scan's k alone.
+    game = bar_game(1)
+    br = tuple(PureProfile((k % 2,)) for k in range(K))
+    table = VTable(grid, br, tuple(v))
+    horizontal, vertical = _reference_scans(grid, v)
+    assert find_horizontal(table) == horizontal
+    if vertical is not None:
+        assert find_vertical_and_walk(game, table) == (vertical, 0, br[vertical - 1])
+    else:
+        with pytest.raises(ContractError):
+            find_vertical_and_walk(game, table)
+
+
+def test_grid_points_are_the_left_edges():
+    for K in (1, 3, 7, 10, 49, 240, 1000, 40000):
+        grid = AlphaGrid(K)
+        assert grid.grid_points().tolist() == [grid.left_edge(k) for k in range(K)]

@@ -6,8 +6,10 @@ import pytest
 from conftest import bar_game, consensus_game, constant_game, random_game
 from summgames import (
     AlphaGrid,
+    BestResponses,
     ContractError,
     Horizontal,
+    InputError,
     PureProfile,
     VTable,
     Vertical,
@@ -201,3 +203,36 @@ def test_summ_nash_randomized_guarantee_and_totality():
 def test_summ_nash_epsilon_validation():
     with pytest.raises(Exception):
         summ_nash(bar_game(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [1.25, -0.5, float("nan")])
+def test_find_horizontal_rejects_v_outside_unit_interval(bad):
+    grid = AlphaGrid(4)
+    prof = PureProfile((0,))
+    with pytest.raises(InputError):
+        find_horizontal(VTable(grid, (prof,) * 4, (0.9, bad, 0.6, 0.9)))
+
+
+def test_best_responses_are_built_once_on_read():
+    game, grid, steps, table = _bar_table(n=5, K=8)
+    assert isinstance(table.br, BestResponses)
+    assert len(table.br) == grid.K
+    for k in range(grid.K):
+        assert table.br[k] is table.br[k]
+        assert table.br[k] == apparent_br_at(game, steps, k)
+    assert table.br[-1] is table.br[grid.K - 1]
+    assert list(table.br) == [table.br[k] for k in range(grid.K)]
+    with pytest.raises(IndexError):
+        table.br[grid.K]
+
+
+def test_vertical_scan_relaxed_on_an_exact_edge_among_several_intervals():
+    # Edges 0, .25, .5, .75. No V value lies in its own interval, and no
+    # strict drop exists: the only drop starts exactly on the edge 0.5.
+    game = bar_game(4)
+    grid = AlphaGrid(4)
+    y = PureProfile((0, 0, 1, 1))  # S = 0.5 = 2 * alpha
+    z = PureProfile((0, 0, 0, 0))  # S = 0
+    table = VTable(grid, (y, y, z, z), (0.3, 2 * grid.alpha, 0.0, 0.0))
+    assert find_horizontal(table) is None
+    assert find_vertical_and_walk(game, table) == (2, 0, y)
