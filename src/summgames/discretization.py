@@ -13,6 +13,7 @@ fudging, so the boundary semantics are deterministic and testable.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +151,25 @@ class StepTable:
     f1: np.ndarray
 
 
+def _sampling_key(fn: Payoff):
+    """A key that two payoffs share only if they sample to the same bits.
+
+    That is the same type and the same field values bit for bit; equality
+    of the frozen dataclasses is not enough, since it lets a 0.0 field
+    stand for -0.0, which samples to other bits. A payoff whose fields
+    cannot be pickled keys on its identity.
+    """
+    try:
+        return type(fn), pickle.dumps(fn.__dict__)
+    except (TypeError, AttributeError, pickle.PicklingError):
+        return id(fn)
+
+
 def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
-    """Step approximations of all 2n payoff functions as one ``StepTable``,
-    filled by one ``evaluate_array`` call per payoff; refuses up front a
-    game whose n*K cells exceed ``MAX_GRID_CELLS``."""
+    """Step approximations of all 2n payoff functions as one ``StepTable``;
+    each distinct payoff (see ``_sampling_key``) is evaluated once and its
+    row copied to every other player that has it. Refuses up front a game
+    whose n*K cells exceed ``MAX_GRID_CELLS``."""
     cells = game.n * grid.K
     if cells > MAX_GRID_CELLS:
         raise CapabilityError(
@@ -162,9 +178,14 @@ def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
         )
     points = grid.grid_points()
     tables = np.empty((2, game.n, grid.K))
-    for i, pair in enumerate(game.payoffs):
-        for b in (0, 1):
-            tables[b, i] = pair[b].evaluate_array(points)
+    rows = tables.reshape(2 * game.n, grid.K)
+    # The row where each distinct payoff was first written.
+    first: dict = {}
+    # Row b * n + i holds F_b^i.
+    payoffs = [pair[b] for b in (0, 1) for pair in game.payoffs]
+    for r, fn in enumerate(payoffs):
+        source = first.setdefault(_sampling_key(fn), r)
+        rows[r] = fn.evaluate_array(points) if source == r else rows[source]
     # min/max propagate NaN, which then fails the comparison.
     if not (0.0 <= tables.min() and tables.max() <= 1.0):
         raise InputError("step values must lie in [0, 1]")

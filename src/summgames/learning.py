@@ -30,9 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     EXACT_REGRET_MAX_PLAYERS,
     MixedProfile,
+    PureProfile,
     SummGame,
     regret_mixed,
 )
@@ -180,6 +183,16 @@ def broadcast_mean(game: SummGame, profile: MixedProfile) -> float:
     return math.fsum(w * p for w, p in zip(summ.weights, profile.probs))
 
 
+def _push(beta: float, target: PureProfile) -> np.ndarray:
+    """beta * BR as float64: the part of an update fixed by the interval."""
+    return beta * np.array(target.actions, dtype=np.float64)
+
+
+def _update(probs: np.ndarray, beta: float, push: np.ndarray) -> np.ndarray:
+    """Every player's (1 - beta) * p + beta * BR, the one SummLearn update."""
+    return (1.0 - beta) * probs + push
+
+
 def learn_step(
     game: SummGame,
     steps: StepTable,
@@ -199,13 +212,8 @@ def learn_step(
         raise InputError(f"beta must lie in (0, alpha={grid.alpha}), got {beta}")
     mu = broadcast_mean(game, profile)
     k = interval_of(grid, mu)
-    target = apparent_br_at(game, steps, k)
-    return MixedProfile(
-        tuple(
-            (1.0 - beta) * p + beta * a
-            for p, a in zip(profile.probs, target.actions)
-        )
-    )
+    push = _push(beta, apparent_br_at(game, steps, k))
+    return MixedProfile(tuple(_update(np.array(profile.probs), beta, push).tolist()))
 
 
 def default_step_cap(grid: AlphaGrid, beta: float, delta: float) -> int:
@@ -271,7 +279,10 @@ def run_summ_learn(
     visit_start = 0
     visit_len = 0
 
-    probs = profile.probs
+    weights = np.array(summ.weights, dtype=np.float64)
+    # beta * BR(I_k) per visited interval; the bar game alternates two.
+    pushes: dict[int, np.ndarray] = {}
+    probs = np.array(profile.probs, dtype=np.float64)
     mu = broadcast_mean(game, profile)
     t = 0
     terminated: Converged | MaxStepsReached | None = None
@@ -285,19 +296,19 @@ def run_summ_learn(
             visit_len = 0
         visit_len += 1
 
-        target = table.br[k].actions
-        new_probs = tuple(
-            (1.0 - beta) * p + beta * a for p, a in zip(probs, target)
-        )
-        new_mu = math.fsum(
-            w * p for w, p in zip(summ.weights, new_probs)
-        )
+        push = pushes.get(k)
+        if push is None:
+            push = pushes[k] = _push(beta, table.br[k])
+        new_probs = _update(probs, beta, push)
+        # fsum is exactly rounded, so the mean does not depend on how the
+        # products are laid out.
+        new_mu = math.fsum((weights * new_probs).tolist())
         if abs((new_mu - mu) - beta * (table.v[k] - mu)) > _MU_RECURSION_TOL:
             raise ContractError(
                 f"mean recursion violated at step {t}: the summarization is "
                 "not behaving linearly"
             )
-        max_delta = max(abs(np_ - p) for np_, p in zip(new_probs, probs))
+        max_delta = float(np.abs(new_probs - probs).max())
 
         stopping = (
             config.delta > 0.0 and max_delta <= config.delta
@@ -306,7 +317,10 @@ def run_summ_learn(
         if t % config.snapshot_every == 0 or stopping:
             records.append(
                 TrajectoryStep(
-                    t, mu, max_delta, probs if config.snapshot_probs else None
+                    t,
+                    mu,
+                    max_delta,
+                    tuple(probs.tolist()) if config.snapshot_probs else None,
                 )
             )
         probs = new_probs
@@ -320,7 +334,7 @@ def run_summ_learn(
     if visit_interval is not None:
         visits.append(Visit(visit_interval, visit_start, visit_len))
 
-    final = MixedProfile(probs)
+    final = MixedProfile(tuple(probs.tolist()))
     trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)
 
     if game.n <= EXACT_REGRET_MAX_PLAYERS:

@@ -202,3 +202,54 @@ def test_discretize_game_arrays_match_per_function_view():
         assert tuple(steps.f1[i].tolist()) == discretize(pay1, grid).values
     with pytest.raises(ValueError):
         steps.f0[0, 0] = 0.5  # read-only
+
+
+def test_discretize_game_evaluates_each_distinct_payoff_once(monkeypatch):
+    calls = []
+    original = Affine.evaluate_array
+
+    def counted(self, z):
+        calls.append(self)
+        return original(self, z)
+
+    monkeypatch.setattr(Affine, "evaluate_array", counted)
+    game = bar_game(1000)
+    steps = discretize_game(game, AlphaGrid(16))
+    assert sorted(calls, key=repr) == [Affine(0.0, 1.0), Affine(1.0, -1.0)]
+    points = AlphaGrid(16).grid_points()
+    assert (steps.f0 == original(Affine(0.0, 1.0), points)).all()
+    assert (steps.f1 == original(Affine(1.0, -1.0), points)).all()
+
+
+def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
+    # Constant(0.0) == Constant(-0.0) as dataclasses, but they sample to
+    # different bits; so do Affine(-0.0, -0.0) and Affine(0.0, 0.0). The
+    # unpicklable payoff is keyed on its identity.
+    class Unpicklable(_FixedArrayPayoff):
+        def __init__(self, value):
+            super().__init__(value)
+            self.hook = lambda: None
+
+    rng = np.random.default_rng(2)
+    payoffs = [
+        Constant(0.0),
+        Constant(-0.0),
+        Affine(-0.0, -0.0),
+        Affine(0.0, 0.0),
+        Affine(0.0, 1.0),
+        Affine(0.0, 1),
+        Unpicklable(0.5),
+        Unpicklable(0.25),
+    ] + catalog_payoff_suite(rng)
+    pairs = tuple(
+        (payoffs[int(a)], payoffs[int(b)])
+        for a, b in rng.integers(0, len(payoffs), size=(60, 2))
+    )
+    game = SummGame(Mean(len(pairs)), pairs)
+    for grid in (AlphaGrid(1), AlphaGrid(7), make_grid(0.01, game.rho)):
+        steps = discretize_game(game, grid)
+        points = grid.grid_points()
+        for b, table in enumerate((steps.f0, steps.f1)):
+            expected = np.array([pair[b].evaluate_array(points) for pair in pairs])
+            assert table.tobytes() == expected.tobytes()
+            assert table.flags.c_contiguous and not table.flags.writeable

@@ -83,6 +83,22 @@ def test_learn_step_beta_validation():
         learn_step(game, steps, MixedProfile((0.5,) * 4), beta=0.25)
 
 
+def test_learn_step_is_the_first_step_of_the_loop():
+    rng = np.random.default_rng(12)
+    games = [bar_game(6), consensus_game(5)] + [
+        random_game(rng, n, kind) for n in (1, 7, 40) for kind in ("mean", "linear")
+    ]
+    for game in games:
+        initial = MixedProfile(tuple(float(p) for p in rng.uniform(size=game.n)))
+        config = LearnConfig(epsilon=0.5, delta=0.0, max_steps=2, snapshot_probs=True)
+        trajectory, _, _ = run_summ_learn(game, config, initial=initial)
+        steps = discretize_game(game, trajectory.grid)
+        stepped = learn_step(game, steps, initial, trajectory.beta)
+        assert trajectory.steps[0].probs == initial.probs
+        # Compared as IEEE bytes, so a signed zero cannot hide.
+        assert np.array(trajectory.steps[1].probs).tobytes() == np.array(stepped.probs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------

@@ -1,0 +1,309 @@
+"""The array learner and regret kernel against their earlier scalar forms.
+
+The references below are the learner loop on tuples of Python floats, the
+deviation kernel on (rows, n) float64 blocks with an ``np.where`` select,
+and exact and Monte-Carlo ``regret_mixed`` on those blocks, as they were
+before the learner moved to numpy arrays and the kernel to bool blocks
+built in chunks. Every comparison is bit for bit: floats are compared by
+their IEEE bytes, so a 0.0 standing in for -0.0 fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import bar_game, random_game
+from summgames import (
+    Constant,
+    CustomSummarization,
+    LearnConfig,
+    MajorityFraction,
+    MixedProfile,
+    PureProfile,
+    SummGame,
+    broadcast_mean,
+    build_v_table,
+    interval_of,
+    make_grid,
+    regret_mixed,
+    regret_pure,
+    run_summ_learn,
+)
+from summgames import core
+from summgames.learning import default_step_cap
+
+_REF_BATCH_ROWS = 1 << 14
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+# ---------------------------------------------------------------------------
+
+
+def _ref_profile_bits(codes, n):
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+
+
+def _ref_deviation_payoffs(game, bits):
+    summ = game.summarization
+    state = summ.batch_state(bits)
+    for i, (pay0, pay1) in enumerate(game.payoffs):
+        x = bits[:, i].copy()
+        lo, hi = summ.batch_deviation(state, x, i)
+        f0 = pay0.evaluate_array(lo)
+        f1 = pay1.evaluate_array(hi)
+        yield f0, f1, np.where(x == 1.0, f1, f0)
+
+
+def _ref_regret_pure(game, profile):
+    bits = np.array([profile.actions], dtype=np.float64)
+    return tuple(
+        float((np.maximum(f0, f1) - current)[0])
+        for f0, f1, current in _ref_deviation_payoffs(game, bits)
+    )
+
+
+def _ref_exact(game, probs):
+    n = game.n
+    probs = np.asarray(probs)
+    total = 1 << n
+    dev = np.zeros((n, 2))
+    cur = np.zeros(n)
+    for start in range(0, total, _REF_BATCH_ROWS):
+        codes = np.arange(start, min(start + _REF_BATCH_ROWS, total), dtype=np.int64)
+        bits = _ref_profile_bits(codes, n)
+        weights = np.ones(len(codes))
+        for j in range(n):
+            weights *= np.where(bits[:, j] == 1.0, probs[j], 1.0 - probs[j])
+        for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
+            dev[i, 0] += weights @ f0
+            dev[i, 1] += weights @ f1
+            cur[i] += weights @ current
+    return tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
+
+
+def _ref_monte_carlo(game, probs, samples, seed):
+    n = game.n
+    probs = np.asarray(probs)
+    rng = np.random.default_rng(seed)
+    g_sum = np.zeros((n, 2))
+    g_sumsq = np.zeros((n, 2))
+    drawn = 0
+    while drawn < samples:
+        rows = min(_REF_BATCH_ROWS, samples - drawn)
+        bits = (rng.random((rows, n)) < probs[None, :]).astype(np.float64)
+        for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
+            for b, fb in ((0, f0), (1, f1)):
+                g = fb - current
+                g_sum[i, b] += g.sum()
+                g_sumsq[i, b] += (g * g).sum()
+        drawn += rows
+    means = g_sum / samples
+    regrets, stderrs = [], []
+    for i in range(n):
+        b = 1 if means[i, 1] > means[i, 0] else 0
+        regrets.append(float(means[i, b]))
+        if samples >= 2:
+            var = (g_sumsq[i, b] - g_sum[i, b] ** 2 / samples) / (samples - 1)
+            stderrs.append(float(math.sqrt(max(var, 0.0) / samples)))
+        else:
+            stderrs.append(float("inf"))
+    return tuple(regrets), tuple(stderrs)
+
+
+def _ref_learn(game, epsilon, delta, initial, max_steps=None):
+    """The tuple learner loop: (records, final step, final probs, visits)."""
+    summ = game.summarization
+    grid = make_grid(epsilon, game.rho)
+    beta = grid.alpha / 2.0
+    if max_steps is None:
+        max_steps = default_step_cap(grid, beta, delta)
+    table = build_v_table(game, grid)
+    records, visits = [], []
+    visit_interval, visit_start, visit_len = None, 0, 0
+    probs = initial.probs
+    mu = broadcast_mean(game, initial)
+    t = 0
+    while t < max_steps:
+        k = interval_of(grid, mu)
+        if k != visit_interval:
+            if visit_interval is not None:
+                visits.append((visit_interval, visit_start, visit_len))
+            visit_interval, visit_start, visit_len = k, t, 0
+        visit_len += 1
+        target = table.br[k].actions
+        new_probs = tuple((1.0 - beta) * p + beta * a for p, a in zip(probs, target))
+        new_mu = math.fsum(w * p for w, p in zip(summ.weights, new_probs))
+        assert abs((new_mu - mu) - beta * (table.v[k] - mu)) <= 1e-12
+        max_delta = max(abs(np_ - p) for np_, p in zip(new_probs, probs))
+        records.append((t, mu, max_delta, probs))
+        probs, mu = new_probs, new_mu
+        t += 1
+        if delta > 0.0 and max_delta <= delta:
+            break
+    visits.append((visit_interval, visit_start, visit_len))
+    return records, t, probs, visits
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+
+def _custom(n):
+    return CustomSummarization(lambda a: sum(a) / len(a), n, 1.0 / n)
+
+
+def _with_edge_payoffs(game, rng):
+    """The game with some players' payoffs swapped for constant pairs with
+    F0 == F1 and for pairs holding Constant(-0.0)."""
+    pairs = list(game.payoffs)
+    edge = [
+        (Constant(0.25), Constant(0.25)),
+        (Constant(-0.0), Constant(0.0)),
+        (Constant(0.0), Constant(-0.0)),
+        (Constant(-0.0), Constant(-0.0)),
+    ]
+    for i in rng.choice(game.n, size=min(game.n, 3), replace=False):
+        pairs[int(i)] = edge[int(rng.integers(len(edge)))]
+    return SummGame(game.summarization, tuple(pairs))
+
+
+def _regret_games(seed, sizes):
+    rng = np.random.default_rng(seed)
+    for kind in ("mean", "majority", "linear", "custom"):
+        for n in sizes:
+            if kind == "custom" and n > 5:
+                continue
+            base = random_game(rng, n, "linear" if kind == "linear" else "mean")
+            summ = {
+                "majority": MajorityFraction(n),
+                "custom": _custom(n),
+            }.get(kind, base.summarization)
+            game = SummGame(summ, base.payoffs)
+            yield kind, game
+            yield kind, _with_edge_payoffs(game, rng)
+
+
+def _profile(rng, n):
+    """Random probabilities with some entries exactly 0 and 1."""
+    probs = rng.uniform(size=n)
+    probs[rng.random(n) < 0.3] = 0.0
+    probs[rng.random(n) < 0.3] = 1.0
+    return MixedProfile(tuple(float(p) for p in probs))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("select_rows", [1, core._BITWISE_SELECT_ROWS, 1 << 30])
+def test_kernel_matches_reference_kernel(monkeypatch, select_rows):
+    # Both selects, and states built from chunks of 3 rows.
+    monkeypatch.setattr(core, "_BITWISE_SELECT_ROWS", select_rows)
+    rng = np.random.default_rng(3)
+    for kind, game in _regret_games(3, (1, 4, 9)):
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 3 * game.n)
+        for rows in (1, 5, 64 if kind == "custom" else 1500):
+            bits = rng.random((rows, game.n)) < 0.5
+            ours = list(core._deviation_payoffs(game, bits))
+            ref = list(_ref_deviation_payoffs(game, bits.astype(np.float64)))
+            assert len(ours) == len(ref) == game.n
+            for a, b in zip(ours, ref):
+                for x, y in zip(a, b):
+                    assert _bits(x) == _bits(y), (kind, rows)
+
+
+def test_regret_pure_matches_reference():
+    rng = np.random.default_rng(4)
+    for kind, game in _regret_games(4, (1, 3, 8, 40)):
+        for _ in range(3):
+            profile = PureProfile(tuple(int(a) for a in rng.integers(0, 2, game.n)))
+            assert _bits(regret_pure(game, profile)) == _bits(
+                _ref_regret_pure(game, profile)
+            ), kind
+
+
+def test_exact_regret_mixed_matches_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    for kind, game in _regret_games(5, (1, 2, 6, 11)):
+        profile = _profile(rng, game.n)
+        result = regret_mixed(game, profile, mode="exact")
+        assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
+    # Two enumeration blocks, split into state chunks of 7 rows.
+    monkeypatch.setattr(core, "_CHUNK_CELLS", 7 * 15)
+    for kind in ("mean", "linear"):
+        game = random_game(rng, 15, kind)
+        profile = _profile(rng, 15)
+        result = regret_mixed(game, profile, mode="exact")
+        assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
+    rng = np.random.default_rng(6)
+    for kind, game in _regret_games(6, (1, 3, 12)):
+        if chunk_rows is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
+        profile = _profile(rng, game.n)
+        # Below the bitwise select, above it, and two blocks; none a
+        # multiple of the 7-row draw chunk. The black box stays small.
+        counts = (1, 500, 1103) if kind == "custom" else (1, 999, 17389)
+        for samples in counts:
+            result = regret_mixed(game, profile, "monte_carlo", samples, seed=samples)
+            regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, samples)
+            assert _bits(result.regrets) == _bits(regrets), (kind, samples)
+            assert _bits(result.stderrs) == _bits(stderrs), (kind, samples)
+
+
+def test_monte_carlo_at_scale_matches_reference():
+    # n = 1000 makes 262-row draw and state chunks inside each block.
+    rng = np.random.default_rng(7)
+    for game in (bar_game(1000), random_game(rng, 1000, "linear")):
+        profile = _profile(rng, 1000)
+        result = regret_mixed(game, profile, "monte_carlo", 3001, seed=1)
+        regrets, stderrs = _ref_monte_carlo(game, profile.probs, 3001, 1)
+        assert _bits(result.regrets) == _bits(regrets)
+        assert _bits(result.stderrs) == _bits(stderrs)
+
+
+def _learn_cases():
+    rng = np.random.default_rng(8)
+    for n in (1, 4, 30, 120):
+        for kind in ("mean", "linear"):
+            game = random_game(rng, n, kind)
+            yield game, 0.5, 1e-3, _profile(rng, n), 3000
+            yield _with_edge_payoffs(game, rng), 0.3, 1e-4, _profile(rng, n), 3000
+    # The oscillating bar game from all zeros, and one from all ones.
+    yield bar_game(50), 0.5, 1e-4, MixedProfile((0.0,) * 50), 600
+    yield bar_game(7), 0.25, 0.0, MixedProfile((1.0,) * 7), 300
+
+
+def test_learner_matches_reference_loop():
+    for game, epsilon, delta, initial, cap in _learn_cases():
+        config = LearnConfig(
+            epsilon=epsilon, delta=delta, max_steps=cap, snapshot_probs=True
+        )
+        trajectory, cert, diagnostics = run_summ_learn(game, config, initial=initial)
+        records, steps, final, visits = _ref_learn(game, epsilon, delta, initial, cap)
+        assert trajectory.terminated.step == steps
+        assert [s.t for s in trajectory.steps] == [r[0] for r in records]
+        assert _bits([s.mu for s in trajectory.steps]) == _bits([r[1] for r in records])
+        assert _bits([s.max_delta for s in trajectory.steps]) == _bits(
+            [r[2] for r in records]
+        )
+        for step, record in zip(trajectory.steps, records):
+            assert _bits(step.probs) == _bits(record[3])
+            assert all(type(p) is float for p in step.probs)
+        assert _bits(trajectory.final.probs) == _bits(final)
+        assert _bits(cert.profile.probs) == _bits(final)
+        assert [(v.interval, v.start, v.duration) for v in diagnostics.visit_log] == visits
+        assert all(type(s.mu) is float and type(s.max_delta) is float for s in trajectory.steps)
+
