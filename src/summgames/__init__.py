@@ -51,7 +51,6 @@ from .learning import (
     TrajectoryStep,
     Visit,
     broadcast_mean,
-    learn_step,
     run_summ_learn,
 )
 from .oracle import (
@@ -67,7 +66,6 @@ from .solver import (
     BestResponses,
     VTable,
     Vertical,
-    apparent_br_at,
     build_v_table,
     find_horizontal,
     find_vertical_and_walk,
@@ -113,7 +111,6 @@ __all__ = [
     "ValidationReport",
     "Vertical",
     "Visit",
-    "apparent_br_at",
     "broadcast_mean",
     "brute_min_epsilon",
     "build_v_table",
@@ -124,7 +121,6 @@ __all__ = [
     "find_vertical_and_walk",
     "influence_of",
     "interval_of",
-    "learn_step",
     "make_grid",
     "payoff",
     "regret_mixed",

@@ -103,11 +103,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         mc_samples=args.samples,
         mc_seed=args.seed,
     )
-    grid, beta = trajectory.grid, trajectory.beta
     if args.trajectory:
-        write_trajectory_csv(
-            args.trajectory, trajectory, grid.alpha, beta, args.delta, args.seed
-        )
+        write_trajectory_csv(args.trajectory, trajectory, args.delta, args.seed)
     terminated = (
         "converged" if isinstance(trajectory.terminated, Converged) else "max_steps"
     )
@@ -117,9 +114,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         "game": _game_section(args.game, digest, game),
         "parameters": {
             "epsilon": args.epsilon,
-            "alpha": grid.alpha,
-            "intervals": grid.K,
-            "beta": beta,
+            "alpha": trajectory.grid.alpha,
+            "intervals": trajectory.grid.K,
+            "beta": trajectory.beta,
             "delta": args.delta,
             "max_steps": trajectory.max_steps,
             "seed": args.seed,

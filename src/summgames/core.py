@@ -134,13 +134,6 @@ class MixedProfile:
     def n(self) -> int:
         return len(self.probs)
 
-    def with_prob(self, i: int, p: float) -> "MixedProfile":
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        probs = list(self.probs)
-        probs[i] = p
-        return MixedProfile(tuple(probs))
-
     def is_pure(self) -> bool:
         return all(p in (0.0, 1.0) for p in self.probs)
 
@@ -177,8 +170,7 @@ class Summarization:
     state must not depend on the other rows of the batch, so ``evaluate``
     -- that path on one row -- agrees bit for bit with every row-major
     batch containing the same profile, and a block's state may be built
-    from row chunks and concatenated. (``LinearWeighted`` sums the rows of
-    a column-major batch in another order, so their last bits can differ.)
+    from row chunks and concatenated.
     """
 
     n: int

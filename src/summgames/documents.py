@@ -325,17 +325,14 @@ def load_certificate(path: str) -> EquilibriumCertificate:
 
 
 def write_trajectory_csv(
-    path: str,
-    trajectory: Trajectory,
-    alpha: float,
-    beta: float,
-    delta: float,
-    seed: int,
+    path: str, trajectory: Trajectory, delta: float, seed: int
 ) -> None:
     """Delimited trajectory dump: t, mu, max_delta, and probability columns
-    when snapshots were recorded."""
+    when snapshots were recorded. The header states the run's alpha and
+    beta as resolved on the trajectory."""
     with_probs = any(step.probs is not None for step in trajectory.steps)
     n = trajectory.final.n
+    alpha, beta = trajectory.grid.alpha, trajectory.beta
     lines = [f"# alpha={alpha!r} beta={beta!r} delta={delta!r} seed={seed!r}"]
     header = "t,mu,max_delta"
     if with_probs:

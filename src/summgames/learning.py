@@ -32,27 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EXACT_REGRET_MAX_PLAYERS,
-    MixedProfile,
-    PureProfile,
-    SummGame,
-    regret_mixed,
-)
-from .discretization import (
-    AlphaGrid,
-    StepTable,
-    interval_of,
-    make_grid,
-)
+from .core import EXACT_REGRET_MAX_PLAYERS, MixedProfile, SummGame, regret_mixed
+from .discretization import AlphaGrid, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
-from .solver import (
-    EquilibriumCertificate,
-    Learned,
-    VTable,
-    apparent_br_at,
-    build_v_table,
-)
+from .solver import EquilibriumCertificate, Learned, VTable, build_v_table
 
 __all__ = [
     "LearnConfig",
@@ -64,7 +47,6 @@ __all__ = [
     "LearnDiagnostics",
     "broadcast_mean",
     "default_step_cap",
-    "learn_step",
     "run_summ_learn",
 ]
 
@@ -180,40 +162,13 @@ def broadcast_mean(game: SummGame, profile: MixedProfile) -> float:
             "the broadcast mean requires a linear summarization (mean or "
             f"weighted vote); got {type(summ).__name__}"
         )
-    return math.fsum(w * p for w, p in zip(summ.weights, profile.probs))
+    return _mean(np.array(summ.weights, dtype=np.float64), np.array(profile.probs))
 
 
-def _push(beta: float, target: PureProfile) -> np.ndarray:
-    """beta * BR as float64: the part of an update fixed by the interval."""
-    return beta * np.array(target.actions, dtype=np.float64)
-
-
-def _update(probs: np.ndarray, beta: float, push: np.ndarray) -> np.ndarray:
-    """Every player's (1 - beta) * p + beta * BR, the one SummLearn update."""
-    return (1.0 - beta) * probs + push
-
-
-def learn_step(
-    game: SummGame,
-    steps: StepTable,
-    profile: MixedProfile,
-    beta: float,
-) -> MixedProfile:
-    """One synchronous update: every player moves beta of the way toward
-    their apparent best response to the current broadcast mean.
-
-    The best response is read off the step table at the grid point of the
-    interval containing the mean (ties to action 0), by the same rule as
-    the V table, so a profile already at that pure best response is a
-    fixed point.
-    """
-    grid = steps.grid
-    if not 0.0 < beta < grid.alpha:
-        raise InputError(f"beta must lie in (0, alpha={grid.alpha}), got {beta}")
-    mu = broadcast_mean(game, profile)
-    k = interval_of(grid, mu)
-    push = _push(beta, apparent_br_at(game, steps, k))
-    return MixedProfile(tuple(_update(np.array(profile.probs), beta, push).tolist()))
+def _mean(weights: np.ndarray, probs: np.ndarray) -> float:
+    """sum_i w_i * p_i, exactly rounded, so the mean does not depend on how
+    the products are laid out."""
+    return math.fsum((weights * probs).tolist())
 
 
 def default_step_cap(grid: AlphaGrid, beta: float, delta: float) -> int:
@@ -283,7 +238,7 @@ def run_summ_learn(
     # beta * BR(I_k) per visited interval; the bar game alternates two.
     pushes: dict[int, np.ndarray] = {}
     probs = np.array(profile.probs, dtype=np.float64)
-    mu = broadcast_mean(game, profile)
+    mu = _mean(weights, probs)
     t = 0
     terminated: Converged | MaxStepsReached | None = None
     while t < max_steps:
@@ -298,11 +253,10 @@ def run_summ_learn(
 
         push = pushes.get(k)
         if push is None:
-            push = pushes[k] = _push(beta, table.br[k])
-        new_probs = _update(probs, beta, push)
-        # fsum is exactly rounded, so the mean does not depend on how the
-        # products are laid out.
-        new_mu = math.fsum((weights * new_probs).tolist())
+            push = pushes[k] = beta * np.array(table.br[k].actions, dtype=np.float64)
+        # Every player moves beta of the way toward BR(I_k).
+        new_probs = (1.0 - beta) * probs + push
+        new_mu = _mean(weights, new_probs)
         if abs((new_mu - mu) - beta * (table.v[k] - mu)) > _MU_RECURSION_TOL:
             raise ContractError(
                 f"mean recursion violated at step {t}: the summarization is "

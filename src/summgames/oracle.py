@@ -16,6 +16,7 @@ from .core import (
     EXACT_REGRET_MAX_PLAYERS,
     PureProfile,
     SummGame,
+    _BATCH_ROWS,
     _deviation_payoffs,
     _profile_bits,
     regret_mixed,
@@ -34,8 +35,6 @@ __all__ = [
 
 # 2^22 profiles keeps full enumeration at desk scale (seconds, not hours).
 BRUTE_FORCE_MAX_PLAYERS = 22
-
-_CHUNK_ROWS = 1 << 14
 
 # Agreement tolerance for exactly recomputed regrets.
 _EXACT_TOL = 1e-9
@@ -66,8 +65,8 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
     total = 1 << n
     best_value = math.inf
     best_code = 0
-    for start in range(0, total, _CHUNK_ROWS):
-        codes = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+    for start in range(0, total, _BATCH_ROWS):
+        codes = np.arange(start, min(start + _BATCH_ROWS, total), dtype=np.int64)
         bits = _profile_bits(codes, n)
         worst = np.zeros(len(codes))
         for f0, f1, current in _deviation_payoffs(game, bits):

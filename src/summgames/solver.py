@@ -49,7 +49,6 @@ __all__ = [
     "Vertical",
     "Learned",
     "EquilibriumCertificate",
-    "apparent_br_at",
     "build_v_table",
     "find_horizontal",
     "find_vertical_and_walk",
@@ -149,35 +148,21 @@ class EquilibriumCertificate:
         return max(self.regrets)
 
 
-def _prefers_one(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """The best-response rule: action 1 exactly where it pays strictly
-    more, so ties go to action 0."""
-    return f1 > f0
-
-
-def apparent_br_at(game: SummGame, steps: StepTable, k: int) -> PureProfile:
-    """Each player's favorite action when the summarization value is in I_k.
-
-    Compares column k of the step table's F_0 and F_1 arrays, the values
-    at the interval's left endpoint; ties go to action 0.
-    """
-    return PureProfile(tuple(_prefers_one(steps.f0[:, k], steps.f1[:, k]).tolist()))
-
-
 def build_v_table(
     game: SummGame, grid: AlphaGrid, steps: StepTable | None = None
 ) -> VTable:
     """Tabulate BR(I_k) and V(I_k) = S(BR(I_k)) for every interval.
 
-    The best responses stay a (K, n) boolean matrix behind a
-    ``BestResponses`` sequence; V comes from one batch evaluation of it.
+    BR(I_k) takes action 1 exactly where F_1 pays strictly more than F_0 at
+    the interval's left endpoint, so ties go to action 0. The best
+    responses stay a row-major (K, n) boolean matrix behind a
+    ``BestResponses`` sequence, and V is one batch evaluation of it, so
+    V(I_k) equals ``evaluate(br[k])`` bit for bit.
     """
     if steps is None:
         steps = discretize_game(game, grid)
-    bits = _prefers_one(steps.f0, steps.f1).T
+    bits = np.ascontiguousarray((steps.f1 > steps.f0).T)
     summ = game.summarization
-    # The transpose keeps the matrix column-major, the layout V has always
-    # been summed in (see ``Summarization``).
     values = summ.batch_value(summ.batch_state(bits.astype(np.float64)))
     return VTable(grid, BestResponses(bits), tuple(values.tolist()))
 

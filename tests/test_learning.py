@@ -7,7 +7,6 @@ import pytest
 
 from conftest import bar_game, consensus_game, constant_game, random_game
 from summgames import (
-    AlphaGrid,
     CapabilityError,
     Converged,
     InputError,
@@ -19,9 +18,7 @@ from summgames import (
     Constant,
     broadcast_mean,
     build_v_table,
-    discretize_game,
     interval_of,
-    learn_step,
     make_grid,
     run_summ_learn,
 )
@@ -51,52 +48,31 @@ def test_broadcast_mean_rejects_nonlinear():
         broadcast_mean(g, MixedProfile((0.5,) * 3))
 
 
+def _first_step(game, initial, epsilon, beta):
+    """The profile after one update of the learner loop."""
+    config = LearnConfig(epsilon=epsilon, delta=0.0, beta=beta, max_steps=1)
+    trajectory, _, _ = run_summ_learn(game, config, initial=initial)
+    assert trajectory.terminated == MaxStepsReached(1)
+    return trajectory.final
+
+
 def test_learn_step_bar4_from_zeros():
-    game = bar_game(4)
-    grid = AlphaGrid(4)
-    steps = discretize_game(game, grid)
-    out = learn_step(game, steps, MixedProfile((0.0,) * 4), beta=0.125)
+    # epsilon = 2 gives alpha = 0.25 on the bar game (rho = 1), so K = 4.
+    out = _first_step(bar_game(4), MixedProfile((0.0,) * 4), 2.0, beta=0.125)
     assert out.probs == (0.125,) * 4
 
 
 def test_learn_step_fixed_point():
     # Consensus at all-zeros: the broadcast mean is 0, the apparent best
     # response is all-zeros, and the convex combination moves nothing.
-    game = consensus_game(4)
-    steps = discretize_game(game, AlphaGrid(4))
     p = MixedProfile((0.0,) * 4)
-    assert learn_step(game, steps, p, beta=0.1).probs == p.probs
+    assert _first_step(consensus_game(4), p, 2.0, beta=0.1).probs == p.probs
 
 
 def test_learn_step_constant_payoffs_geometric_decay():
-    game = constant_game(3)
-    steps = discretize_game(game, AlphaGrid(1))
     p = MixedProfile((0.8, 0.4, 0.6))
-    out = learn_step(game, steps, p, beta=0.5)
+    out = _first_step(constant_game(3), p, 2.0, beta=0.5)
     assert out.probs == tuple(0.5 * q for q in p.probs)
-
-
-def test_learn_step_beta_validation():
-    game = bar_game(4)
-    steps = discretize_game(game, AlphaGrid(4))
-    with pytest.raises(InputError):
-        learn_step(game, steps, MixedProfile((0.5,) * 4), beta=0.25)
-
-
-def test_learn_step_is_the_first_step_of_the_loop():
-    rng = np.random.default_rng(12)
-    games = [bar_game(6), consensus_game(5)] + [
-        random_game(rng, n, kind) for n in (1, 7, 40) for kind in ("mean", "linear")
-    ]
-    for game in games:
-        initial = MixedProfile(tuple(float(p) for p in rng.uniform(size=game.n)))
-        config = LearnConfig(epsilon=0.5, delta=0.0, max_steps=2, snapshot_probs=True)
-        trajectory, _, _ = run_summ_learn(game, config, initial=initial)
-        steps = discretize_game(game, trajectory.grid)
-        stepped = learn_step(game, steps, initial, trajectory.beta)
-        assert trajectory.steps[0].probs == initial.probs
-        # Compared as IEEE bytes, so a signed zero cannot hide.
-        assert np.array(trajectory.steps[1].probs).tobytes() == np.array(stepped.probs).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +109,11 @@ def test_run_rejects_nonlinear_and_bad_beta():
     g = SummGame(MajorityFraction(3), ((Constant(0.5), Constant(0.5)),) * 3)
     with pytest.raises(CapabilityError):
         run_summ_learn(g, LearnConfig(epsilon=0.5, delta=0.01))
-    with pytest.raises(InputError):
-        run_summ_learn(
-            bar_game(4), LearnConfig(epsilon=2.0, delta=0.01, beta=0.3)
-        )  # alpha = 0.25
+    for beta in (0.25, 0.3):  # alpha = 0.25
+        with pytest.raises(InputError):
+            run_summ_learn(
+                bar_game(4), LearnConfig(epsilon=2.0, delta=0.01, beta=beta)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from summgames import (
     SummGame,
     VTable,
     Vertical,
+    build_v_table,
     discretize,
     find_horizontal,
     find_vertical_and_walk,
@@ -73,13 +74,7 @@ def reference_solve(game, epsilon):
         )
         for k in range(grid.K)
     )
-    # V is one batch evaluation of the interval-by-player matrix stored
-    # player-major (Fortran order), the layout the solver has always summed;
-    # einsum sums a weighted row of that layout in another order than
-    # ``evaluate`` sums the same row alone.
-    summ = game.summarization
-    matrix = np.array([row.actions for row in br], dtype=np.float64, order="F")
-    v = tuple(summ.batch_value(summ.batch_state(matrix)).tolist())
+    v = tuple(game.summarization.evaluate(row.actions) for row in br)
     horizontal, k = _reference_scans(grid, v)
     if horizontal is not None:
         profile = br[horizontal]
@@ -91,7 +86,8 @@ def reference_solve(game, epsilon):
 def _assert_matches_reference(game, epsilon):
     v, br, crossing, profile, regrets = reference_solve(game, epsilon)
     cert, table = summ_nash_with_table(game, epsilon)
-    assert table.v == v
+    # V(I_k) = S(BR(I_k)) bit for bit, compared as IEEE bytes.
+    assert np.array(table.v).tobytes() == np.array(v).tobytes()
     assert len(table.br) == len(br)
     assert all(table.br[k] == br[k] for k in range(len(br)))
     assert cert.crossing == crossing
@@ -122,6 +118,17 @@ def test_solver_matches_reference_on_samples(epsilon):
     for path in SAMPLES:
         game, _ = load_game(str(path))
         _assert_matches_reference(game, epsilon)
+
+
+def test_weighted_v_table_is_evaluate_of_each_best_response():
+    # einsum sums a column-major row in another order than ``evaluate``
+    # sums the same row alone; the V table must be summed row-major.
+    rng = np.random.default_rng(5077)
+    for _ in range(20):
+        game = random_game(rng, int(rng.integers(2, 60)), "linear")
+        table = build_v_table(game, make_grid(0.05, game.rho))
+        v = [game.summarization.evaluate(row.actions) for row in table.br]
+        assert np.array(table.v).tobytes() == np.array(v).tobytes()
 
 
 def test_walk_blocks_capped_by_cell_budget(monkeypatch):

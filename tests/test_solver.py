@@ -13,7 +13,6 @@ from summgames import (
     PureProfile,
     VTable,
     Vertical,
-    apparent_br_at,
     build_v_table,
     discretize_game,
     eval_summarization,
@@ -39,17 +38,16 @@ def _bar_table(n=4, K=4):
 
 def test_apparent_br_tie_goes_to_action_zero():
     game = constant_game(4)
-    grid = AlphaGrid(4)
-    steps = discretize_game(game, grid)
+    table = build_v_table(game, AlphaGrid(4))
     for k in range(4):
-        assert apparent_br_at(game, steps, k).actions == (0, 0, 0, 0)
+        assert table.br[k].actions == (0, 0, 0, 0)
 
 
 def test_apparent_br_bar_game():
-    game, grid, steps, _ = _bar_table()
-    assert apparent_br_at(game, steps, 0).actions == (1, 1, 1, 1)
+    _, _, _, table = _bar_table()
+    assert table.br[0].actions == (1, 1, 1, 1)
     # At k=2 the step payoffs tie at 0.5, so the tie rule picks action 0.
-    assert apparent_br_at(game, steps, 2).actions == (0, 0, 0, 0)
+    assert table.br[2].actions == (0, 0, 0, 0)
 
 
 def test_v_table_bar_game():
@@ -214,12 +212,12 @@ def test_find_horizontal_rejects_v_outside_unit_interval(bad):
 
 
 def test_best_responses_are_built_once_on_read():
-    game, grid, steps, table = _bar_table(n=5, K=8)
+    _, grid, steps, table = _bar_table(n=5, K=8)
     assert isinstance(table.br, BestResponses)
     assert len(table.br) == grid.K
     for k in range(grid.K):
         assert table.br[k] is table.br[k]
-        assert table.br[k] == apparent_br_at(game, steps, k)
+        assert table.br[k].actions == tuple((steps.f1[:, k] > steps.f0[:, k]).tolist())
     assert table.br[-1] is table.br[grid.K - 1]
     assert list(table.br) == [table.br[k] for k in range(grid.K)]
     with pytest.raises(IndexError):
