@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,6 +69,14 @@ _BATCH_ROWS = 1 << 14
 # float64 copies of at most this many cells at a time (2 MB), and Monte
 # Carlo draws its uniforms in chunks of the same size.
 _CHUNK_CELLS = 1 << 18
+
+# Payoffs are evaluated for chunks of players of at most this many
+# player-row cells, so a chunk's float64 temporaries (128 KB) stay in cache:
+# one profile row (``regret_pure``) takes up to 16384 players in one chunk,
+# a full 16384-row block one player. Chunks of 2^16 and 2^18 cells made
+# ``brute_min_epsilon`` and exact ``regret_mixed`` at n = 20 about 10-20 %
+# slower.
+_CHUNK_PLAYER_CELLS = 1 << 14
 
 # From this many rows up, the payoff a player receives is picked with a
 # branch-free bitwise select, which costs a fixed few microseconds more
@@ -165,8 +173,10 @@ class Summarization:
     batch protocol, over a (rows, n) 0/1 float matrix of profiles:
     ``batch_state`` builds a per-row intermediate, an array whose first
     axis is the rows, ``batch_value`` maps it to summarization values, and
-    ``batch_deviation(state, x, i)``, given player i's 0/1 column x (bool
-    or float), yields the values after forcing i to 0 and to 1. A row's
+    ``batch_deviation(state, x, players)``, given the 0/1 columns x (bool
+    or float) of the players in the slice ``players``, one row per player,
+    yields the values after forcing each of them alone to 0 and to 1,
+    shaped like x; one player index with its 1-D column works too. A row's
     state must not depend on the other rows of the batch, so ``evaluate``
     -- that path on one row -- agrees bit for bit with every row-major
     batch containing the same profile, and a block's state may be built
@@ -202,7 +212,7 @@ class Summarization:
     def batch_value(self, state) -> np.ndarray:
         raise NotImplementedError
 
-    def batch_deviation(self, state, x: np.ndarray, i: int):
+    def batch_deviation(self, state, x: np.ndarray, players):
         raise NotImplementedError
 
 
@@ -236,6 +246,9 @@ class _LinearBase(Summarization):
             raise InputError(f"player index {i} out of range for n={self.n}")
         return self.weights[i]
 
+    def influence_bound(self) -> float:
+        return max(self.weights)
+
 
 class _CountBase(Summarization):
     """Summarizations that depend only on the number of players playing 1.
@@ -254,7 +267,7 @@ class _CountBase(Summarization):
     def batch_value(self, state: np.ndarray) -> np.ndarray:
         return self._of_count(state)
 
-    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, players):
         ones_lo = state - x
         return self._of_count(ones_lo), self._of_count(ones_lo + 1.0)
 
@@ -272,6 +285,12 @@ class Mean(_CountBase, _LinearBase):
     @property
     def weights(self) -> tuple[float, ...]:
         return (1.0 / self.n,) * self.n
+
+    # The same float as every entry of ``weights``, without building them.
+    def influence(self, i: int) -> float:
+        if not 0 <= i < self.n:
+            raise InputError(f"player index {i} out of range for n={self.n}")
+        return 1.0 / self.n
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         return ones / self.n
@@ -324,8 +343,9 @@ class LinearWeighted(_LinearBase):
     def batch_value(self, state: np.ndarray) -> np.ndarray:
         return np.clip(state, 0.0, 1.0)
 
-    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
-        w = self.weights[i]
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, players):
+        # One weight per row of x: a (players, 1) column, or one entry.
+        w = self._w[players, None]
         lo = state - w * x
         return np.clip(lo, 0.0, 1.0), np.clip(lo + w, 0.0, 1.0)
 
@@ -418,10 +438,14 @@ class CustomSummarization(Summarization):
             [self.evaluate(tuple(int(b) for b in row)) for row in state]
         )
 
-    def batch_deviation(self, state: np.ndarray, x: np.ndarray, i: int):
-        lo, hi = state.copy(), state.copy()
-        lo[:, i], hi[:, i] = 0.0, 1.0
-        return self.batch_value(lo), self.batch_value(hi)
+    def batch_deviation(self, state: np.ndarray, x: np.ndarray, players):
+        lo, hi = [], []
+        for i in np.arange(self.n)[players].reshape(-1):
+            for b, out in ((0.0, lo), (1.0, hi)):
+                forced = state.copy()
+                forced[:, i] = b
+                out.append(self.batch_value(forced))
+        return np.reshape(lo, x.shape), np.reshape(hi, x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +459,28 @@ class Payoff:
     Constructors reject parameterizations whose range escapes [0, 1];
     evaluation additionally clamps float dust so outputs never leave the
     interval. ``derivative_bound`` returns a finite upper bound on |F'|
-    over [0, 1]. Scalar and array evaluation use identical arithmetic so
-    that vectorized enumeration agrees with the scalar oracle bit for bit.
+    over [0, 1].
+
+    Each catalog kind has one arithmetic path, its ``_formula``: a function
+    of the coefficients named in ``_coefficients`` that broadcasts them
+    against z. ``evaluate_array`` is that formula on one payoff's
+    coefficients, ``evaluate`` is ``evaluate_array`` on one point, and a
+    game's payoff bank is the same formula on the coefficient columns of
+    every player holding that kind, so all three agree bit for bit.
+    A subclass outside the catalog overrides ``evaluate_array``.
     """
 
-    def evaluate(self, z: float) -> float:
+    _coefficients: tuple[str, ...] = ()
+
+    @staticmethod
+    def _formula(*coefficients_and_z):
         raise NotImplementedError
 
+    def evaluate(self, z: float) -> float:
+        return float(self.evaluate_array(np.float64(z)))
+
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._formula(*(getattr(self, c) for c in self._coefficients), z)
 
     def derivative_bound(self) -> float:
         raise NotImplementedError
@@ -458,14 +495,15 @@ def _require_unit(value: float, what: str) -> None:
 class Constant(Payoff):
     c: float
 
+    _coefficients = ("c",)
+
     def __post_init__(self) -> None:
         _require_unit(self.c, "constant payoff value")
 
-    def evaluate(self, z: float) -> float:
-        return self.c
-
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        return np.full_like(z, self.c, dtype=np.float64)
+    @staticmethod
+    def _formula(c, z):
+        # c * 1.0 is c bit for bit, -0.0 included.
+        return c * np.ones(np.shape(z))
 
     def derivative_bound(self) -> float:
         return 0.0
@@ -478,15 +516,15 @@ class Affine(Payoff):
     a: float
     b: float
 
+    _coefficients = ("a", "b")
+
     def __post_init__(self) -> None:
         _require_unit(self.a, "affine payoff at z=0")
         _require_unit(self.a + self.b, "affine payoff at z=1")
 
-    def evaluate(self, z: float) -> float:
-        return min(1.0, max(0.0, self.a + self.b * z))
-
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(self.a + self.b * z, 0.0, 1.0)
+    @staticmethod
+    def _formula(a, b, z):
+        return np.clip(a + b * z, 0.0, 1.0)
 
     def derivative_bound(self) -> float:
         return abs(self.b)
@@ -505,6 +543,8 @@ class Quadratic(Payoff):
     b: float
     c: float
 
+    _coefficients = ("a", "b", "c")
+
     def __post_init__(self) -> None:
         _require_unit(self.a, "quadratic payoff at z=0")
         _require_unit(self.a + self.b + self.c, "quadratic payoff at z=1")
@@ -516,11 +556,9 @@ class Quadratic(Payoff):
                     f"quadratic payoff at its extremum z={vertex}",
                 )
 
-    def evaluate(self, z: float) -> float:
-        return min(1.0, max(0.0, self.a + z * (self.b + self.c * z)))
-
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(self.a + z * (self.b + self.c * z), 0.0, 1.0)
+    @staticmethod
+    def _formula(a, b, c, z):
+        return np.clip(a + z * (b + c * z), 0.0, 1.0)
 
     def derivative_bound(self) -> float:
         return abs(self.b) + 2.0 * abs(self.c)
@@ -531,13 +569,17 @@ class PiecewiseLinear(Payoff):
     """Linear interpolation through breakpoints spanning [0, 1].
 
     Breakpoints are (z, value) pairs with strictly increasing z, the first
-    at z=0 and the last at z=1, so the function is total on [0, 1].
+    at z=0 and the last at z=1, so the function is total on [0, 1]. Its
+    coefficients are the breakpoint positions, values and segment slopes as
+    read-only float64 arrays along a last axis.
     """
 
     points: tuple[tuple[float, float], ...]
-    _zs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _zs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    _coefficients = ("_zs", "_ys", "_slopes")
 
     def __post_init__(self) -> None:
         pts = tuple((float(z), float(v)) for z, v in self.points)
@@ -556,26 +598,117 @@ class PiecewiseLinear(Payoff):
             for (z1, y1), (z2, y2) in zip(pts, pts[1:])
         )
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_zs", zs)
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_slopes", slopes)
+        for name, values in (("_zs", zs), ("_ys", ys), ("_slopes", slopes)):
+            array = np.array(values)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
-    def evaluate(self, z: float) -> float:
-        idx = bisect_right(self._zs, z) - 1
-        idx = min(max(idx, 0), len(self._slopes) - 1)
-        value = self._ys[idx] + self._slopes[idx] * (z - self._zs[idx])
-        return min(1.0, max(0.0, value))
-
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        zs = np.asarray(self._zs)
-        idx = np.searchsorted(zs, z, side="right") - 1
-        idx = np.clip(idx, 0, len(self._slopes) - 1)
-        ys = np.asarray(self._ys)
-        slopes = np.asarray(self._slopes)
-        return np.clip(ys[idx] + slopes[idx] * (z - zs[idx]), 0.0, 1.0)
+    @staticmethod
+    def _formula(zs, ys, slopes, z):
+        # The segment index k counts the inner breakpoints at or left of z,
+        # which is searchsorted(zs, z, side="right") - 1 clipped to the
+        # segments. The tables' leading axes broadcast against z (none for
+        # one payoff, (m, 1) in a bank), so row r's entry k sits at
+        # r * p + k of the flattened zs and ys, and at r * (p - 1) + k of
+        # the flattened slopes.
+        p = zs.shape[-1]
+        row = np.arange(zs.size // p).reshape(zs.shape[:-1])
+        at = row * p
+        for j in range(1, p - 1):
+            at = at + (zs[..., j] <= z)
+        return np.clip(
+            ys.take(at) + slopes.take(at - row) * (z - zs.take(at)), 0.0, 1.0
+        )
 
     def derivative_bound(self) -> float:
-        return max(abs(s) for s in self._slopes)
+        return float(np.abs(self._slopes).max())
+
+
+_CATALOG = (Constant, Affine, Quadratic, PiecewiseLinear)
+
+
+@dataclass(frozen=True, eq=False)
+class _PayoffGroup:
+    """The players of one action whose payoffs share one formula.
+
+    ``members`` lists them in ascending order (``index`` as an array), and
+    each coefficient column holds one row per member: (m, 1) for a scalar
+    coefficient, (m, 1, p) for a breakpoint table. ``formula(*columns, z)``
+    takes z with one row per member, or one row that all of them share,
+    and returns an array that broadcasts to (m, points).
+    """
+
+    formula: Callable
+    members: list[int]
+    index: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def _row_by_row(fn: Payoff) -> Callable:
+    """A payoff outside the catalog as a formula: its own ``evaluate_array``
+    on each row of z."""
+
+    def formula(z: np.ndarray) -> np.ndarray:
+        return np.array([fn.evaluate_array(row) for row in z], dtype=np.float64)
+
+    return formula
+
+
+class _PayoffBank:
+    """One action's n payoff functions as coefficient columns per kind.
+
+    The payoffs of one catalog kind -- for ``PiecewiseLinear``, of one
+    breakpoint count -- form one group whose coefficients are stacked into
+    columns, so the kind's ``_formula`` evaluates all of them in one numpy
+    call with each element's arithmetic unchanged. A payoff outside the
+    catalog forms a group of its own, shared by the players holding it.
+    """
+
+    def __init__(self, payoffs: Sequence[Payoff]) -> None:
+        found: dict = {}
+        for i, fn in enumerate(payoffs):
+            kind = type(fn)
+            if kind is PiecewiseLinear:
+                key = (kind, len(fn.points))
+            else:
+                key = kind if kind in _CATALOG else id(fn)
+            found.setdefault(key, []).append(i)
+        self.groups: list[_PayoffGroup] = []
+        for members in found.values():
+            fns = [payoffs[i] for i in members]
+            kind = type(fns[0])
+            if kind in _CATALOG:
+                formula = kind._formula
+                stacked = (
+                    np.array([getattr(fn, name) for fn in fns], dtype=np.float64)
+                    for name in kind._coefficients
+                )
+                columns = tuple(column[:, None] for column in stacked)
+            else:
+                formula, columns = _row_by_row(fns[0]), ()
+            self.groups.append(
+                _PayoffGroup(formula, members, np.array(members), columns)
+            )
+
+    def evaluate(self, players: slice, z: np.ndarray) -> np.ndarray:
+        """The payoffs of a consecutive slice of players at z, a (players,
+        points) array with one row per player. A slice whose players all
+        sit in one group is one formula call on that group's columns."""
+        start, stop = players.start, players.stop
+        out = None
+        for group in self.groups:
+            lo = bisect_left(group.members, start)
+            hi = bisect_left(group.members, stop, lo)
+            if lo == hi:
+                continue
+            columns = [column[lo:hi] for column in group.columns]
+            if hi - lo == stop - start:
+                return group.formula(*columns, z)
+            if out is None:
+                out = np.empty(z.shape)
+            at = group.index[lo:hi] - start
+            out[at] = group.formula(*columns, z[at])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +732,7 @@ class SummGame:
     payoffs: tuple[tuple[Payoff, Payoff], ...]
     tau: float = field(init=False)
     rho: float = field(init=False)
+    _banks: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         pairs = tuple((p[0], p[1]) for p in self.payoffs)
@@ -625,6 +759,18 @@ class SummGame:
     def _check_profile(self, n: int) -> None:
         if n != self.n:
             raise InputError(f"profile has {n} players, game has {self.n}")
+
+    def _payoff_banks(self) -> tuple[_PayoffBank, _PayoffBank]:
+        """The payoff banks of F_0 and F_1, built on first use and kept.
+
+        Threads that race on the first use each build equal banks, and
+        one of them is kept."""
+        if self._banks is None:
+            banks = tuple(
+                _PayoffBank([pair[b] for pair in self.payoffs]) for b in (0, 1)
+            )
+            object.__setattr__(self, "_banks", banks)
+        return self._banks
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +831,27 @@ def _select(x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return mask.view(np.float64)
 
 
-def _deviation_payoffs(game: SummGame, bits: np.ndarray):
-    """Yield, player by player, the payoffs of unilateral deviations.
+def _chunk_players(rows: int) -> int:
+    """Players evaluated together on rows-long arrays of z: at most
+    ``_CHUNK_PLAYER_CELLS`` cells, and at least one player."""
+    return max(1, _CHUNK_PLAYER_CELLS // rows)
 
-    For each row x of the (rows, n) bool matrix ``bits`` and each player i
-    in order, yields (f0, f1, current): f_b[r] = F_b^i(S(x_r with i playing
-    b)) and current[r] = f_{x_ri}[r], the payoff i actually receives. Every
-    regret in this library is a reduction over this kernel. The state is
-    built from float64 row chunks of ``_CHUNK_CELLS`` cells and the columns
-    are read from one contiguous (n, rows) bool transpose, so for catalog
-    summarizations it holds O(rows * n) bools plus (rows,) arrays per
-    player.
+
+def _deviation_payoffs(game: SummGame, bits: np.ndarray):
+    """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
+
+    For the (rows, n) bool matrix ``bits`` and consecutive player slices
+    ``players``, yields (players, f0, f1, current), each array (players,
+    rows): f_b[j, r] = F_b^i(S(x_r with i playing b)) and current[j, r] =
+    f_{x_ri}[j, r], the payoff i = players.start + j actually receives.
+    Every regret in this library is a reduction over this kernel. The state
+    is built from float64 row chunks of ``_CHUNK_CELLS`` cells, the columns
+    are read from one contiguous (n, rows) bool transpose, and each chunk's
+    payoffs are one call per payoff kind in the game's payoff banks. For
+    catalog summarizations that holds O(rows * n) bools plus float64
+    arrays of one chunk's size. Each row of a yielded array is contiguous,
+    so per-player reductions over it sum in the same order as over a lone
+    (rows,) array.
     """
     summ = game.summarization
     rows, n = bits.shape
@@ -707,14 +863,17 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
         ]
     )
     columns = np.ascontiguousarray(bits.T)
-    for i, (pay0, pay1) in enumerate(game.payoffs):
-        x = columns[i]
-        lo, hi = summ.batch_deviation(state, x, i)
-        f0 = pay0.evaluate_array(lo)
-        f1 = pay1.evaluate_array(hi)
+    bank0, bank1 = game._payoff_banks()
+    width = _chunk_players(rows)
+    for start in range(0, n, width):
+        players = slice(start, min(start + width, n))
+        x = columns[players]
+        lo, hi = summ.batch_deviation(state, x, players)
+        f0 = bank0.evaluate(players, lo)
+        f1 = bank1.evaluate(players, hi)
         # When x_i = b, S(x with i playing b) is S(x) itself, so the
         # realized payoff is f_b on that row.
-        yield f0, f1, _select(x, f0, f1)
+        yield players, f0, f1, _select(x, f0, f1)
 
 
 def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
@@ -722,16 +881,17 @@ def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
 
     regret[i] is the payoff i forgoes by not playing their best unilateral
     deviation; the profile is an eps-Nash equilibrium iff every entry is
-    <= eps. The profile's summarization state is built once and each
-    deviation updates it, so catalog summarizations cost O(n) in total;
-    custom ones re-evaluate S per deviation, O(n^2).
+    <= eps. The profile's summarization state is built once and every
+    deviation updates it, so catalog summarizations cost O(n) in total,
+    evaluated as one numpy call per payoff kind; custom ones re-evaluate S
+    per deviation, O(n^2).
     """
     game._check_profile(profile.n)
     bits = np.array([profile.actions], dtype=bool)
-    return tuple(
-        float((np.maximum(f0, f1) - current)[0])
-        for f0, f1, current in _deviation_payoffs(game, bits)
-    )
+    regrets: list[float] = []
+    for _, f0, f1, current in _deviation_payoffs(game, bits):
+        regrets.extend((np.maximum(f0, f1) - current)[:, 0].tolist())
+    return tuple(regrets)
 
 
 @dataclass(frozen=True)
@@ -748,24 +908,44 @@ class MixedRegret:
         return max(self.regrets)
 
 
+def _block_weights(factors: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """Product probabilities of the profiles coded start..start+rows-1.
+
+    ``factors[j]`` is (1 - p_j, p_j). The block's rows are a power of two
+    and start is a multiple of it, so its high bits are fixed: their
+    factors multiply into one prefix, and the low bits expand it as a
+    Kronecker product in player order. Every weight is the left-to-right
+    product 1 * f_0 * ... * f_{n-1} of its profile's factors.
+    """
+    n = len(factors)
+    low = rows.bit_length() - 1
+    prefix = 1.0
+    for j in range(n - low):
+        prefix *= factors[j, (start >> (n - 1 - j)) & 1]
+    weights = np.array([prefix])
+    for j in range(n - low, n):
+        weights = (weights[:, None] * factors[j]).ravel()
+    return weights
+
+
 def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     n = game.n
     probs = np.asarray(profile.probs)
+    factors = np.stack([1.0 - probs, probs], axis=1)
     total = 1 << n
+    rows = min(_BATCH_ROWS, total)
     # dev[i, b] sums w(x) F_b^i(S(x with i playing b)), cur[i] sums w(x)
     # F_{x_i}^i(S(x)); fixed block and player order keep runs bit-identical.
     dev = np.zeros((n, 2))
     cur = np.zeros(n)
-    for start in range(0, total, _BATCH_ROWS):
-        codes = np.arange(start, min(start + _BATCH_ROWS, total), dtype=np.int64)
-        bits = _profile_bits(codes, n)
-        weights = np.ones(len(codes))
-        for j in range(n):
-            weights *= np.where(bits[:, j], probs[j], 1.0 - probs[j])
-        for i, (f0, f1, current) in enumerate(_deviation_payoffs(game, bits)):
-            dev[i, 0] += weights @ f0
-            dev[i, 1] += weights @ f1
-            cur[i] += weights @ current
+    for start in range(0, total, rows):
+        bits = _profile_bits(np.arange(start, start + rows, dtype=np.int64), n)
+        weights = _block_weights(factors, start, rows)
+        for players, f0, f1, current in _deviation_payoffs(game, bits):
+            for i, r0, r1, rc in zip(range(n)[players], f0, f1, current):
+                dev[i, 0] += weights @ r0
+                dev[i, 1] += weights @ r1
+                cur[i] += weights @ rc
     regrets = tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
     return MixedRegret(regrets, None, "exact")
 
@@ -791,11 +971,11 @@ def _monte_carlo_mixed_regret(
         for start in range(0, rows, step):
             chunk = bits[start : start + step]
             np.less(rng.random(chunk.shape), probs, out=chunk)
-        for i, (f0, f1, current) in enumerate(_deviation_payoffs(game, bits)):
+        for players, f0, f1, current in _deviation_payoffs(game, bits):
             for b, fb in ((0, f0), (1, f1)):
-                g = fb - current
-                g_sum[i, b] += g.sum()
-                g_sumsq[i, b] += (g * g).sum()
+                for i, g in zip(range(n)[players], fb - current):
+                    g_sum[i, b] += g.sum()
+                    g_sumsq[i, b] += (g * g).sum()
         drawn += rows
     means = g_sum / samples
     regrets = []

@@ -13,12 +13,11 @@ fudging, so the boundary semantics are deterministic and testable.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Payoff, SummGame
+from .core import Payoff, SummGame, _chunk_players
 from .errors import CapabilityError, InputError
 
 __all__ = [
@@ -151,41 +150,30 @@ class StepTable:
     f1: np.ndarray
 
 
-def _sampling_key(fn: Payoff):
-    """A key that two payoffs share only if they sample to the same bits.
-
-    That is the same type and the same field values bit for bit; equality
-    of the frozen dataclasses is not enough, since it lets a 0.0 field
-    stand for -0.0, which samples to other bits. A payoff whose fields
-    cannot be pickled keys on its identity.
-    """
-    try:
-        return type(fn), pickle.dumps(fn.__dict__)
-    except (TypeError, AttributeError, pickle.PicklingError):
-        return id(fn)
-
-
 def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
-    """Step approximations of all 2n payoff functions as one ``StepTable``;
-    each distinct payoff (see ``_sampling_key``) is evaluated once and its
-    row copied to every other player that has it. Refuses up front a game
-    whose n*K cells exceed ``MAX_GRID_CELLS``."""
+    """Step approximations of all 2n payoff functions as one ``StepTable``.
+
+    The game's payoff banks evaluate the grid points with one call per
+    payoff kind and action, split into pieces of a kind's players of at
+    most ``_CHUNK_PLAYER_CELLS`` cells (at least one player). Refuses up
+    front a game whose n*K cells exceed ``MAX_GRID_CELLS``."""
     cells = game.n * grid.K
     if cells > MAX_GRID_CELLS:
         raise CapabilityError(
             f"n={game.n} players on K={grid.K} intervals make {cells} grid "
             f"cells, over the cap of n*K <= {MAX_GRID_CELLS}"
         )
-    points = grid.grid_points()
+    # One row of points, shared by every member of a group.
+    points = grid.grid_points()[None, :]
     tables = np.empty((2, game.n, grid.K))
-    rows = tables.reshape(2 * game.n, grid.K)
-    # The row where each distinct payoff was first written.
-    first: dict = {}
-    # Row b * n + i holds F_b^i.
-    payoffs = [pair[b] for b in (0, 1) for pair in game.payoffs]
-    for r, fn in enumerate(payoffs):
-        source = first.setdefault(_sampling_key(fn), r)
-        rows[r] = fn.evaluate_array(points) if source == r else rows[source]
+    width = _chunk_players(grid.K)
+    for table, bank in zip(tables, game._payoff_banks()):
+        for group in bank.groups:
+            for lo in range(0, len(group.members), width):
+                piece = slice(lo, lo + width)
+                table[group.index[piece]] = group.formula(
+                    *(column[piece] for column in group.columns), points
+                )
     # min/max propagate NaN, which then fails the comparison.
     if not (0.0 <= tables.min() and tables.max() <= 1.0):
         raise InputError("step values must lie in [0, 1]")

@@ -69,8 +69,9 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
         codes = np.arange(start, min(start + _BATCH_ROWS, total), dtype=np.int64)
         bits = _profile_bits(codes, n)
         worst = np.zeros(len(codes))
-        for f0, f1, current in _deviation_payoffs(game, bits):
-            np.maximum(worst, np.maximum(f0, f1) - current, out=worst)
+        for _, f0, f1, current in _deviation_payoffs(game, bits):
+            for regret in np.maximum(f0, f1) - current:
+                np.maximum(worst, regret, out=worst)
         idx = int(np.argmin(worst))  # first minimum = lexicographic winner
         if worst[idx] < best_value:
             best_value = float(worst[idx])
@@ -101,8 +102,12 @@ def validate_certificate(
 
     Pure profiles are recomputed with the pure regret oracle, mixed ones
     exactly (n <= 20) or by seeded Monte Carlo. Recomputed values must
-    match the certificate within 1e-9 (exact paths) or 4 standard errors
-    (Monte Carlo), and the maximum must not exceed the claimed epsilon.
+    match the certificate within 1e-9 when both are exact, and otherwise
+    within 4 standard errors of their difference: 4 * sqrt(se_cert^2 +
+    se_fresh^2), where a certificate without ``stderrs`` and an exact
+    recomputation each contribute 0. A pure profile's regrets are exact,
+    so its certificate's ``stderrs``, if any, are not used. The maximum
+    must not exceed the claimed epsilon by more than the same allowance.
     Violations are report content, not exceptions.
     """
     profile = certificate.profile
@@ -115,6 +120,15 @@ def validate_certificate(
         raise InputError(
             f"certificate has {len(certificate.regrets)} regrets for n={game.n}"
         )
+    claimed_se = None if isinstance(profile, PureProfile) else certificate.stderrs
+    if claimed_se is not None:
+        if len(claimed_se) != game.n:
+            raise InputError(
+                f"certificate has {len(claimed_se)} stderrs for n={game.n}"
+            )
+        # NaN fails this too; it would otherwise pass every comparison.
+        if not all(se >= 0.0 for se in claimed_se):
+            raise InputError("certificate stderrs must be nonnegative numbers")
 
     violations: list[str] = []
     stderrs: tuple[float, ...] | None = None
@@ -129,16 +143,20 @@ def validate_certificate(
         stderrs = result.stderrs
         used_mode = result.mode
 
+    def allowance(i: int) -> float:
+        if claimed_se is None:
+            return _EXACT_TOL if stderrs is None else 4.0 * stderrs[i]
+        fresh_se = 0.0 if stderrs is None else stderrs[i]
+        return 4.0 * math.hypot(claimed_se[i], fresh_se)
+
     for i, (fresh, claimed) in enumerate(zip(recomputed, certificate.regrets)):
-        allowance = _EXACT_TOL if stderrs is None else 4.0 * stderrs[i]
-        if abs(fresh - claimed) > allowance:
+        if abs(fresh - claimed) > allowance(i):
             violations.append(
                 f"player {i}: certificate regret {claimed} differs from "
-                f"recomputed {fresh} by more than {allowance}"
+                f"recomputed {fresh} by more than {allowance(i)}"
             )
     worst = max(range(game.n), key=lambda i: recomputed[i])
-    allowance = _EXACT_TOL if stderrs is None else 4.0 * stderrs[worst]
-    if recomputed[worst] > certificate.epsilon_claimed + allowance:
+    if recomputed[worst] > certificate.epsilon_claimed + allowance(worst):
         violations.append(
             f"max recomputed regret {recomputed[worst]} (player {worst}) "
             f"exceeds the claimed epsilon {certificate.epsilon_claimed}"

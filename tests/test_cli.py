@@ -165,6 +165,23 @@ def test_learn_verify_roundtrip_monte_carlo(capsys, tmp_path):
     assert json.loads(out)["report"]["mode"] == "monte_carlo"
 
 
+def test_verify_counts_the_certificates_own_sampling_error(capsys, tmp_path):
+    # A 3001-sample learned certificate checked with 20000 fresh samples:
+    # judged against the fresh standard error alone, 12 of its 100 honest
+    # regrets fall outside the allowance.
+    result = tmp_path / "learn.json"
+    code, out, _ = _run(
+        capsys,
+        "learn", f"{SAMPLES}/bar100.json", "--epsilon", "2", "--delta", "1e-3",
+        "--initial-prob", "0", "--seed", "7", "--samples", "3001",
+    )
+    assert code == 0
+    result.write_text(out)
+    code, out, _ = _run(capsys, "verify", f"{SAMPLES}/bar100.json", str(result))
+    report = json.loads(out)["report"]
+    assert (code, report["valid"], report["violations"]) == (0, True, [])
+
+
 def test_verify_tampered_certificate_exits_1(capsys, tmp_path):
     code, out, _ = _run(capsys, "solve", f"{SAMPLES}/bar4.json", "--epsilon", "1")
     assert code == 0

@@ -1,6 +1,7 @@
 """Game model: summarizations, influence, payoff catalog, regrets."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,20 @@ def test_linear_weighted_validation():
 
 def test_influence_mean():
     assert influence_of(Mean(10), 3, 10) == pytest.approx(0.1)
+
+
+def test_mean_game_builds_in_linear_time():
+    # tau is the same float as every weight, found without n influence
+    # calls that each build the n weights.
+    n = 10**5
+    start = time.perf_counter()
+    game = bar_game(n)
+    assert time.perf_counter() - start < 2.0
+    assert game.tau == 1.0 / n
+    assert Mean(n).influence(n - 1) == Mean(n).weights[n - 1] == 1.0 / n
+    weighted = LinearWeighted((0.25, 0.5, 0.25))
+    assert weighted.influence_bound() == 0.5
+    assert MajorityFraction(30).influence_bound() == 1.0 / 30
 
 
 def test_influence_constant_custom_is_zero():

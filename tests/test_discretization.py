@@ -15,11 +15,13 @@ from summgames import (
     LearnConfig,
     Mean,
     Payoff,
+    PureProfile,
     SummGame,
     discretize,
     discretize_game,
     interval_of,
     make_grid,
+    regret_pure,
     run_summ_learn,
     summ_nash,
 )
@@ -204,21 +206,28 @@ def test_discretize_game_arrays_match_per_function_view():
         steps.f0[0, 0] = 0.5  # read-only
 
 
-def test_discretize_game_evaluates_each_distinct_payoff_once(monkeypatch):
+def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
     calls = []
-    original = Affine.evaluate_array
+    formula = Affine._formula
 
-    def counted(self, z):
-        calls.append(self)
-        return original(self, z)
+    def counted(a, b, z):
+        calls.append((a.shape, z.shape))
+        return formula(a, b, z)
 
-    monkeypatch.setattr(Affine, "evaluate_array", counted)
+    def per_player(self, z):
+        raise AssertionError("per-player evaluate_array call")
+
+    monkeypatch.setattr(Affine, "_formula", staticmethod(counted))
+    monkeypatch.setattr(Payoff, "evaluate_array", per_player)
     game = bar_game(1000)
     steps = discretize_game(game, AlphaGrid(16))
-    assert sorted(calls, key=repr) == [Affine(0.0, 1.0), Affine(1.0, -1.0)]
+    assert calls == [((1000, 1), (1, 16))] * 2
     points = AlphaGrid(16).grid_points()
-    assert (steps.f0 == original(Affine(0.0, 1.0), points)).all()
-    assert (steps.f1 == original(Affine(1.0, -1.0), points)).all()
+    assert steps.f0.tobytes() == np.tile(formula(0.0, 1.0, points), (1000, 1)).tobytes()
+    assert steps.f1.tobytes() == np.tile(formula(1.0, -1.0, points), (1000, 1)).tobytes()
+    calls.clear()
+    regret_pure(game, PureProfile((0, 1) * 500))
+    assert calls == [((1000, 1), (1000, 1))] * 2
 
 
 def test_discretize_game_is_byte_identical_to_one_call_per_payoff():

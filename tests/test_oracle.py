@@ -1,6 +1,7 @@
 """Exhaustive search and certificate validation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -213,6 +214,52 @@ def test_validate_tampered_regrets():
     report = validate_certificate(game, forged)
     assert not report.valid
     assert any("differs from recomputed" in v for v in report.violations)
+    # A pure profile's regrets are exact: claimed stderrs buy no allowance.
+    widened = EquilibriumCertificate(
+        forged.profile, forged.epsilon_claimed, forged.regrets, forged.crossing,
+        stderrs=(1.0,) * 4,
+    )
+    assert validate_certificate(game, widened).violations == report.violations
+
+
+def test_validate_monte_carlo_allowance_counts_both_errors():
+    game = bar_game(25)
+    profile = MixedProfile((0.3,) * 25)
+    honest = regret_mixed(game, profile, "monte_carlo", samples=500, seed=1)
+    fresh = regret_mixed(game, profile, "monte_carlo", samples=4000, seed=2)
+    epsilon = max(r + 3.0 * se for r, se in zip(honest.regrets, honest.stderrs))
+
+    def check(regrets, stderrs):
+        cert = EquilibriumCertificate(profile, epsilon, regrets, Learned(), stderrs)
+        return validate_certificate(game, cert, samples=4000, seed=2)
+
+    assert check(honest.regrets, honest.stderrs).valid
+    # Each forged regret sits 5 combined standard errors away.
+    forged = tuple(
+        r + 5.0 * math.hypot(a, b)
+        for r, a, b in zip(fresh.regrets, honest.stderrs, fresh.stderrs)
+    )
+    report = check(forged, honest.stderrs)
+    assert len(report.violations) >= 25
+    assert all("differs from recomputed" in v for v in report.violations[:25])
+    # Without its stderrs the certificate is judged on the fresh error alone.
+    report = check(honest.regrets, None)
+    expected = [
+        i
+        for i, (a, b, se) in enumerate(
+            zip(honest.regrets, fresh.regrets, fresh.stderrs)
+        )
+        if abs(a - b) > 4.0 * se
+    ]
+    assert expected
+    assert [v for v in report.violations if v.startswith("player")] == [
+        f"player {i}: certificate regret {honest.regrets[i]} differs from "
+        f"recomputed {fresh.regrets[i]} by more than {4.0 * fresh.stderrs[i]}"
+        for i in expected
+    ]
+    for bad in ((0.01,) * 24, (float("nan"),) * 25, (-0.01,) * 25):
+        with pytest.raises(InputError, match="stderrs"):
+            check(honest.regrets, bad)
 
 
 def test_validate_learner_certificate_monte_carlo_reproducible():

@@ -213,7 +213,11 @@ def test_kernel_matches_reference_kernel(monkeypatch, select_rows):
         monkeypatch.setattr(core, "_CHUNK_CELLS", 3 * game.n)
         for rows in (1, 5, 64 if kind == "custom" else 1500):
             bits = rng.random((rows, game.n)) < 0.5
-            ours = list(core._deviation_payoffs(game, bits))
+            ours = [
+                player
+                for _, *chunk in core._deviation_payoffs(game, bits)
+                for player in zip(*chunk)
+            ]
             ref = list(_ref_deviation_payoffs(game, bits.astype(np.float64)))
             assert len(ours) == len(ref) == game.n
             for a, b in zip(ours, ref):
