@@ -26,17 +26,13 @@ from .core import (
     Quadratic,
     SummGame,
     Summarization,
-    eval_summarization,
-    influence_of,
     payoff,
     regret_mixed,
     regret_pure,
 )
 from .discretization import (
     AlphaGrid,
-    StepPayoff,
     StepTable,
-    discretize,
     discretize_game,
     interval_of,
     make_grid,
@@ -100,7 +96,6 @@ __all__ = [
     "PiecewiseLinear",
     "PureProfile",
     "Quadratic",
-    "StepPayoff",
     "StepTable",
     "SummGame",
     "SummGamesError",
@@ -114,12 +109,9 @@ __all__ = [
     "broadcast_mean",
     "brute_min_epsilon",
     "build_v_table",
-    "discretize",
     "discretize_game",
-    "eval_summarization",
     "find_horizontal",
     "find_vertical_and_walk",
-    "influence_of",
     "interval_of",
     "make_grid",
     "payoff",

@@ -47,8 +47,6 @@ __all__ = [
     "PiecewiseLinear",
     "SummGame",
     "MixedRegret",
-    "eval_summarization",
-    "influence_of",
     "payoff",
     "regret_pure",
     "regret_mixed",
@@ -395,7 +393,7 @@ class CustomSummarization(Summarization):
     The evaluator must map any length-n 0/1 tuple into [0, 1]. Exact
     influence is exponential to compute, so the declared bound stands in
     for it; for n <= 20 the declaration can be checked by brute force
-    (see ``influence_of``).
+    (see ``influence``).
     """
 
     evaluator: Callable[[tuple[int, ...]], float]
@@ -691,10 +689,12 @@ class _PayoffBank:
             )
 
     def evaluate(self, players: slice, z: np.ndarray) -> np.ndarray:
-        """The payoffs of a consecutive slice of players at z, a (players,
-        points) array with one row per player. A slice whose players all
-        sit in one group is one formula call on that group's columns."""
+        """The payoffs of a consecutive slice of players at z, an array that
+        broadcasts to (players, points). z has one row per player, or one
+        row that all of them share. A slice whose players all sit in one
+        group is one formula call on that group's columns."""
         start, stop = players.start, players.stop
+        shared = len(z) == 1
         out = None
         for group in self.groups:
             lo = bisect_left(group.members, start)
@@ -705,9 +705,9 @@ class _PayoffBank:
             if hi - lo == stop - start:
                 return group.formula(*columns, z)
             if out is None:
-                out = np.empty(z.shape)
+                out = np.empty((stop - start, z.shape[1]))
             at = group.index[lo:hi] - start
-            out[at] = group.formula(*columns, z[at])
+            out[at] = group.formula(*columns, z if shared else z[at])
         return out
 
 
@@ -778,26 +778,6 @@ class SummGame:
 # ---------------------------------------------------------------------------
 
 
-def eval_summarization(summ: Summarization, profile: PureProfile) -> float:
-    """The summarization value of a joint pure play."""
-    return summ.evaluate(profile.actions)
-
-
-def influence_of(summ: Summarization, i: int, n: int) -> float:
-    """The influence of player i: the largest change i can cause in S.
-
-    Exact for the linear catalog (the weight itself) and, via exhaustive
-    enumeration, for majority-fraction and custom summarizations up to
-    n = 20 players; beyond that custom summarizations fall back to their
-    declared bound.
-    """
-    if n != summ.n:
-        raise InputError(f"summarization expects n={summ.n}, got {n}")
-    if not 0 <= i < n:
-        raise InputError(f"player index {i} out of range for n={n}")
-    return summ.influence(i)
-
-
 def payoff(game: SummGame, i: int, b: int, z: float) -> float:
     """Evaluate player i's payoff function for action b at value z."""
     if not 0 <= i < game.n:
@@ -812,6 +792,19 @@ def payoff(game: SummGame, i: int, b: int, z: float) -> float:
 def _chunk_rows(n: int) -> int:
     """Rows of an n-player block that make one ``_CHUNK_CELLS`` chunk."""
     return max(1, _CHUNK_CELLS // n)
+
+
+def _block_state(summ: Summarization, bits: np.ndarray):
+    """S's batch state of the (rows, n) bool block ``bits``, built from
+    float64 copies of row chunks of ``_CHUNK_CELLS`` cells. A row's state
+    does not depend on its batch, so it is the state of that row alone."""
+    step = _chunk_rows(bits.shape[1])
+    return np.concatenate(
+        [
+            summ.batch_state(bits[start : start + step].astype(np.float64))
+            for start in range(0, len(bits), step)
+        ]
+    )
 
 
 def _select(x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -845,23 +838,16 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     rows): f_b[j, r] = F_b^i(S(x_r with i playing b)) and current[j, r] =
     f_{x_ri}[j, r], the payoff i = players.start + j actually receives.
     Every regret in this library is a reduction over this kernel. The state
-    is built from float64 row chunks of ``_CHUNK_CELLS`` cells, the columns
-    are read from one contiguous (n, rows) bool transpose, and each chunk's
-    payoffs are one call per payoff kind in the game's payoff banks. For
-    catalog summarizations that holds O(rows * n) bools plus float64
-    arrays of one chunk's size. Each row of a yielded array is contiguous,
-    so per-player reductions over it sum in the same order as over a lone
-    (rows,) array.
+    comes from ``_block_state``, the columns are read from one contiguous
+    (n, rows) bool transpose, and each chunk's payoffs are one call per
+    payoff kind in the game's payoff banks. For catalog summarizations that
+    holds O(rows * n) bools plus float64 arrays of one chunk's size. Each
+    row of a yielded array is contiguous, so per-player reductions over it
+    sum in the same order as over a lone (rows,) array.
     """
     summ = game.summarization
     rows, n = bits.shape
-    step = _chunk_rows(n)
-    state = np.concatenate(
-        [
-            summ.batch_state(bits[start : start + step].astype(np.float64))
-            for start in range(0, rows, step)
-        ]
-    )
+    state = _block_state(summ, bits)
     columns = np.ascontiguousarray(bits.T)
     bank0, bank1 = game._payoff_banks()
     width = _chunk_players(rows)

@@ -8,6 +8,10 @@ F(k*alpha) on all of I_k, which is off by at most rho_f * alpha anywhere.
 Interval membership uses exact floating-point comparisons against the
 boundaries k*alpha as computed in double precision; there is no epsilon
 fudging, so the boundary semantics are deterministic and testable.
+
+The solver reads only which action each player's step approximations
+prefer on each interval, so a discretized game keeps those bits and not
+the step values.
 """
 
 from __future__ import annotations
@@ -17,27 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Payoff, SummGame, _chunk_players
+from .core import SummGame, _chunk_players
 from .errors import CapabilityError, InputError
 
 __all__ = [
     "AlphaGrid",
-    "StepPayoff",
     "StepTable",
     "make_grid",
-    "discretize",
     "discretize_game",
     "interval_of",
-    "DEFAULT_MAX_INTERVALS",
+    "MAX_INTERVALS",
     "MAX_GRID_CELLS",
 ]
 
-DEFAULT_MAX_INTERVALS = 10**6
+MAX_INTERVALS = 10**6
 
-# The two float64 step arrays and the V table's boolean best-response
-# matrix hold about 17 bytes per player-interval cell, and building V peaks
-# at about 25 (tracemalloc at n = 150 and 400, K = 10^4), so this cap keeps
-# a discretized game near 100 MB.
+# A step table keeps one byte per player-interval cell, its best-response
+# bit, which the V table shares; discretizing peaks at about 2.2 bytes per
+# cell and building V at about 2.5 (tracemalloc at n = 150 and 400,
+# K = 10^4), so at this cap a discretized game stays under 10 MB.
 MAX_GRID_CELLS = 4 * 10**6
 
 
@@ -63,15 +65,14 @@ class AlphaGrid:
         return np.arange(self.K) * self.alpha
 
 
-def make_grid(
-    epsilon: float, rho: float, max_intervals: int = DEFAULT_MAX_INTERVALS
-) -> AlphaGrid:
+def make_grid(epsilon: float, rho: float) -> AlphaGrid:
     """Choose the resolution that backs an epsilon-quality guarantee.
 
     The target width is epsilon / (8 * rho), snapped down to 1/K with K an
     integer so the intervals tile [0, 1] exactly; shrinking alpha only
     tightens the approximation, so the guarantee is preserved. For rho = 0
-    every payoff is constant and one interval suffices.
+    every payoff is constant and one interval suffices. More than
+    ``MAX_INTERVALS`` intervals are refused.
     """
     if math.isnan(epsilon) or epsilon <= 0.0:
         raise InputError(f"epsilon must be > 0, got {epsilon}")
@@ -80,10 +81,10 @@ def make_grid(
     if rho == 0.0:
         return AlphaGrid(1)
     needed = max(1, math.ceil((8.0 * rho) / epsilon))
-    if needed > max_intervals:
+    if needed > MAX_INTERVALS:
         raise CapabilityError(
             f"epsilon={epsilon} with rho={rho} needs {needed} intervals, "
-            f"over the cap of {max_intervals}"
+            f"over the cap of {MAX_INTERVALS}"
         )
     return AlphaGrid(needed)
 
@@ -108,74 +109,50 @@ def interval_of(grid: AlphaGrid, z: float) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class StepPayoff:
-    """A payoff function frozen to one value per grid interval."""
-
-    grid: AlphaGrid
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.grid.K:
-            raise InputError(
-                f"{len(self.values)} step values for K={self.grid.K} intervals"
-            )
-        if any(not 0.0 <= v <= 1.0 for v in self.values):
-            raise InputError("step values must lie in [0, 1]")
-
-    def at_index(self, k: int) -> float:
-        return self.values[k]
-
-    def evaluate(self, z: float) -> float:
-        return self.values[interval_of(self.grid, z)]
-
-
-def discretize(fn: Payoff, grid: AlphaGrid) -> StepPayoff:
-    """Sample fn at the K left endpoints; exactly K evaluations."""
-    values = fn.evaluate_array(grid.grid_points())
-    return StepPayoff(grid, tuple(float(v) for v in values))
-
-
 @dataclass(frozen=True, eq=False)
 class StepTable:
-    """Every player's two payoff functions frozen onto one grid.
+    """Every player's preferred action on every interval of one grid.
 
-    f0[i, k] and f1[i, k] are F_0^i(k*alpha) and F_1^i(k*alpha), the values
-    ``discretize`` gives one function at a time, held as read-only (n, K)
-    float64 arrays.
+    br[k, i] is True exactly where F_1^i(k*alpha) > F_0^i(k*alpha), so the
+    step approximations' best response to I_k takes action 1 only where it
+    pays strictly more, and ties go to action 0. br is a read-only,
+    C-contiguous (K, n) bool matrix; the step values themselves are not
+    kept.
     """
 
     grid: AlphaGrid
-    f0: np.ndarray
-    f1: np.ndarray
+    br: np.ndarray
 
 
 def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
-    """Step approximations of all 2n payoff functions as one ``StepTable``.
+    """Sample all 2n payoff functions on the grid points into a ``StepTable``.
 
-    The game's payoff banks evaluate the grid points with one call per
-    payoff kind and action, split into pieces of a kind's players of at
-    most ``_CHUNK_PLAYER_CELLS`` cells (at least one player). Refuses up
-    front a game whose n*K cells exceed ``MAX_GRID_CELLS``."""
-    cells = game.n * grid.K
-    if cells > MAX_GRID_CELLS:
+    Players are taken in consecutive chunks of at most
+    ``_CHUNK_PLAYER_CELLS`` cells (at least one player); each chunk is one
+    payoff-bank call per action on the grid points, shared as one row, and
+    leaves only its best-response bits behind. Refuses up front a game
+    whose n*K cells exceed ``MAX_GRID_CELLS``."""
+    n, K = game.n, grid.K
+    if n * K > MAX_GRID_CELLS:
         raise CapabilityError(
-            f"n={game.n} players on K={grid.K} intervals make {cells} grid "
+            f"n={n} players on K={K} intervals make {n * K} grid "
             f"cells, over the cap of n*K <= {MAX_GRID_CELLS}"
         )
-    # One row of points, shared by every member of a group.
     points = grid.grid_points()[None, :]
-    tables = np.empty((2, game.n, grid.K))
-    width = _chunk_players(grid.K)
-    for table, bank in zip(tables, game._payoff_banks()):
-        for group in bank.groups:
-            for lo in range(0, len(group.members), width):
-                piece = slice(lo, lo + width)
-                table[group.index[piece]] = group.formula(
-                    *(column[piece] for column in group.columns), points
-                )
-    # min/max propagate NaN, which then fails the comparison.
-    if not (0.0 <= tables.min() and tables.max() <= 1.0):
-        raise InputError("step values must lie in [0, 1]")
-    tables.setflags(write=False)
-    return StepTable(grid, tables[0], tables[1])
+    bank0, bank1 = game._payoff_banks()
+    # Player-major while the chunks fill it, transposed once at the end:
+    # writing each chunk straight into its (K, n) columns took about 30 %
+    # longer at n = 150, K = 10^4.
+    bits = np.empty((n, K), dtype=bool)
+    width = _chunk_players(K)
+    for start in range(0, n, width):
+        players = slice(start, min(start + width, n))
+        f0 = bank0.evaluate(players, points)
+        f1 = bank1.evaluate(players, points)
+        # min/max propagate NaN, which then fails the comparison.
+        if not all(0.0 <= f.min() and f.max() <= 1.0 for f in (f0, f1)):
+            raise InputError("step values must lie in [0, 1]")
+        bits[players] = f1 > f0
+    br = np.ascontiguousarray(bits.T)
+    br.setflags(write=False)
+    return StepTable(grid, br)

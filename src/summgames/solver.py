@@ -32,14 +32,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import MixedProfile, PureProfile, SummGame, regret_pure
-from .discretization import (
-    DEFAULT_MAX_INTERVALS,
-    AlphaGrid,
-    StepTable,
-    discretize_game,
-    make_grid,
-)
+from .core import MixedProfile, PureProfile, SummGame, _block_state, regret_pure
+from .discretization import AlphaGrid, StepTable, discretize_game, make_grid
 from .errors import ContractError, InputError
 
 __all__ = [
@@ -58,7 +52,7 @@ __all__ = [
 
 
 # Rows per block of the walk are capped so a block holds at most this many
-# player cells (8 MB of float64).
+# player cells (1 MB of bools).
 _WALK_BLOCK_CELLS = 1 << 20
 
 
@@ -153,18 +147,17 @@ def build_v_table(
 ) -> VTable:
     """Tabulate BR(I_k) and V(I_k) = S(BR(I_k)) for every interval.
 
-    BR(I_k) takes action 1 exactly where F_1 pays strictly more than F_0 at
-    the interval's left endpoint, so ties go to action 0. The best
-    responses stay a row-major (K, n) boolean matrix behind a
-    ``BestResponses`` sequence, and V is one batch evaluation of it, so
-    V(I_k) equals ``evaluate(br[k])`` bit for bit.
+    BR(I_k) is row k of the step table's best-response matrix (see
+    ``StepTable`` for the tie rule). The matrix is shared, not copied,
+    behind a ``BestResponses`` sequence, and V is one batch evaluation of
+    it whose state ``_block_state`` builds from row chunks, so V(I_k)
+    equals ``evaluate(br[k])`` bit for bit.
     """
     if steps is None:
         steps = discretize_game(game, grid)
-    bits = np.ascontiguousarray((steps.f1 > steps.f0).T)
     summ = game.summarization
-    values = summ.batch_value(summ.batch_state(bits.astype(np.float64)))
-    return VTable(grid, BestResponses(bits), tuple(values.tolist()))
+    values = summ.batch_value(_block_state(summ, steps.br))
+    return VTable(grid, BestResponses(steps.br), tuple(values.tolist()))
 
 
 def _checked_v(table: VTable) -> np.ndarray:
@@ -196,16 +189,16 @@ def _walk(
     first profile whose summarization value is strictly within tau of the
     boundary. Position 0 is the unflipped start.
 
-    The walk's profiles are evaluated in row-major blocks of consecutive
-    positions through the batch protocol, doubling from one row up to
-    ``_WALK_BLOCK_CELLS``. A row's value does not depend on its block, so
-    the result is the one a flip-by-flip scan finds; a block may evaluate
-    up to twice as many profiles as that scan would.
+    The walk's profiles are evaluated in row-major bool blocks of
+    consecutive positions through the batch protocol, doubling from one row
+    up to ``_WALK_BLOCK_CELLS``. A row's value does not depend on its
+    block, so the result is the one a flip-by-flip scan finds; a block may
+    evaluate up to twice as many profiles as that scan would.
     """
     tau = game.tau
     summ = game.summarization
-    current = np.array(start.actions, dtype=np.float64)
-    target = np.array(goal.actions, dtype=np.float64)
+    current = np.array(start.actions, dtype=bool)
+    target = np.array(goal.actions, dtype=bool)
     flips = np.flatnonzero(current != target)
     max_rows = max(1, _WALK_BLOCK_CELLS // game.n)
     position = 0
@@ -217,11 +210,11 @@ def _walk(
         block = np.repeat(current[None, :], rows, axis=0)
         flipped = np.arange(rows)[:, None] > np.arange(cols.size)[None, :]
         block[:, cols] = np.where(flipped, target[cols], current[cols])
-        values = summ.batch_value(summ.batch_state(block))
+        values = summ.batch_value(_block_state(summ, block))
         hits = np.flatnonzero(np.abs(values - boundary) < tau)
         if hits.size:
             r = int(hits[0])
-            return position + r, PureProfile(tuple(int(b) for b in block[r]))
+            return position + r, PureProfile(tuple(block[r].tolist()))
         current[cols] = target[cols]
         position += rows
         rows *= 2
@@ -267,12 +260,10 @@ def find_vertical_and_walk(
 
 
 def summ_nash_with_table(
-    game: SummGame,
-    epsilon: float,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
+    game: SummGame, epsilon: float
 ) -> tuple[EquilibriumCertificate, VTable]:
     """As ``summ_nash`` but also returns the V table, for export/plotting."""
-    grid = make_grid(epsilon, game.rho, max_intervals=max_intervals)
+    grid = make_grid(epsilon, game.rho)
     steps = discretize_game(game, grid)
     table = build_v_table(game, grid, steps)
     k = find_horizontal(table)
@@ -295,11 +286,7 @@ def summ_nash_with_table(
     return certificate, table
 
 
-def summ_nash(
-    game: SummGame,
-    epsilon: float,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
-) -> EquilibriumCertificate:
+def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
     """Compute a pure profile whose max regret is at most 3*tau*rho + epsilon.
 
     The certificate's regrets are recomputed independently rather than
@@ -308,5 +295,5 @@ def summ_nash(
     uniform worst-case bound and callers can recover the tighter one from
     the crossing field.
     """
-    certificate, _ = summ_nash_with_table(game, epsilon, max_intervals)
+    certificate, _ = summ_nash_with_table(game, epsilon)
     return certificate

@@ -1,4 +1,5 @@
-"""Shared game builders and seeded random-game generation for the tests.
+"""Shared game builders, seeded random-game generation and the
+per-function step view the tests use as a reference.
 
 Every generator takes an explicit numpy Generator so suites are fully
 deterministic; nothing here draws from global randomness.
@@ -6,10 +7,13 @@ deterministic; nothing here draws from global randomness.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from summgames import (
     Affine,
+    AlphaGrid,
     Constant,
     InputError,
     LinearWeighted,
@@ -18,7 +22,36 @@ from summgames import (
     PiecewiseLinear,
     Quadratic,
     SummGame,
+    interval_of,
 )
+
+
+@dataclass(frozen=True)
+class StepPayoff:
+    """A payoff function frozen to one value per grid interval."""
+
+    grid: AlphaGrid
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.values) != self.grid.K:
+            raise InputError(
+                f"{len(self.values)} step values for K={self.grid.K} intervals"
+            )
+        if any(not 0.0 <= v <= 1.0 for v in self.values):
+            raise InputError("step values must lie in [0, 1]")
+
+    def at_index(self, k: int) -> float:
+        return self.values[k]
+
+    def evaluate(self, z: float) -> float:
+        return self.values[interval_of(self.grid, z)]
+
+
+def discretize(fn: Payoff, grid: AlphaGrid) -> StepPayoff:
+    """Sample fn at the K left endpoints; exactly K evaluations."""
+    values = fn.evaluate_array(grid.grid_points())
+    return StepPayoff(grid, tuple(float(v) for v in values))
 
 
 def bar_game(n: int) -> SummGame:

@@ -10,7 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import bar_game, catalog_payoff_suite, consensus_game, random_game
+from conftest import (
+    bar_game,
+    catalog_payoff_suite,
+    consensus_game,
+    discretize,
+    random_game,
+)
 from summgames import (
     Constant,
     Horizontal,
@@ -22,7 +28,6 @@ from summgames import (
     broadcast_mean,
     brute_min_epsilon,
     build_v_table,
-    discretize,
     interval_of,
     make_grid,
     regret_pure,

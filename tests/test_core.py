@@ -30,8 +30,6 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
-    eval_summarization,
-    influence_of,
     payoff,
     regret_mixed,
     regret_pure,
@@ -71,16 +69,16 @@ def test_mixed_profile_validation():
 
 
 def test_eval_summarization_examples():
-    assert eval_summarization(Mean(4), PureProfile((1, 1, 0, 0))) == 0.5
-    assert eval_summarization(MajorityFraction(4), PureProfile((1, 1, 1, 0))) == 0.75
-    assert eval_summarization(
-        LinearWeighted((0.5, 0.3, 0.2)), PureProfile((1, 0, 1))
+    assert Mean(4).evaluate(PureProfile((1, 1, 0, 0)).actions) == 0.5
+    assert MajorityFraction(4).evaluate(PureProfile((1, 1, 1, 0)).actions) == 0.75
+    assert LinearWeighted((0.5, 0.3, 0.2)).evaluate(
+        PureProfile((1, 0, 1)).actions
     ) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_eval_summarization_arity_mismatch():
     with pytest.raises(InputError):
-        eval_summarization(Mean(4), PureProfile((1, 0)))
+        Mean(4).evaluate(PureProfile((1, 0)).actions)
 
 
 @settings(max_examples=200)
@@ -130,7 +128,7 @@ def test_linear_weighted_validation():
 
 
 def test_influence_mean():
-    assert influence_of(Mean(10), 3, 10) == pytest.approx(0.1)
+    assert Mean(10).influence(3) == pytest.approx(0.1)
 
 
 def test_mean_game_builds_in_linear_time():
@@ -149,7 +147,7 @@ def test_mean_game_builds_in_linear_time():
 
 def test_influence_constant_custom_is_zero():
     summ = CustomSummarization(lambda x: 0.5, 3, declared_influence=0.25)
-    assert influence_of(summ, 0, 3) == 0.0
+    assert summ.influence(0) == 0.0
 
 
 def test_influence_majority_n3_matches_hand_enumeration():
@@ -164,7 +162,7 @@ def test_influence_majority_n3_matches_hand_enumeration():
             acts[i] = 1
             hi = summ.evaluate(tuple(acts))
             worst = max(worst, abs(lo - hi))
-        assert influence_of(summ, i, 3) == worst == pytest.approx(1.0 / 3.0)
+        assert summ.influence(i) == worst == pytest.approx(1.0 / 3.0)
 
 
 def test_influence_majority_closed_form_matches_enumeration():
@@ -180,7 +178,7 @@ def test_custom_declared_influence_is_checkable():
     summ = CustomSummarization(
         lambda x: sum(x) / 4.0, 4, declared_influence=0.3
     )
-    exact = influence_of(summ, 0, 4)
+    exact = summ.influence(0)
     assert exact == pytest.approx(0.25)
     assert exact <= summ.declared_influence
     assert summ.influence_bound() == 0.3  # games trust the declaration
@@ -206,10 +204,10 @@ def test_influence_bounds_any_profile(data):
     actions = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     i = data.draw(st.integers(0, n - 1))
     x = PureProfile(actions)
-    lo = eval_summarization(summ, x.with_action(i, 0))
-    hi = eval_summarization(summ, x.with_action(i, 1))
-    assert abs(lo - hi) <= influence_of(summ, i, n) + 1e-12
-    assert influence_of(summ, i, n) <= summ.influence_bound() + 1e-12
+    lo = summ.evaluate(x.with_action(i, 0).actions)
+    hi = summ.evaluate(x.with_action(i, 1).actions)
+    assert abs(lo - hi) <= summ.influence(i) + 1e-12
+    assert summ.influence(i) <= summ.influence_bound() + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
-"""Grid construction, interval membership, step approximation quality."""
+"""Grid construction, interval membership, step approximation quality and
+the best-response table against the per-function step view."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bar_game, catalog_payoff_suite
+from conftest import (
+    StepPayoff,
+    bar_game,
+    catalog_payoff_suite,
+    discretize,
+    random_game,
+)
 from summgames import (
     Affine,
     AlphaGrid,
@@ -15,9 +24,10 @@ from summgames import (
     LearnConfig,
     Mean,
     Payoff,
+    PiecewiseLinear,
     PureProfile,
     SummGame,
-    discretize,
+    build_v_table,
     discretize_game,
     interval_of,
     make_grid,
@@ -25,7 +35,7 @@ from summgames import (
     run_summ_learn,
     summ_nash,
 )
-from summgames import discretization
+from summgames import core, discretization
 from summgames.cli import main
 
 
@@ -53,8 +63,11 @@ def test_make_grid_interval_cap():
     with pytest.raises(CapabilityError) as err:
         make_grid(1e-9, 3.0)
     assert "1000000" in str(err.value)  # names the cap
-    grid = make_grid(1e-3, 3.0, max_intervals=10**8)
-    assert grid.K == 24000
+    assert make_grid(1e-3, 3.0).K == 24000
+    # The learner sizes its default step cap from K before discretizing;
+    # without the K cap, K = 8e300 would overflow it.
+    with pytest.raises(CapabilityError, match="1000000"):
+        run_summ_learn(bar_game(2), LearnConfig(epsilon=1e-300, delta=1e-3))
 
 
 def test_grid_cell_cap_fails_before_discretizing(monkeypatch, capsys):
@@ -163,8 +176,6 @@ def test_step_payoff_validation():
     grid = AlphaGrid(3)
     with pytest.raises(InputError):
         # Wrong number of values for the grid.
-        from summgames import StepPayoff
-
         StepPayoff(grid, (0.1, 0.2))
 
 
@@ -193,17 +204,31 @@ def test_discretize_game_rejects_step_values_outside_unit_interval(value):
         discretize_game(game, AlphaGrid(4))
 
 
-def test_discretize_game_arrays_match_per_function_view():
-    game = bar_game(3)
-    grid = AlphaGrid(5)
+def _reference_br(game, grid):
+    """br from the per-function view: (K, n), action 1 where it pays more."""
+    rows = [
+        np.array(discretize(f1, grid).values) > np.array(discretize(f0, grid).values)
+        for f0, f1 in game.payoffs
+    ]
+    return np.array(rows).T
+
+
+def _assert_br_matches_reference(game, grid):
     steps = discretize_game(game, grid)
     assert steps.grid == grid
-    assert steps.f0.shape == steps.f1.shape == (3, 5)
-    for i, (pay0, pay1) in enumerate(game.payoffs):
-        assert tuple(steps.f0[i].tolist()) == discretize(pay0, grid).values
-        assert tuple(steps.f1[i].tolist()) == discretize(pay1, grid).values
+    assert steps.br.shape == (grid.K, game.n) and steps.br.dtype == bool
+    assert steps.br.flags.c_contiguous and not steps.br.flags.writeable
+    assert steps.br.tobytes() == _reference_br(game, grid).tobytes()
+    return steps
+
+
+def test_discretize_game_arrays_match_per_function_view():
+    game = bar_game(3)
+    steps = _assert_br_matches_reference(game, AlphaGrid(5))
+    # F_1 = 1 - z beats F_0 = z at the grid points 0, 0.2 and 0.4.
+    assert steps.br.tolist() == [[True] * 3] * 3 + [[False] * 3] * 2
     with pytest.raises(ValueError):
-        steps.f0[0, 0] = 0.5  # read-only
+        steps.br[0, 0] = False  # read-only
 
 
 def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
@@ -223,8 +248,8 @@ def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
     steps = discretize_game(game, AlphaGrid(16))
     assert calls == [((1000, 1), (1, 16))] * 2
     points = AlphaGrid(16).grid_points()
-    assert steps.f0.tobytes() == np.tile(formula(0.0, 1.0, points), (1000, 1)).tobytes()
-    assert steps.f1.tobytes() == np.tile(formula(1.0, -1.0, points), (1000, 1)).tobytes()
+    row = formula(1.0, -1.0, points) > formula(0.0, 1.0, points)
+    assert steps.br.tobytes() == np.tile(row[:, None], (1, 1000)).tobytes()
     calls.clear()
     regret_pure(game, PureProfile((0, 1) * 500))
     assert calls == [((1000, 1), (1000, 1))] * 2
@@ -232,8 +257,8 @@ def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
 
 def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
     # Constant(0.0) == Constant(-0.0) as dataclasses, but they sample to
-    # different bits; so do Affine(-0.0, -0.0) and Affine(0.0, 0.0). The
-    # unpicklable payoff is keyed on its identity.
+    # different bits, and 0.0 > -0.0 is False; so do Affine(-0.0, -0.0) and
+    # Affine(0.0, 0.0). The unpicklable payoff is keyed on its identity.
     class Unpicklable(_FixedArrayPayoff):
         def __init__(self, value):
             super().__init__(value)
@@ -256,9 +281,53 @@ def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
     )
     game = SummGame(Mean(len(pairs)), pairs)
     for grid in (AlphaGrid(1), AlphaGrid(7), make_grid(0.01, game.rho)):
-        steps = discretize_game(game, grid)
-        points = grid.grid_points()
-        for b, table in enumerate((steps.f0, steps.f1)):
-            expected = np.array([pair[b].evaluate_array(points) for pair in pairs])
-            assert table.tobytes() == expected.tobytes()
-            assert table.flags.c_contiguous and not table.flags.writeable
+        _assert_br_matches_reference(game, grid)
+
+
+def test_discretize_game_matches_reference_on_random_games():
+    rng = np.random.default_rng(4242)
+    for index in range(120):
+        kind = ("mean", "linear")[index % 2]
+        game = random_game(rng, int(rng.integers(1, 30)), kind)
+        epsilon = (0.5, 0.2, 0.05)[index % 3]
+        _assert_br_matches_reference(game, make_grid(epsilon, game.rho))
+
+
+def test_discretize_game_at_breakpoints_and_across_chunks(monkeypatch):
+    # Breakpoints on grid points, ties between F_0 and F_1 (-0.0 against
+    # 0.0 among them), a payoff outside the catalog, and player chunks of
+    # every width, so chunks cut each group at every offset.
+    pool = [
+        Constant(-0.0),
+        Constant(0.0),
+        Constant(0.5),
+        Affine(0.0, 1.0),
+        Affine(1.0, -1.0),
+        PiecewiseLinear(((0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0))),
+        PiecewiseLinear(((0.0, 1.0), (0.375, 0.5), (0.75, 0.0), (1.0, 0.5))),
+        PiecewiseLinear(((0.0, 0.5), (0.125, 1.0), (1.0, 0.0))),
+        _FixedArrayPayoff(0.5),
+    ]
+    rng = np.random.default_rng(99)
+    pairs = tuple(
+        (pool[int(a)], pool[int(b)]) for a, b in rng.integers(0, len(pool), (23, 2))
+    )
+    game = SummGame(Mean(len(pairs)), pairs)
+    for grid in (AlphaGrid(8), AlphaGrid(16)):
+        for width in range(1, game.n + 1):
+            monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", width * grid.K)
+            _assert_br_matches_reference(game, grid)
+
+
+def test_discretize_and_v_table_peak_memory():
+    # No (n, K) float array is built: at n = 150, K = 10^4 the best-response
+    # bits take 1.5 MB, and the float64 temporaries stay a chunk's size.
+    game = random_game(np.random.default_rng(3), 150)
+    grid = AlphaGrid(10**4)
+    tracemalloc.start()
+    try:
+        build_v_table(game, grid, discretize_game(game, grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -3,9 +3,9 @@
 The references below are each catalog payoff's earlier ``evaluate_array``
 (``PiecewiseLinear`` by ``searchsorted`` and three gathers), the deviation
 kernel as a loop that evaluates one player's two payoffs at a time, and
-``discretize_game`` as one reference call per payoff. Every comparison is
-bit for bit: floats are compared by their IEEE bytes, so a 0.0 standing in
-for -0.0 fails.
+``discretize_game`` as one reference call per payoff, compared through the
+best responses it keeps. Every comparison is bit for bit: floats are
+compared by their IEEE bytes, so a 0.0 standing in for -0.0 fails.
 """
 
 import numpy as np
@@ -179,8 +179,8 @@ def test_formulas_match_reference_arithmetic():
 
 
 def test_bank_matches_reference_arithmetic():
-    # Every player of a chunk gets its own row of z; chunks cut the groups
-    # at every offset.
+    # Every player of a chunk gets its own row of z, or all share one row;
+    # chunks cut the groups at every offset.
     rng = np.random.default_rng(21)
     fns = _payoffs(rng) + [_FixedArrayPayoff(0.75)]
     fns = [fns[int(j)] for j in rng.permutation(len(fns))]
@@ -188,11 +188,16 @@ def test_bank_matches_reference_arithmetic():
     rows = np.stack([rng.permutation(z) for _ in fns])
     bank = core._PayoffBank(fns)
     expected = np.stack([_ref_evaluate_array(fn, row) for fn, row in zip(fns, rows)])
+    # The same chunks on one row of z that every player shares.
+    shared = np.stack([_ref_evaluate_array(fn, z) for fn in fns])
     for width in (1, 3, 7, len(fns)):
         for start in range(0, len(fns), width):
             stop = min(start + width, len(fns))
             got = bank.evaluate(slice(start, stop), rows[start:stop])
             assert _bits(got) == _bits(expected[start:stop]), (width, start)
+            got = bank.evaluate(slice(start, stop), z[None, :])
+            got = np.broadcast_to(got, (stop - start, len(z)))
+            assert _bits(got) == _bits(shared[start:stop]), (width, start)
 
 
 @pytest.mark.parametrize("kind", ["mean", "majority", "linear", "custom"])
@@ -238,6 +243,8 @@ def test_discretize_game_matches_reference_arithmetic(monkeypatch):
             monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", cells)
         steps = discretize_game(SummGame(game.summarization, game.payoffs), grid)
         points = grid.grid_points()
-        for b, table in enumerate((steps.f0, steps.f1)):
-            expected = [_ref_evaluate_array(pair[b], points) for pair in game.payoffs]
-            assert _bits(table) == _bits(expected), (grid.K, b)
+        expected = [
+            _ref_evaluate_array(f1, points) > _ref_evaluate_array(f0, points)
+            for f0, f1 in game.payoffs
+        ]
+        assert steps.br.tobytes() == np.array(expected).T.tobytes(), grid.K

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bar_game, random_game
+from conftest import bar_game, discretize, random_game
 from summgames import (
     Affine,
     AlphaGrid,
@@ -26,7 +26,6 @@ from summgames import (
     VTable,
     Vertical,
     build_v_table,
-    discretize,
     find_horizontal,
     find_vertical_and_walk,
     interval_of,

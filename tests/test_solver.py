@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import bar_game, consensus_game, constant_game, random_game
+from conftest import bar_game, consensus_game, constant_game, discretize, random_game
 from summgames import (
     AlphaGrid,
     BestResponses,
@@ -15,7 +15,6 @@ from summgames import (
     Vertical,
     build_v_table,
     discretize_game,
-    eval_summarization,
     find_horizontal,
     find_vertical_and_walk,
     regret_pure,
@@ -117,7 +116,7 @@ def test_vertical_walk_bar100():
     assert k == 2
     assert position == 50
     assert sum(profile.actions) == 50
-    assert eval_summarization(game.summarization, profile) == 0.5
+    assert game.summarization.evaluate(profile.actions) == 0.5
 
 
 def test_vertical_walk_degenerate_equal_brs_is_contract_error():
@@ -212,12 +211,15 @@ def test_find_horizontal_rejects_v_outside_unit_interval(bad):
 
 
 def test_best_responses_are_built_once_on_read():
-    _, grid, steps, table = _bar_table(n=5, K=8)
+    game, grid, _, table = _bar_table(n=5, K=8)
     assert isinstance(table.br, BestResponses)
     assert len(table.br) == grid.K
+    steps = [(discretize(f0, grid), discretize(f1, grid)) for f0, f1 in game.payoffs]
     for k in range(grid.K):
         assert table.br[k] is table.br[k]
-        assert table.br[k].actions == tuple((steps.f1[:, k] > steps.f0[:, k]).tolist())
+        assert table.br[k].actions == tuple(
+            int(s1.at_index(k) > s0.at_index(k)) for s0, s1 in steps
+        )
     assert table.br[-1] is table.br[grid.K - 1]
     assert list(table.br) == [table.br[k] for k in range(grid.K)]
     with pytest.raises(IndexError):
