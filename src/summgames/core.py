@@ -830,6 +830,13 @@ def _chunk_players(rows: int) -> int:
     return max(1, _CHUNK_PLAYER_CELLS // rows)
 
 
+def _chunk_players_on_row(n: int, points: int) -> int:
+    """Players evaluated together on one shared row of ``points`` z values:
+    all n when their n * points cells fit one ``_CHUNK_CELLS`` chunk, so
+    each payoff kind is one call, else ``_chunk_players(points)``."""
+    return n if n * points <= _CHUNK_CELLS else _chunk_players(points)
+
+
 def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
 
@@ -936,9 +943,92 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     return MixedRegret(regrets, None, "exact")
 
 
+def _count_histogram(bits: np.ndarray):
+    """The row counts of the (rows, n) bool block ``bits`` as a histogram.
+
+    Returns the U distinct counts ``values`` in ascending order, ``sizes[u]``
+    the rows of count values[u], and ``ones[i, u]`` (float64, (n, U)) the
+    rows of count values[u] in which player i plays 1. The rows of each
+    count are gathered in bool chunks of at most ``_CHUNK_CELLS`` cells and
+    summed as int32, so every entry is an exact integer and the block is
+    never copied whole.
+    """
+    n = bits.shape[1]
+    # int32 sums of bools run about twice as fast as the default int64.
+    counts = bits.sum(axis=1, dtype=np.int32)
+    order = np.argsort(counts, kind="stable")
+    values, sizes = np.unique(counts, return_counts=True)
+    ones = np.zeros((n, len(values)))
+    step = _chunk_rows(n)
+    start = 0
+    for u, size in enumerate(sizes.tolist()):
+        for at in range(start, start + size, step):
+            chunk = bits[order[at : min(at + step, start + size)]]
+            ones[:, u] += chunk.sum(axis=0, dtype=np.int32)
+        start += size
+    return values, sizes, ones
+
+
+def _add_count_gains(
+    game: SummGame, bits: np.ndarray, g_sum: np.ndarray, g_sumsq: np.ndarray
+) -> None:
+    """Add a block's deviation gains and their squares to g_sum and g_sumsq,
+    for a count-based S, through the block's count histogram.
+
+    Under such an S a row's gain for player i depends only on x_ri and the
+    others' count c' = c_r - x_ri: a row where i plays 0 gains D_i(c') =
+    F_1^i(S(c' + 1)) - F_0^i(S(c')) by switching to 1, and a row where i
+    plays 1 gains F_0^i(S(c')) - F_1^i(S(c' + 1)) by switching to 0. Both
+    are evaluated once per lattice point c' in {u, u - 1 : u a row count},
+    one payoff-bank call per kind and action on a shared row of z, and
+    weighted by the number of rows that share them: at count u, the rows
+    where i plays 0 count at c' = u, those where i plays 1 at c' = u - 1.
+    Each player's per-count terms are summed in ascending count order.
+    """
+    summ = game.summarization
+    n = bits.shape[1]
+    values, sizes, ones = _count_histogram(bits)
+    # Rows of count u < n have a player at 0; rows of count u > 0 one at 1.
+    zeros_at, ones_at = values < n, values > 0
+    others = np.union1d(values[zeros_at], values[ones_at] - 1)
+    lo = summ._of_count(others.astype(np.float64))[None, :]
+    hi = summ._of_count(others + 1.0)[None, :]
+    at0 = np.searchsorted(others, values[zeros_at])
+    at1 = np.searchsorted(others, values[ones_at] - 1)
+    bank0, bank1 = game._payoff_banks()
+    width = _chunk_players(len(others))
+    for start in range(0, n, width):
+        players = slice(start, min(start + width, n))
+        f0 = bank0.evaluate(players, lo)
+        f1 = bank1.evaluate(players, hi)
+        held = ones[players]
+        for b, weight, gain in (
+            (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0]),
+            (0, held[:, ones_at], (f0 - f1)[:, at1]),
+        ):
+            # Gathered columns come out column-major; C-ordered terms make
+            # each player's row contiguous, so it sums like a lone array.
+            terms = np.multiply(weight, gain, order="C")
+            squares = np.multiply(weight, gain * gain, order="C")
+            g_sum[players, b] += terms.sum(axis=1)
+            g_sumsq[players, b] += squares.sum(axis=1)
+
+
 def _monte_carlo_mixed_regret(
     game: SummGame, profile: MixedProfile, samples: int, seed: int
 ) -> MixedRegret:
+    """Seeded Monte-Carlo regrets and standard errors.
+
+    Profiles are drawn into one (rows, n) bool block of up to
+    ``_BATCH_ROWS`` rows at a time, from one PCG64 stream in
+    ``_CHUNK_CELLS`` chunks. A count-based S reduces each block through its
+    count histogram (``_add_count_gains``): O(rows * n) bool work to draw
+    and count it, and payoffs at about 2U points per player, where U <=
+    min(rows, n + 1) is the number of distinct counts in the block. Other
+    summarizations go through ``_deviation_payoffs``, which also holds the
+    block's (n, rows) transpose and evaluates both payoffs per player and
+    row.
+    """
     n = game.n
     probs = np.asarray(profile.probs)
     rng = np.random.default_rng(seed)
@@ -947,21 +1037,29 @@ def _monte_carlo_mixed_regret(
     # for the standard error of the chosen deviation.
     g_sum = np.zeros((n, 2))
     g_sumsq = np.zeros((n, 2))
+    counted = isinstance(game.summarization, _CountBase)
     drawn = 0
     step = _chunk_rows(n)
+    # One block buffer serves every block, so the short last block is not
+    # allocated while a full one is still held (1.3 MiB lower peak at
+    # n = 1000 and 20000 samples).
+    block = np.empty((min(_BATCH_ROWS, samples), n), dtype=bool)
     while drawn < samples:
         rows = min(_BATCH_ROWS, samples - drawn)
         # PCG64 fills draws in order, so row chunks read the same stream as
         # one (rows, n) draw without holding it as float64.
-        bits = np.empty((rows, n), dtype=bool)
+        bits = block[:rows]
         for start in range(0, rows, step):
             chunk = bits[start : start + step]
             np.less(rng.random(chunk.shape), probs, out=chunk)
-        for players, f0, f1, current in _deviation_payoffs(game, bits):
-            for b, fb in ((0, f0), (1, f1)):
-                for i, g in zip(range(n)[players], fb - current):
-                    g_sum[i, b] += g.sum()
-                    g_sumsq[i, b] += (g * g).sum()
+        if counted:
+            _add_count_gains(game, bits, g_sum, g_sumsq)
+        else:
+            for players, f0, f1, current in _deviation_payoffs(game, bits):
+                for b, fb in ((0, f0), (1, f1)):
+                    for i, g in zip(range(n)[players], fb - current):
+                        g_sum[i, b] += g.sum()
+                        g_sumsq[i, b] += (g * g).sum()
         drawn += rows
     means = g_sum / samples
     regrets = []
@@ -989,9 +1087,17 @@ def regret_mixed(
     Exact mode sums over all 2^n profiles weighted by product probabilities
     and is capped at n <= 20. Monte-Carlo mode draws i.i.d. profiles from a
     seeded PCG64 generator, so results are bit-identical for a fixed seed.
-    Both work on blocks of up to 16384 profiles, held as a (rows, n) bool
-    matrix plus its (n, rows) transpose, so their memory is O(rows * n)
-    bools per block; float64 copies are made only of 2^18-cell chunks.
+    Both work on blocks of up to 16384 profiles held as a (rows, n) bool
+    matrix, so their memory is O(rows * n) bools per block; float64 copies
+    are made only of 2^18-cell chunks. Exact mode, and Monte Carlo under a
+    weighted or custom S, also hold the block's (n, rows) transpose and
+    evaluate both payoffs for every player and row. Monte Carlo under
+    ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
+    only on their own action and the others' count, so each block costs
+    O(rows * n) bool work to draw and count plus payoffs at about 2U counts
+    per player, U <= min(rows, n + 1) being the block's distinct counts
+    (about 100 at n = 1000). Its per-count sums differ from per-row sums
+    only in rounding.
     """
     game._check_profile(profile.n)
     if mode == "exact":

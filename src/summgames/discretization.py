@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SummGame, _chunk_players
+from .core import SummGame, _chunk_players_on_row
 from .errors import CapabilityError, InputError
 
 __all__ = [
@@ -127,8 +127,10 @@ class StepTable:
 def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
     """Sample all 2n payoff functions on the grid points into a ``StepTable``.
 
-    Players are taken in consecutive chunks of at most
-    ``_CHUNK_PLAYER_CELLS`` cells (at least one player); each chunk is one
+    All players form one chunk when their n*K cells fit in
+    ``_CHUNK_CELLS``, so each payoff kind is one call per action; larger
+    games are taken in consecutive chunks of at most
+    ``_CHUNK_PLAYER_CELLS`` cells (at least one player). Each chunk is one
     payoff-bank call per action on the grid points, shared as one row, and
     leaves only its best-response bits behind. Refuses up front a game
     whose n*K cells exceed ``MAX_GRID_CELLS``."""
@@ -144,7 +146,7 @@ def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
     # writing each chunk straight into its (K, n) columns took about 30 %
     # longer at n = 150, K = 10^4.
     bits = np.empty((n, K), dtype=bool)
-    width = _chunk_players(K)
+    width = _chunk_players_on_row(n, K)
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         f0 = bank0.evaluate(players, points)

@@ -48,10 +48,17 @@ __all__ = [
     "broadcast_mean",
     "default_step_cap",
     "run_summ_learn",
+    "MAX_RECORDED_STEPS",
 ]
 
 # Tolerance for the exact-linearity recursion check, asserted every step.
 _MU_RECURSION_TOL = 1e-12
+
+# A recorded trajectory step takes about 323 bytes, and a probability
+# snapshot is counted as n more steps; a run whose step cap could record
+# more than this many is refused before its first step, so a trajectory
+# stays under about 1 GB.
+MAX_RECORDED_STEPS = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,10 @@ def run_summ_learn(
     The exact mean recursion is asserted at every step against the V table
     built on the same grid; a violation means the linearity contract broke
     and raises ContractError. The grid, beta and step cap the run resolved
-    from the config are reported on the trajectory.
+    from the config are reported on the trajectory. A run whose step cap
+    could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
+    counted n + 1 times with probability snapshots, raises CapabilityError
+    before its first step.
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -219,6 +229,18 @@ def run_summ_learn(
         max_steps = config.max_steps
     else:
         max_steps = default_step_cap(grid, beta, config.delta)
+    # ceil(max_steps / snapshot_every) thinned steps, plus the final step,
+    # which is always recorded.
+    recorded = -(-max_steps // config.snapshot_every) + 1
+    per_step = game.n + 1 if config.snapshot_probs else 1
+    if recorded * per_step > MAX_RECORDED_STEPS:
+        counted = f", each counted {per_step} times with its probabilities"
+        raise CapabilityError(
+            f"a run of up to {max_steps} steps would record up to {recorded} "
+            f"trajectory steps{counted if per_step > 1 else ''}, over the cap "
+            f"of MAX_RECORDED_STEPS = {MAX_RECORDED_STEPS}; raise "
+            "snapshot_every, lower max_steps or drop snapshot_probs"
+        )
 
     table: VTable = build_v_table(game, grid)
 

@@ -26,6 +26,7 @@ from summgames import (
     Payoff,
     PiecewiseLinear,
     PureProfile,
+    Quadratic,
     SummGame,
     build_v_table,
     discretize_game,
@@ -255,6 +256,32 @@ def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
     assert calls == [((1000, 1), (1000, 1))] * 2
 
 
+def test_random_game_makes_one_bank_call_per_group_and_action(monkeypatch):
+    # When n*K fits one chunk, no payoff-bank group is cut: one formula call
+    # per group (kind, or breakpoint count) and action. At solve-fine sizes
+    # the chunks stay one player wide.
+    calls = []
+    for kind in (Constant, Affine, Quadratic, PiecewiseLinear):
+
+        def counted(*args, formula=kind._formula):
+            calls.append((len(args[0]), args[-1].shape))
+            return formula(*args)
+
+        monkeypatch.setattr(kind, "_formula", staticmethod(counted))
+    rng = np.random.default_rng(12)
+    for n, K in ((1000, 48), (150, 10**4)):
+        game = random_game(rng, n)
+        calls.clear()
+        discretize_game(game, AlphaGrid(K))
+        groups = sum(len(bank.groups) for bank in game._payoff_banks())
+        assert all(z == (1, K) for _, z in calls)
+        assert sum(m for m, _ in calls) == 2 * n
+        if n * K <= core._CHUNK_CELLS:
+            assert len(calls) == groups < 2 * 8 + 1
+        else:
+            assert len(calls) == 2 * n
+
+
 def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
     # Constant(0.0) == Constant(-0.0) as dataclasses, but they sample to
     # different bits, and 0.0 > -0.0 is False; so do Affine(-0.0, -0.0) and
@@ -313,6 +340,7 @@ def test_discretize_game_at_breakpoints_and_across_chunks(monkeypatch):
         (pool[int(a)], pool[int(b)]) for a, b in rng.integers(0, len(pool), (23, 2))
     )
     game = SummGame(Mean(len(pairs)), pairs)
+    monkeypatch.setattr(core, "_CHUNK_CELLS", 0)
     for grid in (AlphaGrid(8), AlphaGrid(16)):
         for width in range(1, game.n + 1):
             monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", width * grid.K)

@@ -22,6 +22,7 @@ from summgames import (
     make_grid,
     run_summ_learn,
 )
+from summgames import learning
 from summgames.learning import default_step_cap
 
 
@@ -114,6 +115,37 @@ def test_run_rejects_nonlinear_and_bad_beta():
             run_summ_learn(
                 bar_game(4), LearnConfig(epsilon=2.0, delta=0.01, beta=beta)
             )
+
+
+def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
+    # bar100 at epsilon = 0.01, delta = 1e-6 has a default cap of 1.77e7
+    # steps, about 5.7 GB of records; it is refused before the V table.
+    game = bar_game(100)
+    grid = make_grid(0.01, game.rho)
+    assert default_step_cap(grid, grid.alpha / 2.0, 1e-6) > 1.7e7
+
+    def no_table(*args):
+        raise AssertionError("the V table was built")
+
+    monkeypatch.setattr(learning, "build_v_table", no_table)
+    with pytest.raises(CapabilityError, match="MAX_RECORDED_STEPS"):
+        run_summ_learn(game, LearnConfig(epsilon=0.01, delta=1e-6))
+    monkeypatch.undo()
+    # At the boundary: recorded steps are ceil(max_steps / snapshot_every)
+    # + 1, counted n + 1 times with probability snapshots.
+    monkeypatch.setattr(learning, "MAX_RECORDED_STEPS", 100)
+    game = bar_game(4)
+    for fits, refused, every, probs in (
+        (99, 100, 1, False),
+        (19, 20, 1, True),
+        (297, 298, 3, False),
+    ):
+        config = dict(
+            epsilon=2.0, delta=0.0, snapshot_every=every, snapshot_probs=probs
+        )
+        run_summ_learn(game, LearnConfig(max_steps=fits, **config))
+        with pytest.raises(CapabilityError, match="MAX_RECORDED_STEPS"):
+            run_summ_learn(game, LearnConfig(max_steps=refused, **config))
 
 
 # ---------------------------------------------------------------------------

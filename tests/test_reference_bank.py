@@ -240,6 +240,7 @@ def test_discretize_game_matches_reference_arithmetic(monkeypatch):
     cases = ((AlphaGrid(1), None), (AlphaGrid(7), 20), (make_grid(0.01, 3.0), None))
     for grid, cells in cases:
         if cells is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", 0)
             monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", cells)
         steps = discretize_game(SummGame(game.summarization, game.payoffs), grid)
         points = grid.grid_points()

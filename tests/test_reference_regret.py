@@ -5,7 +5,10 @@ deviation kernel on (rows, n) float64 blocks with an ``np.where`` select,
 and exact and Monte-Carlo ``regret_mixed`` on those blocks, as they were
 before the learner moved to numpy arrays and the kernel to bool blocks
 built in chunks. Every comparison is bit for bit: floats are compared by
-their IEEE bytes, so a 0.0 standing in for -0.0 fails.
+their IEEE bytes, so a 0.0 standing in for -0.0 fails. Monte Carlo under a
+count-based summarization sums per row count, not per row; it is compared
+bit for bit with a per-count reference, and with the per-row one within
+1e-14.
 """
 
 import math
@@ -104,6 +107,11 @@ def _ref_monte_carlo(game, probs, samples, seed):
                 g_sum[i, b] += g.sum()
                 g_sumsq[i, b] += (g * g).sum()
         drawn += rows
+    return _ref_moments_to_regret(g_sum, g_sumsq, samples)
+
+
+def _ref_moments_to_regret(g_sum, g_sumsq, samples):
+    n = len(g_sum)
     means = g_sum / samples
     regrets, stderrs = [], []
     for i in range(n):
@@ -115,6 +123,50 @@ def _ref_monte_carlo(game, probs, samples, seed):
         else:
             stderrs.append(float("inf"))
     return tuple(regrets), tuple(stderrs)
+
+
+def _ref_monte_carlo_counts(game, probs, samples, seed):
+    """Monte Carlo for count-based S on the same draws, summed per count.
+
+    Each block's histogram is built by a loop over its rows; then, for every
+    player and both deviations, the gain at each row count is evaluated on
+    its own and weighted by the number of rows holding it, and those terms
+    are summed in ascending count order."""
+    n = game.n
+    summ = game.summarization
+    probs = np.asarray(probs)
+    rng = np.random.default_rng(seed)
+    g_sum = np.zeros((n, 2))
+    g_sumsq = np.zeros((n, 2))
+    drawn = 0
+    while drawn < samples:
+        rows = min(_REF_BATCH_ROWS, samples - drawn)
+        bits = rng.random((rows, n)) < probs[None, :]
+        rows_of, ones = {}, {}
+        for row in bits:
+            c = int(row.sum())
+            rows_of[c] = rows_of.get(c, 0) + 1
+            ones[c] = ones.get(c, 0) + row.astype(np.int64)
+        counts = sorted(rows_of)
+        for i, (pay0, pay1) in enumerate(game.payoffs):
+            # b = 1: rows of count c where i plays 0, the others counting c;
+            # b = 0: rows of count c where i plays 1, the others counting c - 1.
+            for b, held in (
+                (1, [c for c in counts if c < n]),
+                (0, [c for c in counts if c > 0]),
+            ):
+                weight = np.array(
+                    [rows_of[c] - ones[c][i] if b else ones[c][i] for c in held],
+                    dtype=np.float64,
+                )
+                others = np.array([c if b else c - 1 for c in held], dtype=np.float64)
+                f0 = pay0.evaluate_array(summ._of_count(others))
+                f1 = pay1.evaluate_array(summ._of_count(others + 1.0))
+                gain = f1 - f0 if b else f0 - f1
+                g_sum[i, b] += (weight * gain).sum()
+                g_sumsq[i, b] += (weight * (gain * gain)).sum()
+        drawn += rows
+    return _ref_moments_to_regret(g_sum, g_sumsq, samples)
 
 
 def _ref_learn(game, epsilon, delta, initial, max_steps=None):
@@ -250,6 +302,24 @@ def test_exact_regret_mixed_matches_reference(monkeypatch):
         assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
 
 
+def _check_monte_carlo(kind, game, profile, samples, seed):
+    """Count-based S is byte-equal to the per-count reference and agrees
+    with the per-row one within 1e-14 (means, and variances samples *
+    stderr^2: near a zero variance the sum-of-squares formula leaves
+    rounding noise of about 1e-10 in stderr either way); the others are
+    byte-equal to the per-row reference."""
+    result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
+    regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, seed)
+    if kind in ("mean", "majority"):
+        assert np.allclose(result.regrets, regrets, rtol=0.0, atol=1e-14), kind
+        if samples >= 2:
+            ours, ref = (samples * np.square(x) for x in (result.stderrs, stderrs))
+            assert np.allclose(ours, ref, rtol=0.0, atol=1e-14), kind
+        regrets, stderrs = _ref_monte_carlo_counts(game, profile.probs, samples, seed)
+    assert _bits(result.regrets) == _bits(regrets), (kind, samples)
+    assert _bits(result.stderrs) == _bits(stderrs), (kind, samples)
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 7])
 def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
     rng = np.random.default_rng(6)
@@ -261,21 +331,53 @@ def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
         # multiple of the 7-row draw chunk. The black box stays small.
         counts = (1, 500, 1103) if kind == "custom" else (1, 999, 17389)
         for samples in counts:
-            result = regret_mixed(game, profile, "monte_carlo", samples, seed=samples)
-            regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, samples)
-            assert _bits(result.regrets) == _bits(regrets), (kind, samples)
-            assert _bits(result.stderrs) == _bits(stderrs), (kind, samples)
+            _check_monte_carlo(kind, game, profile, samples, samples)
 
 
 def test_monte_carlo_at_scale_matches_reference():
     # n = 1000 makes 262-row draw and state chunks inside each block.
     rng = np.random.default_rng(7)
-    for game in (bar_game(1000), random_game(rng, 1000, "linear")):
-        profile = _profile(rng, 1000)
-        result = regret_mixed(game, profile, "monte_carlo", 3001, seed=1)
-        regrets, stderrs = _ref_monte_carlo(game, profile.probs, 3001, 1)
-        assert _bits(result.regrets) == _bits(regrets)
-        assert _bits(result.stderrs) == _bits(stderrs)
+    for kind, game in (
+        ("mean", bar_game(1000)),
+        ("mean", random_game(rng, 1000, "mean")),
+        ("linear", random_game(rng, 1000, "linear")),
+    ):
+        _check_monte_carlo(kind, game, _profile(rng, 1000), 3001, 1)
+
+
+@pytest.mark.parametrize("player_cells", [1, 5, None])
+def test_monte_carlo_counts_edge_cases(monkeypatch, player_cells):
+    # One-row draw chunks with player chunks of one player and of a few,
+    # cutting the payoff-bank groups, against the default chunks.
+    if player_cells is not None:
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 0)
+        monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", player_cells)
+    rng = np.random.default_rng(9)
+    for kind, game in _regret_games(9, (1, 2, 7)):
+        if kind not in ("mean", "majority"):
+            continue
+        n = game.n
+        # Every probability 0 or 1, so all rows share one count; all 0; all 1.
+        for probs in (
+            rng.integers(0, 2, n).astype(float),
+            np.zeros(n),
+            np.ones(n),
+            rng.uniform(size=n),
+        ):
+            profile = MixedProfile(tuple(float(p) for p in probs))
+            for samples in (1, 2, 300):
+                _check_monte_carlo(kind, game, profile, samples, samples)
+    # Constant(-0.0) against Constant(0.0), and a constant pair.
+    pairs = [
+        (Constant(-0.0), Constant(0.0)),
+        (Constant(0.0), Constant(-0.0)),
+        (Constant(-0.0), Constant(-0.0)),
+        (Constant(0.25), Constant(0.25)),
+    ]
+    for summ in (MajorityFraction(4), bar_game(4).summarization):
+        game = SummGame(summ, tuple(pairs))
+        profile = MixedProfile((0.0, 1.0, 0.5, 0.25))
+        _check_monte_carlo("mean", game, profile, 1000, 3)
 
 
 def _learn_cases():
