@@ -68,6 +68,13 @@ _BATCH_ROWS = 1 << 14
 # Carlo draws its uniforms in chunks of the same size.
 _CHUNK_CELLS = 1 << 18
 
+# Under a count-based S, Monte Carlo needs only each block's count
+# histogram, so it draws and counts a block this many draw chunks at a time
+# (2 MB of bools) and never holds it whole. A held 16 MB block at n = 1000
+# moved the process's peak resident memory by about 12 MB from one run to
+# the next, as the allocator kept or returned the heap around it.
+_COUNT_PART_CHUNKS = 8
+
 # Payoffs are evaluated for chunks of players of at most this many
 # player-row cells, so a chunk's float64 temporaries (128 KB) stay in cache:
 # one profile row (``regret_pure``) takes up to 16384 players in one chunk,
@@ -943,37 +950,37 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     return MixedRegret(regrets, None, "exact")
 
 
-def _count_histogram(bits: np.ndarray):
-    """The row counts of the (rows, n) bool block ``bits`` as a histogram.
+def _count_histogram(bits: np.ndarray, hist: dict) -> None:
+    """Add the rows of the (rows, n) bool array ``bits`` to ``hist``, a
+    histogram of row counts: ``hist[c]`` is [the rows of count c, the int32
+    (n,) number of them in which each player plays 1].
 
-    Returns the U distinct counts ``values`` in ascending order, ``sizes[u]``
-    the rows of count values[u], and ``ones[i, u]`` (float64, (n, U)) the
-    rows of count values[u] in which player i plays 1. The rows of each
-    count are gathered in bool chunks of at most ``_CHUNK_CELLS`` cells and
-    summed as int32, so every entry is an exact integer and the block is
-    never copied whole.
+    The rows of each count are gathered in bool chunks of at most
+    ``_CHUNK_CELLS`` cells and summed as int32, so every entry is an exact
+    integer and ``bits`` is never copied whole; a block's histogram is the
+    same however its rows are split between calls.
     """
-    n = bits.shape[1]
     # int32 sums of bools run about twice as fast as the default int64.
     counts = bits.sum(axis=1, dtype=np.int32)
     order = np.argsort(counts, kind="stable")
-    values, sizes = np.unique(counts, return_counts=True)
-    ones = np.zeros((n, len(values)))
-    step = _chunk_rows(n)
-    start = 0
-    for u, size in enumerate(sizes.tolist()):
+    values, starts, sizes = np.unique(
+        counts[order], return_index=True, return_counts=True
+    )
+    step = _chunk_rows(bits.shape[1])
+    for value, start, size in zip(values.tolist(), starts.tolist(), sizes.tolist()):
+        entry = hist.setdefault(value, [0, np.zeros(bits.shape[1], dtype=np.int32)])
+        entry[0] += size
         for at in range(start, start + size, step):
             chunk = bits[order[at : min(at + step, start + size)]]
-            ones[:, u] += chunk.sum(axis=0, dtype=np.int32)
-        start += size
-    return values, sizes, ones
+            entry[1] += chunk.sum(axis=0, dtype=np.int32)
 
 
 def _add_count_gains(
-    game: SummGame, bits: np.ndarray, g_sum: np.ndarray, g_sumsq: np.ndarray
+    game: SummGame, hist: dict, g_sum: np.ndarray, g_sumsq: np.ndarray
 ) -> None:
     """Add a block's deviation gains and their squares to g_sum and g_sumsq,
-    for a count-based S, through the block's count histogram.
+    for a count-based S, from the block's count histogram ``hist``
+    (``_count_histogram``).
 
     Under such an S a row's gain for player i depends only on x_ri and the
     others' count c' = c_r - x_ri: a row where i plays 0 gains D_i(c') =
@@ -986,8 +993,11 @@ def _add_count_gains(
     Each player's per-count terms are summed in ascending count order.
     """
     summ = game.summarization
-    n = bits.shape[1]
-    values, sizes, ones = _count_histogram(bits)
+    n = game.n
+    values = np.array(sorted(hist), dtype=np.int32)
+    sizes = np.array([hist[u][0] for u in values.tolist()], dtype=np.int64)
+    # ones[i, u]: rows of count values[u] in which player i plays 1.
+    ones = np.stack([hist[u][1] for u in values.tolist()], axis=1).astype(np.float64)
     # Rows of count u < n have a player at 0; rows of count u > 0 one at 1.
     zeros_at, ones_at = values < n, values > 0
     others = np.union1d(values[zeros_at], values[ones_at] - 1)
@@ -1014,20 +1024,34 @@ def _add_count_gains(
             g_sumsq[players, b] += squares.sum(axis=1)
 
 
+def _draw_profiles(
+    rng: np.random.Generator, probs: np.ndarray, draws: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill the (rows, n) bool ``out`` with profiles drawn from ``rng``, a
+    row at 1 where its uniform is below ``probs``, through the float64
+    buffer ``draws`` of at most ``len(draws)`` rows at a time. PCG64 fills
+    draws in order, so any split reads the same stream as one (rows, n)
+    draw."""
+    for start in range(0, len(out), len(draws)):
+        chunk = out[start : start + len(draws)]
+        np.less(rng.random(out=draws[: len(chunk)]), probs, out=chunk)
+
+
 def _monte_carlo_mixed_regret(
     game: SummGame, profile: MixedProfile, samples: int, seed: int
 ) -> MixedRegret:
     """Seeded Monte-Carlo regrets and standard errors.
 
-    Profiles are drawn into one (rows, n) bool block of up to
-    ``_BATCH_ROWS`` rows at a time, from one PCG64 stream in
-    ``_CHUNK_CELLS`` chunks. A count-based S reduces each block through its
-    count histogram (``_add_count_gains``): O(rows * n) bool work to draw
-    and count it, and payoffs at about 2U points per player, where U <=
-    min(rows, n + 1) is the number of distinct counts in the block. Other
-    summarizations go through ``_deviation_payoffs``, which also holds the
-    block's (n, rows) transpose and evaluates both payoffs per player and
-    row.
+    Profiles are drawn in blocks of up to ``_BATCH_ROWS`` rows, from one
+    PCG64 stream through one float64 buffer of ``_CHUNK_CELLS`` cells. A
+    count-based S reduces each block to its count histogram
+    (``_add_count_gains``), drawing and counting it ``_COUNT_PART_CHUNKS``
+    draw chunks at a time: O(rows * n) bool work, and payoffs at about 2U
+    points per player, where U <= min(rows, n + 1) is the number of
+    distinct counts in the block. Other summarizations hold each block as
+    a (rows, n) bool matrix and go through ``_deviation_payoffs``, which
+    also holds its (n, rows) transpose and evaluates both payoffs per
+    player and row.
     """
     n = game.n
     probs = np.asarray(profile.probs)
@@ -1038,23 +1062,25 @@ def _monte_carlo_mixed_regret(
     g_sum = np.zeros((n, 2))
     g_sumsq = np.zeros((n, 2))
     counted = isinstance(game.summarization, _CountBase)
-    drawn = 0
     step = _chunk_rows(n)
-    # One block buffer serves every block, so the short last block is not
-    # allocated while a full one is still held (1.3 MiB lower peak at
-    # n = 1000 and 20000 samples).
-    block = np.empty((min(_BATCH_ROWS, samples), n), dtype=bool)
+    draws = np.empty((min(step, samples), n))
+    # One bool buffer serves every block (or every part of one), so the
+    # short last block is not allocated while a full one is still held.
+    held = step * _COUNT_PART_CHUNKS if counted else _BATCH_ROWS
+    buffer = np.empty((min(held, _BATCH_ROWS, samples), n), dtype=bool)
+    drawn = 0
     while drawn < samples:
         rows = min(_BATCH_ROWS, samples - drawn)
-        # PCG64 fills draws in order, so row chunks read the same stream as
-        # one (rows, n) draw without holding it as float64.
-        bits = block[:rows]
-        for start in range(0, rows, step):
-            chunk = bits[start : start + step]
-            np.less(rng.random(chunk.shape), probs, out=chunk)
         if counted:
-            _add_count_gains(game, bits, g_sum, g_sumsq)
+            hist: dict = {}
+            for start in range(0, rows, len(buffer)):
+                part = buffer[: min(len(buffer), rows - start)]
+                _draw_profiles(rng, probs, draws, part)
+                _count_histogram(part, hist)
+            _add_count_gains(game, hist, g_sum, g_sumsq)
         else:
+            bits = buffer[:rows]
+            _draw_profiles(rng, probs, draws, bits)
             for players, f0, f1, current in _deviation_payoffs(game, bits):
                 for b, fb in ((0, f0), (1, f1)):
                     for i, g in zip(range(n)[players], fb - current):
@@ -1087,16 +1113,17 @@ def regret_mixed(
     Exact mode sums over all 2^n profiles weighted by product probabilities
     and is capped at n <= 20. Monte-Carlo mode draws i.i.d. profiles from a
     seeded PCG64 generator, so results are bit-identical for a fixed seed.
-    Both work on blocks of up to 16384 profiles held as a (rows, n) bool
-    matrix, so their memory is O(rows * n) bools per block; float64 copies
-    are made only of 2^18-cell chunks. Exact mode, and Monte Carlo under a
-    weighted or custom S, also hold the block's (n, rows) transpose and
-    evaluate both payoffs for every player and row. Monte Carlo under
+    Both work on blocks of up to 16384 profiles; float64 copies are made
+    only of 2^18-cell chunks. Exact mode, and Monte Carlo under a weighted
+    or custom S, hold each block as a (rows, n) bool matrix plus its
+    (n, rows) transpose, so their memory is O(rows * n) bools per block,
+    and evaluate both payoffs for every player and row. Monte Carlo under
     ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
-    only on their own action and the others' count, so each block costs
-    O(rows * n) bool work to draw and count plus payoffs at about 2U counts
-    per player, U <= min(rows, n + 1) being the block's distinct counts
-    (about 100 at n = 1000). Its per-count sums differ from per-row sums
+    only on their own action and the others' count, so a block is drawn
+    and counted 2^21 bool cells at a time into its count histogram, and
+    costs O(rows * n) bool work plus payoffs at about 2U counts per player,
+    U <= min(rows, n + 1) being the block's distinct counts (about 100 at
+    n = 1000). Its per-count sums differ from per-row sums
     only in rounding.
     """
     game._check_profile(profile.n)
