@@ -78,9 +78,10 @@ _COUNT_PART_CHUNKS = 8
 # Payoffs are evaluated for chunks of players of at most this many
 # player-row cells, so a chunk's float64 temporaries (128 KB) stay in cache:
 # one profile row (``regret_pure``) takes up to 16384 players in one chunk,
-# a full 16384-row block one player. Chunks of 2^16 and 2^18 cells made
-# ``brute_min_epsilon`` and exact ``regret_mixed`` at n = 20 about 10-20 %
-# slower.
+# a full 16384-row block one player. At n = 20, chunks of 2^16 cells made
+# exact ``regret_mixed`` about 15 % and the pruned ``brute_min_epsilon``
+# (which drops rows only between chunks) 1.3-2 times slower, and chunks of
+# 2^18 cells about 1.7-2 and 4-6 times slower.
 _CHUNK_PLAYER_CELLS = 1 << 14
 
 # From this many rows up, the payoff a player receives is picked with a
@@ -156,14 +157,37 @@ class MixedProfile:
         return PureProfile(tuple(int(p) for p in self.probs))
 
 
-def _profile_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    """Decode profile codes into a (rows, n) bool matrix.
+def _profile_blocks(n: int):
+    """Yield (start, bits, columns) for the 2^n pure profiles of n players,
+    in blocks of rows = min(``_BATCH_ROWS``, 2^n) profiles coded start ..
+    start + rows - 1.
 
-    Player 0 occupies the most significant bit, so ascending codes enumerate
-    profiles in lexicographic action order.
+    Player 0 occupies the most significant bit of a code, so ascending
+    codes enumerate profiles in lexicographic action order. ``bits`` is the
+    block as a (rows, n) bool matrix and ``columns`` its C-contiguous
+    (n, rows) transpose. The rows are a power of two and start is a multiple
+    of it, so the low log2(rows) bits take the same values in every block:
+    they are decoded once, and each block only refills the other, high
+    columns with its constant bits. Both arrays are overwritten by the next
+    block.
     """
-    masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
-    return (codes[:, None] & masks) != 0
+    total = 1 << n
+    rows = min(_BATCH_ROWS, total)
+    high = n - (rows.bit_length() - 1)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = np.empty((rows, n), dtype=bool)
+    columns = np.empty((n, rows), dtype=bool)
+    # Column by column: one int64 (rows, log2(rows)) decode, 1.8 MB at
+    # 16384 rows, raised the learn benchmark's peak RSS by about 0.3 MB.
+    codes = np.arange(rows)
+    for j in range(high, n):
+        columns[j] = (codes >> shifts[j]) & 1
+    bits[:, high:] = columns[high:].T
+    for start in range(0, total, rows):
+        prefix = ((start >> shifts[:high]) & 1).astype(bool)
+        bits[:, :high] = prefix
+        columns[:high] = prefix[:, None]
+        yield start, bits, columns
 
 
 # ---------------------------------------------------------------------------
@@ -844,36 +868,43 @@ def _chunk_players_on_row(n: int, points: int) -> int:
     return n if n * points <= _CHUNK_CELLS else _chunk_players(points)
 
 
-def _deviation_payoffs(game: SummGame, bits: np.ndarray):
+def _chunk_payoffs(game: SummGame, state, x: np.ndarray, players: slice):
+    """(f0, f1, current) for the consecutive players ``players`` on the rows
+    whose batch state is ``state``, x being those players' bool columns of
+    the rows, one row of x per player. Each array is shaped like x: f_b[j, r]
+    = F_b^i(S(x_r with i playing b)) and current[j, r] = f_{x_ri}[j, r], the
+    payoff i = players.start + j actually receives; the payoffs are one
+    call per payoff kind in the game's payoff banks."""
+    lo, hi = game.summarization.batch_deviation(state, x, players)
+    bank0, bank1 = game._payoff_banks()
+    f0 = bank0.evaluate(players, lo)
+    f1 = bank1.evaluate(players, hi)
+    # When x_i = b, S(x with i playing b) is S(x) itself, so the realized
+    # payoff is f_b on that row.
+    return f0, f1, _select(x, f0, f1)
+
+
+def _deviation_payoffs(game: SummGame, bits: np.ndarray, columns=None):
     """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
 
     For the (rows, n) bool matrix ``bits`` and consecutive player slices
-    ``players``, yields (players, f0, f1, current), each array (players,
-    rows): f_b[j, r] = F_b^i(S(x_r with i playing b)) and current[j, r] =
-    f_{x_ri}[j, r], the payoff i = players.start + j actually receives.
-    Every regret in this library is a reduction over this kernel. The state
-    comes from ``_block_state``, the columns are read from one contiguous
-    (n, rows) bool transpose, and each chunk's payoffs are one call per
-    payoff kind in the game's payoff banks. For catalog summarizations that
-    holds O(rows * n) bools plus float64 arrays of one chunk's size. Each
-    row of a yielded array is contiguous, so per-player reductions over it
-    sum in the same order as over a lone (rows,) array.
+    ``players``, yields (players, f0, f1, current), the ``_chunk_payoffs``
+    of each chunk, each array (players, rows). Every regret in this library
+    is a reduction over this kernel. The state comes from ``_block_state``
+    and the columns are read from ``columns``, the C-contiguous (n, rows)
+    transpose of bits, made here when not given. For catalog summarizations
+    that holds O(rows * n) bools plus float64 arrays of one chunk's size.
+    Each row of a yielded array is contiguous, so per-player reductions over
+    it sum in the same order as over a lone (rows,) array.
     """
-    summ = game.summarization
     rows, n = bits.shape
-    state = _block_state(summ, bits)
-    columns = np.ascontiguousarray(bits.T)
-    bank0, bank1 = game._payoff_banks()
+    state = _block_state(game.summarization, bits)
+    if columns is None:
+        columns = np.ascontiguousarray(bits.T)
     width = _chunk_players(rows)
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
-        x = columns[players]
-        lo, hi = summ.batch_deviation(state, x, players)
-        f0 = bank0.evaluate(players, lo)
-        f1 = bank1.evaluate(players, hi)
-        # When x_i = b, S(x with i playing b) is S(x) itself, so the
-        # realized payoff is f_b on that row.
-        yield players, f0, f1, _select(x, f0, f1)
+        yield (players, *_chunk_payoffs(game, state, columns[players], players))
 
 
 def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
@@ -932,16 +963,13 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     n = game.n
     probs = np.asarray(profile.probs)
     factors = np.stack([1.0 - probs, probs], axis=1)
-    total = 1 << n
-    rows = min(_BATCH_ROWS, total)
     # dev[i, b] sums w(x) F_b^i(S(x with i playing b)), cur[i] sums w(x)
     # F_{x_i}^i(S(x)); fixed block and player order keep runs bit-identical.
     dev = np.zeros((n, 2))
     cur = np.zeros(n)
-    for start in range(0, total, rows):
-        bits = _profile_bits(np.arange(start, start + rows, dtype=np.int64), n)
-        weights = _block_weights(factors, start, rows)
-        for players, f0, f1, current in _deviation_payoffs(game, bits):
+    for start, bits, columns in _profile_blocks(n):
+        weights = _block_weights(factors, start, len(bits))
+        for players, f0, f1, current in _deviation_payoffs(game, bits, columns):
             for i, r0, r1, rc in zip(range(n)[players], f0, f1, current):
                 dev[i, 0] += weights @ r0
                 dev[i, 1] += weights @ r1

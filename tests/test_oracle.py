@@ -28,6 +28,7 @@ from summgames import (
     summ_nash,
     validate_certificate,
 )
+from summgames import core
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,26 @@ def test_brute_is_minimal_over_solver_outputs():
         cert = summ_nash(game, 0.3)
         report = brute_min_epsilon(game)
         assert report.epsilon_star <= cert.max_regret + 1e-12
+
+
+def test_brute_drops_profiles_once_they_have_lost(monkeypatch):
+    # bar_game(16) enumerates four blocks. Evaluating every player on every
+    # profile hands the payoff banks 2 * n * 2^n cells; once the first block
+    # holds an equilibrium, a row of a later block is dropped at its first
+    # player with positive regret.
+    cells = []
+    evaluate = core._PayoffBank.evaluate
+
+    def counted(self, players, z):
+        cells.append((players.stop - players.start) * z.shape[1])
+        return evaluate(self, players, z)
+
+    monkeypatch.setattr(core._PayoffBank, "evaluate", counted)
+    n = 16
+    report = brute_min_epsilon(bar_game(n))
+    assert report.epsilon_star == 0.0
+    assert report.profiles_examined == 1 << n
+    assert sum(cells) < 2 * n * (1 << n) // 3
 
 
 def test_brute_majority_summarization():

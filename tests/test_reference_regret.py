@@ -4,11 +4,12 @@ The references below are the learner loop on tuples of Python floats, the
 deviation kernel on (rows, n) float64 blocks with an ``np.where`` select,
 and exact and Monte-Carlo ``regret_mixed`` on those blocks, as they were
 before the learner moved to numpy arrays and the kernel to bool blocks
-built in chunks. Every comparison is bit for bit: floats are compared by
-their IEEE bytes, so a 0.0 standing in for -0.0 fails. Monte Carlo under a
-count-based summarization sums per row count, not per row; it is compared
-bit for bit with a per-count reference, and with the per-row one within
-1e-14.
+built in chunks, and the exhaustive search that evaluates every player on
+every profile, as it was before it pruned. Every comparison is bit for bit:
+floats are compared by their IEEE bytes, so a 0.0 standing in for -0.0
+fails. Monte Carlo under a count-based summarization sums per row count,
+not per row; it is compared bit for bit with a per-count reference, and
+with the per-row one within 1e-14.
 """
 
 import math
@@ -16,16 +17,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bar_game, random_game
+from conftest import adoption_game, bar_game, consensus_game, random_game
 from summgames import (
+    Affine,
     Constant,
     CustomSummarization,
     LearnConfig,
+    LinearWeighted,
     MajorityFraction,
+    Mean,
     MixedProfile,
     PureProfile,
     SummGame,
     broadcast_mean,
+    brute_min_epsilon,
     build_v_table,
     interval_of,
     make_grid,
@@ -72,14 +77,33 @@ def _ref_regret_pure(game, profile):
     )
 
 
-def _ref_exact(game, probs):
+def _ref_brute(game):
+    """The unpruned search: (epsilon*, actions) from every player's regret
+    on every profile, the first minimum of each block winning over later
+    ones only when strictly smaller."""
+    n = game.n
+    total = 1 << n
+    best_value, best_code = math.inf, 0
+    for start in range(0, total, _REF_BATCH_ROWS):
+        codes = np.arange(start, min(start + _REF_BATCH_ROWS, total), dtype=np.int64)
+        worst = np.zeros(len(codes))
+        for f0, f1, current in _ref_deviation_payoffs(game, _ref_profile_bits(codes, n)):
+            np.maximum(worst, np.maximum(f0, f1) - current, out=worst)
+        idx = int(np.argmin(worst))
+        if worst[idx] < best_value:
+            best_value, best_code = float(worst[idx]), int(codes[idx])
+    actions = _ref_profile_bits(np.array([best_code]), n)[0]
+    return best_value, tuple(int(a) for a in actions)
+
+
+def _ref_exact(game, probs, block_rows=_REF_BATCH_ROWS):
     n = game.n
     probs = np.asarray(probs)
     total = 1 << n
     dev = np.zeros((n, 2))
     cur = np.zeros(n)
-    for start in range(0, total, _REF_BATCH_ROWS):
-        codes = np.arange(start, min(start + _REF_BATCH_ROWS, total), dtype=np.int64)
+    for start in range(0, total, block_rows):
+        codes = np.arange(start, min(start + block_rows, total), dtype=np.int64)
         bits = _ref_profile_bits(codes, n)
         weights = np.ones(len(codes))
         for j in range(n):
@@ -300,6 +324,77 @@ def test_exact_regret_mixed_matches_reference(monkeypatch):
         profile = _profile(rng, 15)
         result = regret_mixed(game, profile, mode="exact")
         assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
+    # Many blocks, whose high columns are refilled block by block. Blocks
+    # sum their terms on their own, so the reference takes the same size.
+    for block_rows in (1, 4, 16):
+        monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
+        sizes = [n for n in (1, 2, 6, 11) if 1 << n <= 256 * block_rows]
+        for kind, game in _regret_games(50 + block_rows, sizes):
+            profile = _profile(rng, game.n)
+            result = regret_mixed(game, profile, mode="exact")
+            ref = _ref_exact(game, profile.probs, block_rows)
+            assert _bits(result.regrets) == _bits(ref), (kind, block_rows)
+
+
+def _weighted_voting_game(weights, contrarian):
+    """Weighted votes, normalized, between contrarians (F0 = z, F1 = 1 - z)
+    and followers (F0 = 1 - z, F1 = z), ``contrarian`` saying which player
+    is which. Such games often have no pure equilibrium, so epsilon* > 0
+    and rows of later blocks are bounded on more than one player."""
+    pairs = (
+        (Affine(1.0, -1.0), Affine(0.0, 1.0)),
+        (Affine(0.0, 1.0), Affine(1.0, -1.0)),
+    )
+    return SummGame(
+        LinearWeighted(tuple(float(w) for w in weights), normalize=True),
+        tuple(pairs[int(c)] for c in contrarian),
+    )
+
+
+def _signed_zero_game(n):
+    """Every payoff is 0.0 or -0.0, so every regret is a signed zero."""
+    pairs = (
+        (Constant(-0.0), Constant(0.0)),
+        (Constant(0.0), Constant(-0.0)),
+        (Constant(-0.0), Constant(-0.0)),
+    )
+    return SummGame(Mean(n), tuple(pairs[i % 3] for i in range(n)))
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 16, 256])
+def test_brute_matches_reference(monkeypatch, block_rows):
+    # Many blocks per game, so rows are dropped across blocks and the high
+    # columns are refilled per block; at most 1024 blocks per game. As at
+    # the default sizes, a full block is bounded one player at a time and
+    # its survivors several players at a time.
+    monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
+    monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", block_rows)
+    sizes = [n for n in (1, 2, 3, 5, 8, 10, 12, 14) if 1 << n <= 1024 * block_rows]
+    rng = np.random.default_rng(10 + block_rows)
+    cases = list(_regret_games(10 + block_rows, sizes))
+    for n in sizes:
+        cases += [
+            # The unanimous profiles tie at 0 in the first and last block.
+            ("consensus", consensus_game(n)),
+            # The only equilibrium is all ones, in the last block.
+            ("adoption", adoption_game(n)),
+            # Weights 1..n, followers and contrarians alternating.
+            ("weighted-voting", _weighted_voting_game(range(1, n + 1), np.arange(n) % 2)),
+            (
+                "weighted-voting",
+                _weighted_voting_game(rng.uniform(0.2, 1.0, n), rng.random(n) < 0.5),
+            ),
+            ("signed-zero", _signed_zero_game(n)),
+        ]
+    positive = 0
+    for kind, game in cases:
+        report = brute_min_epsilon(game)
+        value, actions = _ref_brute(game)
+        assert _bits(report.epsilon_star) == _bits(value), (kind, game.n)
+        assert report.best_profile.actions == actions, (kind, game.n)
+        assert report.profiles_examined == 1 << game.n
+        positive += kind == "weighted-voting" and value > 0.0
+    assert positive >= len(sizes)
 
 
 def _check_monte_carlo(kind, game, profile, samples, seed):
