@@ -79,9 +79,9 @@ _COUNT_PART_CHUNKS = 8
 # player-row cells, so a chunk's float64 temporaries (128 KB) stay in cache:
 # one profile row (``regret_pure``) takes up to 16384 players in one chunk,
 # a full 16384-row block one player. At n = 20, chunks of 2^16 cells made
-# exact ``regret_mixed`` about 15 % and the pruned ``brute_min_epsilon``
-# (which drops rows only between chunks) 1.3-2 times slower, and chunks of
-# 2^18 cells about 1.7-2 and 4-6 times slower.
+# the pruned ``brute_min_epsilon`` (which drops rows only between chunks)
+# 1.3-2 times slower, and chunks of 2^18 cells 4-6 times slower. Exact
+# ``regret_mixed`` evaluates one player at a time.
 _CHUNK_PLAYER_CELLS = 1 << 14
 
 # From this many rows up, the payoff a player receives is picked with a
@@ -157,37 +157,49 @@ class MixedProfile:
         return PureProfile(tuple(int(p) for p in self.probs))
 
 
-def _profile_blocks(n: int):
-    """Yield (start, bits, columns) for the 2^n pure profiles of n players,
-    in blocks of rows = min(``_BATCH_ROWS``, 2^n) profiles coded start ..
-    start + rows - 1.
+def _profile_blocks(summ: "Summarization"):
+    """Yield (start, columns, state) for the 2^n pure profiles of S's n
+    players, in blocks of rows = min(``_BATCH_ROWS``, 2^n) profiles coded
+    start .. start + rows - 1.
 
     Player 0 occupies the most significant bit of a code, so ascending
-    codes enumerate profiles in lexicographic action order. ``bits`` is the
-    block as a (rows, n) bool matrix and ``columns`` its C-contiguous
-    (n, rows) transpose. The rows are a power of two and start is a multiple
-    of it, so the low log2(rows) bits take the same values in every block:
-    they are decoded once, and each block only refills the other, high
-    columns with its constant bits. Both arrays are overwritten by the next
-    block.
+    codes enumerate profiles in lexicographic action order. ``columns`` is
+    the block as a C-contiguous (n, rows) bool matrix, overwritten by the
+    next block, and ``state`` S's batch state of its rows. The rows are a
+    power of two and start is a multiple of it, so the low log2(rows) bits
+    take the same values in every block: they are decoded once, and each
+    block only refills the other, high columns with its constant bits. A
+    count-based S's state is the low bits' count, summed once, plus the
+    high bits': exact integers, the floats ``_block_state`` sums, which
+    builds the state of any other S from a (rows, n) copy of the block.
     """
+    n = summ.n
     total = 1 << n
     rows = min(_BATCH_ROWS, total)
     high = n - (rows.bit_length() - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = np.empty((rows, n), dtype=bool)
     columns = np.empty((n, rows), dtype=bool)
     # Column by column: one int64 (rows, log2(rows)) decode, 1.8 MB at
     # 16384 rows, raised the learn benchmark's peak RSS by about 0.3 MB.
     codes = np.arange(rows)
     for j in range(high, n):
         columns[j] = (codes >> shifts[j]) & 1
-    bits[:, high:] = columns[high:].T
+    counted = isinstance(summ, _CountBase)
+    if counted:
+        low_ones = columns[high:].sum(axis=0, dtype=np.float64)
+    else:
+        bits = np.empty((rows, n), dtype=bool)
+        bits[:, high:] = columns[high:].T
     for start in range(0, total, rows):
         prefix = ((start >> shifts[:high]) & 1).astype(bool)
-        bits[:, :high] = prefix
         columns[:high] = prefix[:, None]
-        yield start, bits, columns
+        if counted:
+            # start's set bits are the prefix's: its low bits are zero.
+            state = low_ones + float(start.bit_count())
+        else:
+            bits[:, :high] = prefix
+            state = _block_state(summ, bits)
+        yield start, columns, state
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +638,14 @@ class PiecewiseLinear(Payoff):
             (y2 - y1) / (z2 - z1)
             for (z1, y1), (z2, y2) in zip(pts, pts[1:])
         )
+        for k, slope in enumerate(slopes):
+            # Breakpoints a few subnormals apart overflow the slope, and a
+            # NaN position passes the ordering check but makes it NaN.
+            if not math.isfinite(slope):
+                raise InputError(
+                    f"piecewise-linear segment {k} (points {k} and {k + 1}) "
+                    f"has slope {slope}, which is not finite"
+                )
         object.__setattr__(self, "points", pts)
         for name, values in (("_zs", zs), ("_ys", ys), ("_slopes", slopes)):
             array = np.array(values)
@@ -775,13 +795,17 @@ class SummGame:
             for b in (0, 1):
                 if not isinstance(pair[b], Payoff):
                     raise InputError(f"payoffs[{i}][{b}] is not a payoff function")
+        bounds = [p.derivative_bound() for pair in pairs for p in pair]
+        # Every guarantee scales with rho, so it must be a number.
+        if not all(map(math.isfinite, bounds)):
+            k = next(k for k, bound in enumerate(bounds) if not math.isfinite(bound))
+            raise InputError(
+                f"payoffs[{k // 2}][{k % 2}] has derivative bound {bounds[k]}, "
+                "which is not finite"
+            )
         object.__setattr__(self, "payoffs", pairs)
         object.__setattr__(self, "tau", self.summarization.influence_bound())
-        object.__setattr__(
-            self,
-            "rho",
-            max(p.derivative_bound() for pair in pairs for p in pair),
-        )
+        object.__setattr__(self, "rho", max(bounds))
 
     @property
     def n(self) -> int:
@@ -884,23 +908,22 @@ def _chunk_payoffs(game: SummGame, state, x: np.ndarray, players: slice):
     return f0, f1, _select(x, f0, f1)
 
 
-def _deviation_payoffs(game: SummGame, bits: np.ndarray, columns=None):
+def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
 
     For the (rows, n) bool matrix ``bits`` and consecutive player slices
     ``players``, yields (players, f0, f1, current), the ``_chunk_payoffs``
-    of each chunk, each array (players, rows). Every regret in this library
-    is a reduction over this kernel. The state comes from ``_block_state``
-    and the columns are read from ``columns``, the C-contiguous (n, rows)
-    transpose of bits, made here when not given. For catalog summarizations
-    that holds O(rows * n) bools plus float64 arrays of one chunk's size.
-    Each row of a yielded array is contiguous, so per-player reductions over
-    it sum in the same order as over a lone (rows,) array.
+    of each chunk, each array (players, rows). Pure regrets and Monte Carlo
+    under a weighted or custom S are reductions over this kernel. The state
+    comes from ``_block_state`` and the columns from the C-contiguous
+    (n, rows) transpose of bits. For catalog summarizations that holds
+    O(rows * n) bools plus float64 arrays of one chunk's size. Each row of
+    a yielded array is contiguous, so per-player reductions over it sum in
+    the same order as over a lone (rows,) array.
     """
     rows, n = bits.shape
     state = _block_state(game.summarization, bits)
-    if columns is None:
-        columns = np.ascontiguousarray(bits.T)
+    columns = np.ascontiguousarray(bits.T)
     width = _chunk_players(rows)
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
@@ -939,43 +962,62 @@ class MixedRegret:
         return max(self.regrets)
 
 
-def _block_weights(factors: np.ndarray, start: int, rows: int) -> np.ndarray:
-    """Product probabilities of the profiles coded start..start+rows-1.
-
-    ``factors[j]`` is (1 - p_j, p_j). The block's rows are a power of two
-    and start is a multiple of it, so its high bits are fixed: their
-    factors multiply into one prefix, and the low bits expand it as a
-    Kronecker product in player order. Every weight is the left-to-right
-    product 1 * f_0 * ... * f_{n-1} of its profile's factors.
-    """
-    n = len(factors)
-    low = rows.bit_length() - 1
-    prefix = 1.0
-    for j in range(n - low):
-        prefix *= factors[j, (start >> (n - 1 - j)) & 1]
-    weights = np.array([prefix])
-    for j in range(n - low, n):
-        weights = (weights[:, None] * factors[j]).ravel()
-    return weights
+def _half_rows(a: np.ndarray, pos: int, side: int) -> np.ndarray:
+    """The rows (first-axis entries) of a block's array ``a`` whose code has
+    bit ``pos`` equal to ``side``, in block order: the ``side`` half of each
+    run of 2^(pos+1) rows."""
+    return a.reshape(-1, 2, 1 << pos, *a.shape[1:])[:, side].reshape(-1, *a.shape[1:])
 
 
 def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
+    """Exact regrets from each player's expected deviation payoffs.
+
+    d[i, b] = E[F_b^i(S(x with i playing b))] does not depend on x_i, so it
+    is summed over the half of the 2^n profiles where x_i is i's likelier
+    action h_i (1 on a tie) and divided by that half's probability
+    max(p_i, 1 - p_i) >= 1/2. A player in a block's constant high bits
+    reads the blocks where that bit is h_i and skips the others; a player
+    in the low bits reads the h_i rows of every block. regret_i =
+    p_i (d[i,0] - d[i,1])+ + (1 - p_i) (d[i,1] - d[i,0])+ is max_b d[i,b]
+    minus the expected payoff without its cancellation, and never
+    negative. Fixed block and player order keep runs bit-identical.
+    """
     n = game.n
+    summ = game.summarization
     probs = np.asarray(profile.probs)
     factors = np.stack([1.0 - probs, probs], axis=1)
-    # dev[i, b] sums w(x) F_b^i(S(x with i playing b)), cur[i] sums w(x)
-    # F_{x_i}^i(S(x)); fixed block and player order keep runs bit-identical.
+    sides = (probs >= 0.5).astype(np.int64)
+    rows = min(_BATCH_ROWS, 1 << n)
+    low = rows.bit_length() - 1
+    # A profile's weight is its block's prefix, the product of its high
+    # bits' factors, times the low bits' product, the same in every block.
+    low_weights = np.ones(1)
+    for factor in factors[n - low :]:
+        low_weights = (low_weights[:, None] * factor).ravel()
+    fills = (np.zeros(rows), np.ones(rows))
+    bank0, bank1 = game._payoff_banks()
     dev = np.zeros((n, 2))
-    cur = np.zeros(n)
-    for start, bits, columns in _profile_blocks(n):
-        weights = _block_weights(factors, start, len(bits))
-        for players, f0, f1, current in _deviation_payoffs(game, bits, columns):
-            for i, r0, r1, rc in zip(range(n)[players], f0, f1, current):
-                dev[i, 0] += weights @ r0
-                dev[i, 1] += weights @ r1
-                cur[i] += weights @ rc
-    regrets = tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
-    return MixedRegret(regrets, None, "exact")
+    for start, _, state in _profile_blocks(summ):
+        prefix = 1.0
+        for j in range(n - low):
+            prefix *= factors[j, (start >> (n - 1 - j)) & 1]
+        for i, side in enumerate(sides.tolist()):
+            pos = n - 1 - i
+            if pos >= low:
+                if (start >> pos) & 1 != side:
+                    continue
+                s, w = state, low_weights
+            else:
+                s, w = (_half_rows(a, pos, side) for a in (state, low_weights))
+            # x_i is h_i on every row read for player i.
+            lo, hi = summ.batch_deviation(s, fills[side][: len(w)], i)
+            players = slice(i, i + 1)
+            dev[i, 0] += prefix * (w @ bank0.evaluate(players, lo[None, :])[0])
+            dev[i, 1] += prefix * (w @ bank1.evaluate(players, hi[None, :])[0])
+    dev /= factors[np.arange(n), sides][:, None]
+    gain = dev[:, 0] - dev[:, 1]
+    regrets = probs * np.maximum(gain, 0.0) + (1.0 - probs) * np.maximum(-gain, 0.0)
+    return MixedRegret(tuple(regrets.tolist()), None, "exact")
 
 
 def _count_histogram(bits: np.ndarray, hist: dict) -> None:
@@ -1138,14 +1180,18 @@ def regret_mixed(
 ) -> MixedRegret:
     """Per-player regret of a mixed profile.
 
-    Exact mode sums over all 2^n profiles weighted by product probabilities
-    and is capped at n <= 20. Monte-Carlo mode draws i.i.d. profiles from a
-    seeded PCG64 generator, so results are bit-identical for a fixed seed.
-    Both work on blocks of up to 16384 profiles; float64 copies are made
-    only of 2^18-cell chunks. Exact mode, and Monte Carlo under a weighted
-    or custom S, hold each block as a (rows, n) bool matrix plus its
-    (n, rows) transpose, so their memory is O(rows * n) bools per block,
-    and evaluate both payoffs for every player and row. Monte Carlo under
+    Exact mode is capped at n <= 20. It evaluates each unilateral
+    deviation once: player i's expected payoff of forcing action b is
+    summed, weighted by product probabilities, over the half of the 2^n
+    profiles where i takes their likelier action, and the regret
+    p_i (d_0 - d_1)+ + (1 - p_i) (d_1 - d_0)+ is never negative. Monte-Carlo
+    mode draws i.i.d. profiles from a seeded PCG64 generator, so results
+    are bit-identical for a fixed seed. Both work on blocks of up to 16384
+    profiles; float64 copies are made only of 2^18-cell chunks. Exact
+    mode holds each block as an (n, rows) bool matrix, plus its (rows, n)
+    transpose under a weighted or custom S. Monte Carlo under a weighted
+    or custom S holds both, so its memory is O(rows * n) bools per block,
+    and evaluates both payoffs for every player and row. Monte Carlo under
     ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
     only on their own action and the others' count, so a block is drawn
     and counted 2^21 bool cells at a time into its count histogram, and

@@ -16,7 +16,6 @@ from .core import (
     EXACT_REGRET_MAX_PLAYERS,
     PureProfile,
     SummGame,
-    _block_state,
     _chunk_payoffs,
     _chunk_players,
     _profile_blocks,
@@ -74,11 +73,13 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             f"exhaustive search is capped at n <= {BRUTE_FORCE_MAX_PLAYERS} "
             f"(got n={n})"
         )
-    best_value = math.inf
-    best_code = 0
-    for start, bits, columns in _profile_blocks(n):
-        rows = len(bits)
-        state = _block_state(game.summarization, bits)
+    # Code 0 is the first profile, so it wins every tie, and its max regret,
+    # folded as a row's running max is below, bounds the first block too.
+    best_value, best_code = 0.0, 0
+    for regret in regret_pure(game, PureProfile((0,) * n)):
+        best_value = float(np.maximum(best_value, regret))
+    for start, columns, state in _profile_blocks(game.summarization):
+        rows = columns.shape[1]
         alive = np.arange(rows)
         worst = np.zeros(rows)
         stop = 0

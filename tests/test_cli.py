@@ -57,6 +57,30 @@ def test_solve_malformed_game_names_field(capsys, tmp_path):
     assert "$.players" in err
 
 
+def test_infinite_slope_game_exits_2_naming_the_field(capsys, tmp_path):
+    # Breakpoints one subnormal apart: the slope overflows to inf.
+    steep = {"type": "piecewise_linear", "points": [[0, 0], [5e-324, 1], [1, 1]]}
+    doc = {
+        "players": 2,
+        "summarization": {"type": "mean"},
+        "payoffs": [
+            {"action0": {"type": "constant", "c": 0.5}, "action1": steep},
+            {"action0": steep, "action1": {"type": "constant", "c": 0.5}},
+        ],
+    }
+    bad = tmp_path / "steep.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (
+        ("solve", str(bad), "--epsilon", "0.5"),
+        ("learn", str(bad), "--epsilon", "0.5", "--delta", "1e-3"),
+        ("brute", str(bad)),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "$.payoffs[0].action1" in err and "slope" in err, argv
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------

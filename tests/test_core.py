@@ -1,6 +1,7 @@
 """Game model: summarizations, influence, payoff catalog, regrets."""
 
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -26,6 +27,7 @@ from summgames import (
     MajorityFraction,
     Mean,
     MixedProfile,
+    Payoff,
     PiecewiseLinear,
     PureProfile,
     Quadratic,
@@ -241,6 +243,40 @@ def test_payoff_constructors_reject_range_escape():
         PiecewiseLinear(((0.1, 0.0), (1.0, 0.5)))  # must start at 0
     with pytest.raises(InputError):
         PiecewiseLinear(((0.0, 0.0), (0.5, 0.2), (0.5, 0.4), (1.0, 0.5)))
+
+
+def test_payoff_constructors_reject_infinite_slopes():
+    # Breakpoints one subnormal apart overflow the slope to +-inf, which
+    # would evaluate to NaN at z = 0 and make rho infinite; a NaN position
+    # passes the ordering check and makes the slopes NaN.
+    for points in (
+        ((0.0, 0.0), (5e-324, 1.0), (1.0, 1.0)),
+        ((0.0, 1.0), (1e-310, 0.0), (1.0, 0.0)),
+        ((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)),
+    ):
+        with pytest.raises(InputError, match="slope"):
+            PiecewiseLinear(points)
+    # Steep but finite is a valid payoff.
+    steep = PiecewiseLinear(((0.0, 0.0), (1e-300, 1.0), (1.0, 1.0)))
+    assert steep.derivative_bound() == pytest.approx(1e300)
+    assert steep.evaluate(0.0) == 0.0 and steep.evaluate(0.5) == 1.0
+
+
+def test_game_rejects_non_finite_derivative_bounds():
+    class Declared(Payoff):
+        def __init__(self, bound):
+            self.bound = bound
+
+        def evaluate_array(self, z):
+            return np.zeros(np.shape(z))
+
+        def derivative_bound(self):
+            return self.bound
+
+    for bound in (math.inf, math.nan):
+        pairs = ((Constant(0.5), Constant(0.5)), (Declared(bound), Constant(0.5)))
+        with pytest.raises(InputError, match=r"payoffs\[1\]\[0\]"):
+            SummGame(Mean(2), pairs)
 
 
 def test_derivative_bounds():

@@ -117,6 +117,15 @@ def test_parse_linear_weighted():
             "$.summarization.weights",
         ),
         (lambda d: d.update(summarization={"type": "median"}), "$.summarization.type"),
+        (
+            lambda d: d["payoffs"][3].update(
+                action1={
+                    "type": "piecewise_linear",
+                    "points": [[0.0, 0.0], [5e-324, 1.0], [1.0, 1.0]],
+                }
+            ),
+            "$.payoffs[3].action1: piecewise-linear segment 0",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):

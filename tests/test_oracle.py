@@ -109,11 +109,8 @@ def test_brute_is_minimal_over_solver_outputs():
         assert report.epsilon_star <= cert.max_regret + 1e-12
 
 
-def test_brute_drops_profiles_once_they_have_lost(monkeypatch):
-    # bar_game(16) enumerates four blocks. Evaluating every player on every
-    # profile hands the payoff banks 2 * n * 2^n cells; once the first block
-    # holds an equilibrium, a row of a later block is dropped at its first
-    # player with positive regret.
+def _count_cells(monkeypatch):
+    """A list that receives the payoff cells of every payoff-bank call."""
     cells = []
     evaluate = core._PayoffBank.evaluate
 
@@ -122,11 +119,32 @@ def test_brute_drops_profiles_once_they_have_lost(monkeypatch):
         return evaluate(self, players, z)
 
     monkeypatch.setattr(core._PayoffBank, "evaluate", counted)
+    return cells
+
+
+def test_brute_drops_profiles_once_they_have_lost(monkeypatch):
+    # bar_game(16) enumerates four blocks. Evaluating every player on every
+    # profile hands the payoff banks 2 * n * 2^n cells; once the first block
+    # holds an equilibrium, a row of a later block is dropped at its first
+    # player with positive regret.
+    cells = _count_cells(monkeypatch)
     n = 16
     report = brute_min_epsilon(bar_game(n))
     assert report.epsilon_star == 0.0
     assert report.profiles_examined == 1 << n
     assert sum(cells) < 2 * n * (1 << n) // 3
+
+
+def test_brute_bounds_the_first_block_by_the_first_profile(monkeypatch):
+    # The all-zeros profile of consensus_game(16) is an equilibrium. Its
+    # regrets (2 * n cells) bound every block, the first one included, so
+    # each profile is dropped after its first player (2 cells each).
+    cells = _count_cells(monkeypatch)
+    n = 16
+    report = brute_min_epsilon(consensus_game(n))
+    assert report.epsilon_star == 0.0
+    assert report.best_profile.actions == (0,) * n
+    assert sum(cells) == 2 * n + 2 * (1 << n)
 
 
 def test_brute_majority_summarization():

@@ -5,11 +5,13 @@ deviation kernel on (rows, n) float64 blocks with an ``np.where`` select,
 and exact and Monte-Carlo ``regret_mixed`` on those blocks, as they were
 before the learner moved to numpy arrays and the kernel to bool blocks
 built in chunks, and the exhaustive search that evaluates every player on
-every profile, as it was before it pruned. Every comparison is bit for bit:
-floats are compared by their IEEE bytes, so a 0.0 standing in for -0.0
-fails. Monte Carlo under a count-based summarization sums per row count,
-not per row; it is compared bit for bit with a per-count reference, and
-with the per-row one within 1e-14.
+every profile, as it was before it pruned. Comparisons are bit for bit
+unless stated: floats are compared by their IEEE bytes, so a 0.0 standing
+in for -0.0 fails. Monte Carlo under a count-based summarization sums per
+row count, not per row; it is compared bit for bit with a per-count
+reference, and with the per-row one within 1e-14. Exact ``regret_mixed``
+evaluates each deviation once, over half the profiles, and is compared
+within 1e-14 with the full enumeration it replaced.
 """
 
 import math
@@ -96,14 +98,18 @@ def _ref_brute(game):
     return best_value, tuple(int(a) for a in actions)
 
 
-def _ref_exact(game, probs, block_rows=_REF_BATCH_ROWS):
+def _ref_exact(game, probs):
+    """The full enumeration: on every profile, both deviation payoffs and
+    the received one of every player, weighted and summed block by block;
+    regret = max_b dev_b - cur. Exact ``regret_mixed`` computed these
+    floats bit for bit until it evaluated each deviation once."""
     n = game.n
     probs = np.asarray(probs)
     total = 1 << n
     dev = np.zeros((n, 2))
     cur = np.zeros(n)
-    for start in range(0, total, block_rows):
-        codes = np.arange(start, min(start + block_rows, total), dtype=np.int64)
+    for start in range(0, total, _REF_BATCH_ROWS):
+        codes = np.arange(start, min(start + _REF_BATCH_ROWS, total), dtype=np.int64)
         bits = _ref_profile_bits(codes, n)
         weights = np.ones(len(codes))
         for j in range(n):
@@ -311,29 +317,64 @@ def test_regret_pure_matches_reference():
             ), kind
 
 
+def _check_exact(kind, game, profile):
+    """Exact regrets are never negative and lie within 1e-14 of the full
+    enumeration, which sums both deviations and the received payoff over
+    every profile and can cancel to just below zero."""
+    result = regret_mixed(game, profile, mode="exact")
+    assert result.stderrs is None and result.mode == "exact"
+    assert all(type(r) is float and r >= 0.0 for r in result.regrets), kind
+    ref = _ref_exact(game, profile.probs)
+    assert np.allclose(result.regrets, ref, rtol=0.0, atol=1e-14), (kind, game.n)
+
+
+def _exact_profile(rng, n):
+    """``_profile`` with some entries exactly 1/2, where both actions are
+    equally likely."""
+    probs = np.array(_profile(rng, n).probs)
+    probs[rng.random(n) < 0.2] = 0.5
+    return MixedProfile(tuple(float(p) for p in probs))
+
+
 def test_exact_regret_mixed_matches_reference(monkeypatch):
     rng = np.random.default_rng(5)
     for kind, game in _regret_games(5, (1, 2, 6, 11)):
-        profile = _profile(rng, game.n)
-        result = regret_mixed(game, profile, mode="exact")
-        assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
+        for probs in (
+            _exact_profile(rng, game.n).probs,
+            (0.0,) * game.n,
+            (1.0,) * game.n,
+            (0.5,) * game.n,
+        ):
+            _check_exact(kind, game, MixedProfile(probs))
     # Two enumeration blocks, split into state chunks of 7 rows.
     monkeypatch.setattr(core, "_CHUNK_CELLS", 7 * 15)
     for kind in ("mean", "linear"):
-        game = random_game(rng, 15, kind)
-        profile = _profile(rng, 15)
-        result = regret_mixed(game, profile, mode="exact")
-        assert _bits(result.regrets) == _bits(_ref_exact(game, profile.probs)), kind
-    # Many blocks, whose high columns are refilled block by block. Blocks
-    # sum their terms on their own, so the reference takes the same size.
+        _check_exact(kind, random_game(rng, 15, kind), _exact_profile(rng, 15))
+    monkeypatch.undo()
+    # Many blocks: the players of a block's constant high bits skip the
+    # blocks off their likelier action, those of its low bits read half of
+    # every block, and n = 1 and 2 fit one block.
     for block_rows in (1, 4, 16):
         monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
         sizes = [n for n in (1, 2, 6, 11) if 1 << n <= 256 * block_rows]
         for kind, game in _regret_games(50 + block_rows, sizes):
-            profile = _profile(rng, game.n)
-            result = regret_mixed(game, profile, mode="exact")
-            ref = _ref_exact(game, profile.probs, block_rows)
-            assert _bits(result.regrets) == _bits(ref), (kind, block_rows)
+            _check_exact(kind, game, _exact_profile(rng, game.n))
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 1 << 14])
+def test_count_block_state_is_the_summed_state(monkeypatch, block_rows):
+    # A count-based S's block state is the low bits' count plus the high
+    # bits', the float64 row sum ``_block_state`` builds, bit for bit.
+    monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
+    for summ in (Mean(9), MajorityFraction(10), Mean(1)):
+        codes = []
+        for start, columns, state in core._profile_blocks(summ):
+            bits = columns.T
+            assert _bits(state) == _bits(core._block_state(summ, bits))
+            expected = _ref_profile_bits(np.arange(start, start + len(bits)), summ.n)
+            assert np.array_equal(bits, expected)
+            codes.append(start)
+        assert codes == list(range(0, 1 << summ.n, min(block_rows, 1 << summ.n)))
 
 
 def _weighted_voting_game(weights, contrarian):
