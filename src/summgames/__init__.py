@@ -26,13 +26,11 @@ from .core import (
     Quadratic,
     SummGame,
     Summarization,
-    payoff,
     regret_mixed,
     regret_pure,
 )
 from .discretization import (
     AlphaGrid,
-    StepTable,
     discretize_game,
     interval_of,
     make_grid,
@@ -96,7 +94,6 @@ __all__ = [
     "PiecewiseLinear",
     "PureProfile",
     "Quadratic",
-    "StepTable",
     "SummGame",
     "SummGamesError",
     "Summarization",
@@ -114,7 +111,6 @@ __all__ = [
     "find_vertical_and_walk",
     "interval_of",
     "make_grid",
-    "payoff",
     "regret_mixed",
     "regret_pure",
     "run_summ_learn",

@@ -16,8 +16,9 @@ profile embeds as a mixed profile with the same 0/1 entries.
 
 Payoff functions form a closed catalog (constant, affine, quadratic,
 piecewise linear) so that derivative bounds are computed exactly rather
-than declared. Custom summarizations are allowed but must declare their
-influence bound, which is verifiable by brute force for small n.
+than declared; a game accepts no other payoff type. Custom summarizations
+are allowed but must declare their influence bound, which is verifiable by
+brute force for small n.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "PiecewiseLinear",
     "SummGame",
     "MixedRegret",
-    "payoff",
     "regret_pure",
     "regret_mixed",
 ]
@@ -113,22 +113,6 @@ class PureProfile:
     def n(self) -> int:
         return len(self.actions)
 
-    def with_action(self, i: int, b: int) -> "PureProfile":
-        """The same profile with player i's action replaced by b."""
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        if b not in (0, 1):
-            raise InputError("action must be 0 or 1")
-        if self.actions[i] == b:
-            return self
-        acts = list(self.actions)
-        acts[i] = b
-        return PureProfile(tuple(acts))
-
-    def as_mixed(self) -> "MixedProfile":
-        """Embed as the degenerate mixed profile with the same 0/1 entries."""
-        return MixedProfile(tuple(float(a) for a in self.actions))
-
 
 @dataclass(frozen=True)
 class MixedProfile:
@@ -147,14 +131,6 @@ class MixedProfile:
     @property
     def n(self) -> int:
         return len(self.probs)
-
-    def is_pure(self) -> bool:
-        return all(p in (0.0, 1.0) for p in self.probs)
-
-    def to_pure(self) -> PureProfile:
-        if not self.is_pure():
-            raise InputError("profile has fractional probabilities")
-        return PureProfile(tuple(int(p) for p in self.probs))
 
 
 def _profile_blocks(summ: "Summarization"):
@@ -343,7 +319,9 @@ class LinearWeighted(_LinearBase):
 
     With ``normalize=True`` the weights are rescaled to sum to exactly 1;
     otherwise a weight vector whose sum exceeds 1 is rejected, since the
-    summarization value must stay in [0, 1].
+    summarization value must stay in [0, 1]. Every weight and their sum
+    must be finite. Rejections name the field, ``weights`` or
+    ``weights[j]``, as in "weights[j]: reason".
     """
 
     weights: tuple[float, ...]
@@ -353,17 +331,26 @@ class LinearWeighted(_LinearBase):
     def __post_init__(self) -> None:
         ws = tuple(float(w) for w in self.weights)
         if len(ws) < 1:
-            raise InputError("at least one weight is required")
-        if any(math.isnan(w) or w < 0.0 for w in ws):
-            raise InputError("weights must be nonnegative numbers")
-        total = math.fsum(ws)
+            raise InputError("weights: at least one weight is required")
+        for j, w in enumerate(ws):
+            # An infinite weight would normalize to NaN.
+            if not (math.isfinite(w) and w >= 0.0):
+                raise InputError(
+                    f"weights[{j}]: expected a finite nonnegative number, got {w}"
+                )
+        try:
+            total = math.fsum(ws)
+        except OverflowError as err:
+            raise InputError("weights: their sum overflows") from err
         if self.normalize:
             if total <= 0.0:
-                raise InputError("cannot normalize an all-zero weight vector")
+                raise InputError(
+                    "weights: cannot normalize an all-zero weight vector"
+                )
             ws = tuple(w / total for w in ws)
         elif total > 1.0 + 1e-12:
             raise InputError(
-                f"weights sum to {total}, which exceeds 1; pass normalize=True "
+                f"weights: their sum {total} exceeds 1; pass normalize=True "
                 "to rescale"
             )
         w = np.array(ws)
@@ -508,7 +495,7 @@ class Payoff:
     coefficients, ``evaluate`` is ``evaluate_array`` on one point, and a
     game's payoff bank is the same formula on the coefficient columns of
     every player holding that kind, so all three agree bit for bit.
-    A subclass outside the catalog overrides ``evaluate_array``.
+    A game accepts only the four catalog kinds themselves, not subclasses.
     """
 
     _coefficients: tuple[str, ...] = ()
@@ -673,7 +660,7 @@ class PiecewiseLinear(Payoff):
         return float(np.abs(self._slopes).max())
 
 
-_CATALOG = (Constant, Affine, Quadratic, PiecewiseLinear)
+_CATALOG = frozenset((Constant, Affine, Quadratic, PiecewiseLinear))
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,50 +680,32 @@ class _PayoffGroup:
     columns: tuple[np.ndarray, ...]
 
 
-def _row_by_row(fn: Payoff) -> Callable:
-    """A payoff outside the catalog as a formula: its own ``evaluate_array``
-    on each row of z."""
-
-    def formula(z: np.ndarray) -> np.ndarray:
-        return np.array([fn.evaluate_array(row) for row in z], dtype=np.float64)
-
-    return formula
-
-
 class _PayoffBank:
     """One action's n payoff functions as coefficient columns per kind.
 
     The payoffs of one catalog kind -- for ``PiecewiseLinear``, of one
     breakpoint count -- form one group whose coefficients are stacked into
     columns, so the kind's ``_formula`` evaluates all of them in one numpy
-    call with each element's arithmetic unchanged. A payoff outside the
-    catalog forms a group of its own, shared by the players holding it.
+    call with each element's arithmetic unchanged. ``SummGame`` admits
+    only catalog payoffs, so every payoff belongs to such a group.
     """
 
     def __init__(self, payoffs: Sequence[Payoff]) -> None:
         found: dict = {}
         for i, fn in enumerate(payoffs):
             kind = type(fn)
-            if kind is PiecewiseLinear:
-                key = (kind, len(fn.points))
-            else:
-                key = kind if kind in _CATALOG else id(fn)
+            key = (kind, len(fn.points)) if kind is PiecewiseLinear else kind
             found.setdefault(key, []).append(i)
         self.groups: list[_PayoffGroup] = []
         for members in found.values():
             fns = [payoffs[i] for i in members]
             kind = type(fns[0])
-            if kind in _CATALOG:
-                formula = kind._formula
-                stacked = (
-                    np.array([getattr(fn, name) for fn in fns], dtype=np.float64)
-                    for name in kind._coefficients
-                )
-                columns = tuple(column[:, None] for column in stacked)
-            else:
-                formula, columns = _row_by_row(fns[0]), ()
+            columns = tuple(
+                np.array([getattr(fn, name) for fn in fns], dtype=np.float64)[:, None]
+                for name in kind._coefficients
+            )
             self.groups.append(
-                _PayoffGroup(formula, members, np.array(members), columns)
+                _PayoffGroup(kind._formula, members, np.array(members), columns)
             )
 
     def evaluate(self, players: slice, z: np.ndarray) -> np.ndarray:
@@ -771,10 +740,13 @@ class _PayoffBank:
 class SummGame:
     """An n-player game: one summarization plus n pairs of payoff functions.
 
-    ``payoffs[i]`` is the pair (F for action 0, F for action 1) of player i.
-    The influence bound ``tau`` and derivative bound ``rho`` are derived at
-    construction: tau from the summarization (the declared bound for custom
-    ones), rho as the exact maximum derivative bound over all 2n payoffs.
+    ``payoffs[i]`` is the pair (F for action 0, F for action 1) of player i,
+    each an instance of one of the catalog kinds ``Constant``, ``Affine``,
+    ``Quadratic`` and ``PiecewiseLinear`` (not of a subclass). The influence
+    bound ``tau`` and derivative bound ``rho`` are derived at construction:
+    tau from the summarization (the declared bound for custom ones), rho as
+    the exact maximum derivative bound over all 2n payoffs, which must be
+    finite.
 
     Instances are immutable and safe to share across threads.
     """
@@ -791,11 +763,16 @@ class SummGame:
             raise InputError(
                 f"{len(pairs)} payoff pairs for {self.summarization.n} players"
             )
-        for i, pair in enumerate(pairs):
-            for b in (0, 1):
-                if not isinstance(pair[b], Payoff):
-                    raise InputError(f"payoffs[{i}][{b}] is not a payoff function")
-        bounds = [p.derivative_bound() for pair in pairs for p in pair]
+        fns = [fn for pair in pairs for fn in pair]
+        # The catalog's own kinds only: a subclass could evaluate outside
+        # [0, 1] or declare any derivative bound.
+        if not {type(fn) for fn in fns} <= _CATALOG:
+            k = next(k for k, fn in enumerate(fns) if type(fn) not in _CATALOG)
+            raise InputError(
+                f"payoffs[{k // 2}][{k % 2}] is a {type(fns[k]).__name__}, not "
+                "a Constant, Affine, Quadratic or PiecewiseLinear payoff"
+            )
+        bounds = [fn.derivative_bound() for fn in fns]
         # Every guarantee scales with rho, so it must be a number.
         if not all(map(math.isfinite, bounds)):
             k = next(k for k, bound in enumerate(bounds) if not math.isfinite(bound))
@@ -831,17 +808,6 @@ class SummGame:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def payoff(game: SummGame, i: int, b: int, z: float) -> float:
-    """Evaluate player i's payoff function for action b at value z."""
-    if not 0 <= i < game.n:
-        raise InputError(f"player index {i} out of range for n={game.n}")
-    if b not in (0, 1):
-        raise InputError("action must be 0 or 1")
-    if math.isnan(z) or not 0.0 <= z <= 1.0:
-        raise InputError(f"summarization value must lie in [0, 1], got {z}")
-    return game.payoffs[i][b].evaluate(z)
 
 
 def _chunk_rows(n: int) -> int:
@@ -1198,9 +1164,11 @@ def regret_mixed(
     costs O(rows * n) bool work plus payoffs at about 2U counts per player,
     U <= min(rows, n + 1) being the block's distinct counts (about 100 at
     n = 1000). Its per-count sums differ from per-row sums
-    only in rounding.
+    only in rounding. The seed must be >= 0 in either mode.
     """
     game._check_profile(profile.n)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if mode == "exact":
         if game.n > EXACT_REGRET_MAX_PLAYERS:
             raise CapabilityError(

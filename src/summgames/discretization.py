@@ -26,7 +26,6 @@ from .errors import CapabilityError, InputError
 
 __all__ = [
     "AlphaGrid",
-    "StepTable",
     "make_grid",
     "discretize_game",
     "interval_of",
@@ -36,10 +35,10 @@ __all__ = [
 
 MAX_INTERVALS = 10**6
 
-# A step table keeps one byte per player-interval cell, its best-response
-# bit, which the V table shares; discretizing peaks at about 2.2 bytes per
-# cell and building V at about 2.5 (tracemalloc at n = 150 and 400,
-# K = 10^4), so at this cap a discretized game stays under 10 MB.
+# A discretized game keeps one byte per player-interval cell, its
+# best-response bit, which the V table shares; discretizing peaks at about
+# 2.2 bytes per cell and building V at about 2.5 (tracemalloc at n = 150
+# and 400, K = 10^4), so at this cap a discretized game stays under 10 MB.
 MAX_GRID_CELLS = 4 * 10**6
 
 
@@ -109,23 +108,15 @@ def interval_of(grid: AlphaGrid, z: float) -> int:
     return k
 
 
-@dataclass(frozen=True, eq=False)
-class StepTable:
-    """Every player's preferred action on every interval of one grid.
+def discretize_game(game: SummGame, grid: AlphaGrid) -> np.ndarray:
+    """Every player's preferred action on every interval of the grid.
 
-    br[k, i] is True exactly where F_1^i(k*alpha) > F_0^i(k*alpha), so the
-    step approximations' best response to I_k takes action 1 only where it
-    pays strictly more, and ties go to action 0. br is a read-only,
-    C-contiguous (K, n) bool matrix; the step values themselves are not
-    kept.
-    """
-
-    grid: AlphaGrid
-    br: np.ndarray
-
-
-def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
-    """Sample all 2n payoff functions on the grid points into a ``StepTable``.
+    Returns br, a read-only, C-contiguous (K, n) bool matrix: br[k, i] is
+    True exactly where F_1^i(k*alpha) > F_0^i(k*alpha), so the step
+    approximations' best response to I_k takes action 1 only where it pays
+    strictly more, and ties go to action 0. The step values themselves are
+    neither kept nor range-checked: on validated coefficients every catalog
+    formula lies in [0, 1] (a constant by its check, the others clip).
 
     All players form one chunk when their n*K cells fit in
     ``_CHUNK_CELLS``, so each payoff kind is one call per action; larger
@@ -150,11 +141,7 @@ def discretize_game(game: SummGame, grid: AlphaGrid) -> StepTable:
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         f0 = bank0.evaluate(players, points)
-        f1 = bank1.evaluate(players, points)
-        # min/max propagate NaN, which then fails the comparison.
-        if not all(0.0 <= f.min() and f.max() <= 1.0 for f in (f0, f1)):
-            raise InputError("step values must lie in [0, 1]")
-        bits[players] = f1 > f0
+        bits[players] = bank1.evaluate(players, points) > f0
     br = np.ascontiguousarray(bits.T)
     br.setflags(write=False)
-    return StepTable(grid, br)
+    return br

@@ -77,6 +77,9 @@ def _expect_list(value: Any, path: str) -> list:
 
 
 def _expect_number(value: Any, path: str) -> float:
+    # JSON numbers written with a fraction or an exponent are floats already.
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number, got {type(value).__name__}")
     return float(value)
@@ -94,23 +97,30 @@ def _get(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _number_field(obj: dict, key: str, path: str) -> float:
+    """``obj[key]`` as a float; its path is spelled out only on an error."""
+    value = _get(obj, key, path)
+    if type(value) is float:
+        return value
+    return _expect_number(value, f"{path}.{key}")
+
+
 def _parse_payoff(spec: Any, path: str) -> Payoff:
     obj = _expect_object(spec, path)
     kind = _get(obj, "type", path)
+    scalar = (
+        Constant if kind == "constant"
+        else Affine if kind == "affine"
+        else Quadratic if kind == "quadratic"
+        else None
+    )
     try:
-        if kind == "constant":
-            return Constant(_expect_number(_get(obj, "c", path), f"{path}.c"))
-        if kind == "affine":
-            return Affine(
-                _expect_number(_get(obj, "a", path), f"{path}.a"),
-                _expect_number(_get(obj, "b", path), f"{path}.b"),
-            )
-        if kind == "quadratic":
-            return Quadratic(
-                _expect_number(_get(obj, "a", path), f"{path}.a"),
-                _expect_number(_get(obj, "b", path), f"{path}.b"),
-                _expect_number(_get(obj, "c", path), f"{path}.c"),
-            )
+        if scalar is not None:
+            # The fields are the kind's coefficients, read in their order.
+            values = []
+            for key in scalar._coefficients:
+                values.append(_number_field(obj, key, path))
+            return scalar(*values)
         if kind == "piecewise_linear":
             raw = _expect_list(_get(obj, "points", path), f"{path}.points")
             points = []
@@ -161,7 +171,8 @@ def _parse_summarization(spec: Any, n: int, path: str) -> Summarization:
         try:
             return LinearWeighted(weights, normalize=normalize)
         except InputError as err:
-            raise InputError(f"{path}.weights: {err}") from err
+            # The constructor names the field: "weights" or "weights[j]".
+            raise InputError(f"{path}.{err}") from err
     raise InputError(
         f"{path}.type: unknown summarization type {kind!r}; expected mean, "
         "majority_fraction, or linear_weighted"
@@ -350,7 +361,8 @@ def write_trajectory_csv(
 
 def write_vtable(path: str, table: VTable) -> None:
     """Two-column dump of the best-response value table: k*alpha, V(I_k)."""
-    lines = [f"# alpha={table.grid.alpha!r} K={table.grid.K}"]
-    lines.extend(f"{x!r}\t{v!r}" for x, v in table.rows())
+    grid = table.grid
+    lines = [f"# alpha={grid.alpha!r} K={grid.K}"]
+    lines.extend(f"{grid.left_edge(k)!r}\t{v!r}" for k, v in enumerate(table.v))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -212,7 +212,8 @@ def run_summ_learn(
     from the config are reported on the trajectory. A run whose step cap
     could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
     counted n + 1 times with probability snapshots, raises CapabilityError
-    before its first step.
+    before its first step, and ``mc_samples`` < 1 or ``mc_seed`` < 0
+    raises InputError there, whichever regret mode certifies the run.
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -225,6 +226,10 @@ def run_summ_learn(
     beta = config.beta if config.beta is not None else alpha / 2.0
     if math.isnan(beta) or not 0.0 < beta < alpha:
         raise InputError(f"beta must lie in (0, alpha={alpha}), got {beta}")
+    if mc_samples < 1:
+        raise InputError(f"mc_samples must be >= 1, got {mc_samples}")
+    if mc_seed < 0:
+        raise InputError(f"mc_seed must be >= 0, got {mc_seed}")
     if config.max_steps is not None:
         max_steps = config.max_steps
     else:

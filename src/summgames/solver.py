@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .core import MixedProfile, PureProfile, SummGame, _block_state, regret_pure
-from .discretization import AlphaGrid, StepTable, discretize_game, make_grid
+from .discretization import AlphaGrid, discretize_game, make_grid
 from .errors import ContractError, InputError
 
 __all__ = [
@@ -91,10 +91,6 @@ class VTable:
     br: Sequence[PureProfile]
     v: tuple[float, ...]
 
-    def rows(self) -> list[tuple[float, float]]:
-        """(k*alpha, v[k]) pairs, the plottable form of the table."""
-        return [(self.grid.left_edge(k), self.v[k]) for k in range(self.grid.K)]
-
 
 @dataclass(frozen=True)
 class Horizontal:
@@ -143,21 +139,27 @@ class EquilibriumCertificate:
 
 
 def build_v_table(
-    game: SummGame, grid: AlphaGrid, steps: StepTable | None = None
+    game: SummGame, grid: AlphaGrid, br: np.ndarray | None = None
 ) -> VTable:
     """Tabulate BR(I_k) and V(I_k) = S(BR(I_k)) for every interval.
 
-    BR(I_k) is row k of the step table's best-response matrix (see
-    ``StepTable`` for the tie rule). The matrix is shared, not copied,
+    BR(I_k) is row k of ``br``, the (K, n) best-response matrix that
+    ``discretize_game(game, grid)`` returns (see there for the tie rule),
+    computed here when not given. The matrix is shared, not copied,
     behind a ``BestResponses`` sequence, and V is one batch evaluation of
     it whose state ``_block_state`` builds from row chunks, so V(I_k)
     equals ``evaluate(br[k])`` bit for bit.
     """
-    if steps is None:
-        steps = discretize_game(game, grid)
+    if br is None:
+        br = discretize_game(game, grid)
+    elif br.shape != (grid.K, game.n):
+        raise InputError(
+            f"best-response matrix has shape {br.shape}, expected "
+            f"(K, n) = ({grid.K}, {game.n})"
+        )
     summ = game.summarization
-    values = summ.batch_value(_block_state(summ, steps.br))
-    return VTable(grid, BestResponses(steps.br), tuple(values.tolist()))
+    values = summ.batch_value(_block_state(summ, br))
+    return VTable(grid, BestResponses(br), tuple(values.tolist()))
 
 
 def _checked_v(table: VTable) -> np.ndarray:
@@ -264,8 +266,7 @@ def summ_nash_with_table(
 ) -> tuple[EquilibriumCertificate, VTable]:
     """As ``summ_nash`` but also returns the V table, for export/plotting."""
     grid = make_grid(epsilon, game.rho)
-    steps = discretize_game(game, grid)
-    table = build_v_table(game, grid, steps)
+    table = build_v_table(game, grid)
     k = find_horizontal(table)
     crossing: Crossing
     if k is not None:

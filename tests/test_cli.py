@@ -3,6 +3,9 @@
 import json
 import re
 
+import pytest
+
+from summgames import learning
 from summgames.cli import main
 
 SAMPLES = "samples"
@@ -81,6 +84,34 @@ def test_infinite_slope_game_exits_2_naming_the_field(capsys, tmp_path):
         assert "$.payoffs[0].action1" in err and "slope" in err, argv
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_infinite_weight_game_exits_2_naming_the_weight(capsys, tmp_path, normalize):
+    # Python's JSON reader accepts Infinity; normalized, the weights would
+    # become (nan, 0.0) and tau NaN.
+    doc = {
+        "players": 2,
+        "summarization": {
+            "type": "linear_weighted",
+            "weights": [float("inf"), 1],
+            "normalize": normalize,
+        },
+        "payoffs": [
+            {
+                "action0": {"type": "affine", "a": 0.0, "b": 1.0},
+                "action1": {"type": "affine", "a": 1.0, "b": -1.0},
+            }
+        ]
+        * 2,
+    }
+    bad = tmp_path / "infinite.json"
+    bad.write_text(json.dumps(doc))
+    assert "[Infinity, 1]" in bad.read_text()
+    for argv in (("solve", str(bad), "--epsilon", "0.5"), ("brute", str(bad))):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "$.summarization.weights[0]: " in err and "finite" in err, argv
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
@@ -136,6 +167,26 @@ def test_learn_rejects_nonlinear_game(capsys, tmp_path):
     )
     assert code == 3
     assert "linear" in err
+
+
+@pytest.mark.parametrize(
+    "sample, flag, value",
+    [("bar4", "--seed", "-1"), ("bar100", "--seed", "-1"), ("bar100", "--samples", "0")],
+)
+def test_learn_rejects_bad_certification_flags_before_the_loop(
+    capsys, monkeypatch, sample, flag, value
+):
+    def no_table(*args):
+        raise AssertionError("the V table was built")
+
+    monkeypatch.setattr(learning, "build_v_table", no_table)
+    code, out, err = _run(
+        capsys,
+        "learn", f"{SAMPLES}/{sample}.json", "--epsilon", "2",
+        "--delta", "1e-3", flag, value,
+    )
+    assert (code, out) == (2, "")
+    assert f"{flag[2:]} must be >= " in err and f"got {value}" in err
 
 
 def test_learn_trajectory_snapshot_probs(capsys, tmp_path):
@@ -204,6 +255,26 @@ def test_verify_counts_the_certificates_own_sampling_error(capsys, tmp_path):
     code, out, _ = _run(capsys, "verify", f"{SAMPLES}/bar100.json", str(result))
     report = json.loads(out)["report"]
     assert (code, report["valid"], report["violations"]) == (0, True, [])
+
+
+def test_verify_negative_seed_exits_2(capsys, tmp_path):
+    # A mixed certificate is recomputed with the seed, in either mode.
+    doc = {
+        "profile": {"kind": "mixed", "probs": [0.5] * 4},
+        "epsilon_claimed": 1.0,
+        "regrets": [0.0] * 4,
+        "crossing": {"type": "learned"},
+    }
+    certificate = tmp_path / "mixed.json"
+    certificate.write_text(json.dumps(doc))
+    for mode in ("auto", "exact", "mc"):
+        code, out, err = _run(
+            capsys,
+            "verify", f"{SAMPLES}/bar4.json", str(certificate),
+            "--mode", mode, "--seed", "-3",
+        )
+        assert (code, out) == (2, ""), mode
+        assert "seed must be >= 0, got -3" in err, mode
 
 
 def test_verify_tampered_certificate_exits_1(capsys, tmp_path):

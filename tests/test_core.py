@@ -32,7 +32,6 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
-    payoff,
     regret_mixed,
     regret_pure,
 )
@@ -48,10 +47,9 @@ def test_pure_profile_validation():
         PureProfile(())
     with pytest.raises(InputError):
         PureProfile((0, 2))
-    p = PureProfile((1, 0, 1))
-    assert p.with_action(1, 1).actions == (1, 1, 1)
-    assert p.with_action(0, 1) is p  # unchanged action reuses the profile
-    assert p.as_mixed().probs == (1.0, 0.0, 1.0)
+    p = PureProfile((True, 0, 1.0))
+    assert p.actions == (1, 0, 1) and p.n == 3
+    assert all(type(a) is int for a in p.actions)
 
 
 def test_mixed_profile_validation():
@@ -59,10 +57,9 @@ def test_mixed_profile_validation():
         MixedProfile((0.5, 1.2))
     with pytest.raises(InputError):
         MixedProfile((float("nan"),))
-    p = MixedProfile((0.0, 1.0))
-    assert p.is_pure()
-    assert p.to_pure().actions == (0, 1)
-    assert not MixedProfile((0.5, 1.0)).is_pure()
+    p = MixedProfile((0, 1))
+    assert p.probs == (0.0, 1.0) and p.n == 2
+    assert all(type(q) is float for q in p.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +122,15 @@ def test_linear_weighted_validation():
         LinearWeighted((0.8, 0.4))  # sums past 1
     norm = LinearWeighted((2.0, 2.0), normalize=True)
     assert norm.weights == (0.5, 0.5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^weights\[0\]: .* got -0.1$"):
         LinearWeighted((-0.1, 0.5))
+    # An infinite weight would normalize to (nan, 0.0) and make tau NaN.
+    for bad in (math.inf, math.nan):
+        for normalize in (True, False):
+            with pytest.raises(InputError, match=r"^weights\[1\]: .*finite"):
+                LinearWeighted((1.0, bad), normalize=normalize)
+    with pytest.raises(InputError, match="^weights: their sum overflows"):
+        LinearWeighted((1e308, 1e308), normalize=True)
 
 
 def test_influence_mean():
@@ -205,9 +209,8 @@ def test_influence_bounds_any_profile(data):
             else LinearWeighted(tuple(raw))
     actions = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     i = data.draw(st.integers(0, n - 1))
-    x = PureProfile(actions)
-    lo = summ.evaluate(x.with_action(i, 0).actions)
-    hi = summ.evaluate(x.with_action(i, 1).actions)
+    lo = summ.evaluate(actions[:i] + (0,) + actions[i + 1 :])
+    hi = summ.evaluate(actions[:i] + (1,) + actions[i + 1 :])
     assert abs(lo - hi) <= summ.influence(i) + 1e-12
     assert summ.influence(i) <= summ.influence_bound() + 1e-12
 
@@ -219,14 +222,10 @@ def test_influence_bounds_any_profile(data):
 
 def test_payoff_op_examples():
     g = SummGame(Mean(1), ((Affine(0.0, 1.0), Constant(0.7)),))
-    assert payoff(g, 0, 0, 0.3) == pytest.approx(0.3)
-    assert payoff(g, 0, 1, 0.123) == 0.7
+    assert g.payoffs[0][0].evaluate(0.3) == pytest.approx(0.3)
+    assert g.payoffs[0][1].evaluate(0.123) == 0.7
     peak = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
     assert peak.evaluate(0.25) == pytest.approx(0.5)
-    with pytest.raises(InputError):
-        payoff(g, 0, 0, 1.5)
-    with pytest.raises(InputError):
-        payoff(g, 0, 2, 0.5)
 
 
 def test_payoff_constructors_reject_range_escape():
@@ -262,21 +261,33 @@ def test_payoff_constructors_reject_infinite_slopes():
     assert steep.evaluate(0.0) == 0.0 and steep.evaluate(0.5) == 1.0
 
 
-def test_game_rejects_non_finite_derivative_bounds():
-    class Declared(Payoff):
-        def __init__(self, bound):
-            self.bound = bound
-
+def test_game_rejects_payoffs_outside_the_catalog():
+    # The catalog is closed: an object of any other type, a subclass of a
+    # catalog kind included, is refused by its field path, whatever it
+    # would evaluate to or declare as its derivative bound.
+    class Shifted(Affine):
         def evaluate_array(self, z):
-            return np.zeros(np.shape(z))
+            return super().evaluate_array(z) + 2.0
+
+    class Declared(Payoff):
+        def evaluate_array(self, z):
+            return np.full(np.shape(z), math.nan)
 
         def derivative_bound(self):
-            return self.bound
+            return math.inf
 
-    for bound in (math.inf, math.nan):
-        pairs = ((Constant(0.5), Constant(0.5)), (Declared(bound), Constant(0.5)))
-        with pytest.raises(InputError, match=r"payoffs\[1\]\[0\]"):
-            SummGame(Mean(2), pairs)
+    for outside in (Shifted(0.0, 1.0), Declared(), 0.5, None):
+        for b in (0, 1):
+            pair = [Constant(0.5), Constant(0.5)]
+            pair[b] = outside
+            with pytest.raises(InputError, match=rf"payoffs\[1\]\[{b}\] is a "):
+                SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), tuple(pair)))
+    # A catalog payoff passes its range checks with |b| + 2|c| overflowing
+    # to inf, and every guarantee scales with rho, so the game refuses it.
+    steep = Quadratic(0.5, 1e308, -1e308)
+    assert steep.derivative_bound() == math.inf
+    with pytest.raises(InputError, match=r"payoffs\[1\]\[0\] has derivative bound inf"):
+        SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), (steep, Constant(0.5))))
 
 
 def test_derivative_bounds():
@@ -393,7 +404,7 @@ def test_regret_mixed_pure_embedding_matches_regret_pure():
         g = random_game(rng, n, "mean" if rng.uniform() < 0.5 else "linear")
         acts = tuple(int(a) for a in rng.integers(0, 2, size=n))
         pure = regret_pure(g, PureProfile(acts))
-        mixed = regret_mixed(g, PureProfile(acts).as_mixed(), mode="exact")
+        mixed = regret_mixed(g, MixedProfile(acts), mode="exact")
         assert mixed.stderrs is None
         for a, b in zip(pure, mixed.regrets):
             assert abs(a - b) <= 1e-12
@@ -407,7 +418,7 @@ def test_regret_mixed_pure_embedding_is_bit_identical_to_regret_pure():
         n = int(rng.integers(1, 9))
         g = random_game(rng, n, "mean" if rng.uniform() < 0.5 else "linear")
         profile = PureProfile(tuple(int(a) for a in rng.integers(0, 2, size=n)))
-        mixed = regret_mixed(g, profile.as_mixed(), mode="exact")
+        mixed = regret_mixed(g, MixedProfile(profile.actions), mode="exact")
         assert mixed.regrets == regret_pure(g, profile)
 
 
@@ -467,6 +478,9 @@ def test_regret_mixed_bad_mode_and_samples():
         regret_mixed(g, p, mode="sideways")
     with pytest.raises(InputError):
         regret_mixed(g, p, mode="monte_carlo", samples=0)
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(InputError, match="seed must be >= 0, got -3"):
+            regret_mixed(g, p, mode=mode, seed=-3)
 
 
 def test_monte_carlo_regret_memory_is_bounded():

@@ -180,31 +180,6 @@ def test_step_payoff_validation():
         StepPayoff(grid, (0.1, 0.2))
 
 
-class _FixedArrayPayoff(Payoff):
-    """A payoff whose array evaluation returns one fixed value everywhere."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def evaluate(self, z):
-        return self.value
-
-    def evaluate_array(self, z):
-        return np.full_like(z, self.value, dtype=np.float64)
-
-    def derivative_bound(self):
-        return 0.0
-
-
-@pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
-def test_discretize_game_rejects_step_values_outside_unit_interval(value):
-    game = SummGame(
-        Mean(2), ((Constant(0.5), Constant(0.5)), (Constant(0.5), _FixedArrayPayoff(value)))
-    )
-    with pytest.raises(InputError, match="step values"):
-        discretize_game(game, AlphaGrid(4))
-
-
 def _reference_br(game, grid):
     """br from the per-function view: (K, n), action 1 where it pays more."""
     rows = [
@@ -215,21 +190,20 @@ def _reference_br(game, grid):
 
 
 def _assert_br_matches_reference(game, grid):
-    steps = discretize_game(game, grid)
-    assert steps.grid == grid
-    assert steps.br.shape == (grid.K, game.n) and steps.br.dtype == bool
-    assert steps.br.flags.c_contiguous and not steps.br.flags.writeable
-    assert steps.br.tobytes() == _reference_br(game, grid).tobytes()
-    return steps
+    br = discretize_game(game, grid)
+    assert br.shape == (grid.K, game.n) and br.dtype == bool
+    assert br.flags.c_contiguous and not br.flags.writeable
+    assert br.tobytes() == _reference_br(game, grid).tobytes()
+    return br
 
 
 def test_discretize_game_arrays_match_per_function_view():
     game = bar_game(3)
-    steps = _assert_br_matches_reference(game, AlphaGrid(5))
+    br = _assert_br_matches_reference(game, AlphaGrid(5))
     # F_1 = 1 - z beats F_0 = z at the grid points 0, 0.2 and 0.4.
-    assert steps.br.tolist() == [[True] * 3] * 3 + [[False] * 3] * 2
+    assert br.tolist() == [[True] * 3] * 3 + [[False] * 3] * 2
     with pytest.raises(ValueError):
-        steps.br[0, 0] = False  # read-only
+        br[0, 0] = False  # read-only
 
 
 def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
@@ -246,11 +220,11 @@ def test_bar_game_makes_one_bank_call_per_kind_and_action(monkeypatch):
     monkeypatch.setattr(Affine, "_formula", staticmethod(counted))
     monkeypatch.setattr(Payoff, "evaluate_array", per_player)
     game = bar_game(1000)
-    steps = discretize_game(game, AlphaGrid(16))
+    br = discretize_game(game, AlphaGrid(16))
     assert calls == [((1000, 1), (1, 16))] * 2
     points = AlphaGrid(16).grid_points()
     row = formula(1.0, -1.0, points) > formula(0.0, 1.0, points)
-    assert steps.br.tobytes() == np.tile(row[:, None], (1, 1000)).tobytes()
+    assert br.tobytes() == np.tile(row[:, None], (1, 1000)).tobytes()
     calls.clear()
     regret_pure(game, PureProfile((0, 1) * 500))
     assert calls == [((1000, 1), (1000, 1))] * 2
@@ -285,12 +259,7 @@ def test_random_game_makes_one_bank_call_per_group_and_action(monkeypatch):
 def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
     # Constant(0.0) == Constant(-0.0) as dataclasses, but they sample to
     # different bits, and 0.0 > -0.0 is False; so do Affine(-0.0, -0.0) and
-    # Affine(0.0, 0.0). The unpicklable payoff is keyed on its identity.
-    class Unpicklable(_FixedArrayPayoff):
-        def __init__(self, value):
-            super().__init__(value)
-            self.hook = lambda: None
-
+    # Affine(0.0, 0.0).
     rng = np.random.default_rng(2)
     payoffs = [
         Constant(0.0),
@@ -299,8 +268,6 @@ def test_discretize_game_is_byte_identical_to_one_call_per_payoff():
         Affine(0.0, 0.0),
         Affine(0.0, 1.0),
         Affine(0.0, 1),
-        Unpicklable(0.5),
-        Unpicklable(0.25),
     ] + catalog_payoff_suite(rng)
     pairs = tuple(
         (payoffs[int(a)], payoffs[int(b)])
@@ -322,8 +289,8 @@ def test_discretize_game_matches_reference_on_random_games():
 
 def test_discretize_game_at_breakpoints_and_across_chunks(monkeypatch):
     # Breakpoints on grid points, ties between F_0 and F_1 (-0.0 against
-    # 0.0 among them), a payoff outside the catalog, and player chunks of
-    # every width, so chunks cut each group at every offset.
+    # 0.0 among them), and player chunks of every width, so chunks cut
+    # each group at every offset.
     pool = [
         Constant(-0.0),
         Constant(0.0),
@@ -333,7 +300,6 @@ def test_discretize_game_at_breakpoints_and_across_chunks(monkeypatch):
         PiecewiseLinear(((0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0))),
         PiecewiseLinear(((0.0, 1.0), (0.375, 0.5), (0.75, 0.0), (1.0, 0.5))),
         PiecewiseLinear(((0.0, 0.5), (0.125, 1.0), (1.0, 0.0))),
-        _FixedArrayPayoff(0.5),
     ]
     rng = np.random.default_rng(99)
     pairs = tuple(

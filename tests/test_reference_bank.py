@@ -20,7 +20,6 @@ from summgames import (
     LinearWeighted,
     MajorityFraction,
     Mean,
-    Payoff,
     PiecewiseLinear,
     PureProfile,
     Quadratic,
@@ -48,17 +47,16 @@ def _ref_evaluate_array(fn, z):
         return np.clip(fn.a + fn.b * z, 0.0, 1.0)
     if type(fn) is Quadratic:
         return np.clip(fn.a + z * (fn.b + fn.c * z), 0.0, 1.0)
-    if type(fn) is PiecewiseLinear:
-        pts = fn.points
-        zs = np.asarray([p[0] for p in pts])
-        ys = np.asarray([p[1] for p in pts])
-        slopes = np.asarray(
-            [(y2 - y1) / (z2 - z1) for (z1, y1), (z2, y2) in zip(pts, pts[1:])]
-        )
-        idx = np.searchsorted(zs, z, side="right") - 1
-        idx = np.clip(idx, 0, len(slopes) - 1)
-        return np.clip(ys[idx] + slopes[idx] * (z - zs[idx]), 0.0, 1.0)
-    return fn.evaluate_array(z)
+    assert type(fn) is PiecewiseLinear
+    pts = fn.points
+    zs = np.asarray([p[0] for p in pts])
+    ys = np.asarray([p[1] for p in pts])
+    slopes = np.asarray(
+        [(y2 - y1) / (z2 - z1) for (z1, y1), (z2, y2) in zip(pts, pts[1:])]
+    )
+    idx = np.searchsorted(zs, z, side="right") - 1
+    idx = np.clip(idx, 0, len(slopes) - 1)
+    return np.clip(ys[idx] + slopes[idx] * (z - zs[idx]), 0.0, 1.0)
 
 
 def _ref_deviation_payoffs(game, bits):
@@ -85,22 +83,6 @@ def _ref_regret_pure(game, profile):
 # ---------------------------------------------------------------------------
 # Cases
 # ---------------------------------------------------------------------------
-
-
-class _FixedArrayPayoff(Payoff):
-    """A payoff outside the catalog: one fixed value everywhere."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def evaluate(self, z):
-        return self.value
-
-    def evaluate_array(self, z):
-        return np.full_like(z, self.value, dtype=np.float64)
-
-    def derivative_bound(self):
-        return 0.0
 
 
 def _edge_payoffs():
@@ -150,10 +132,9 @@ def _summarization(kind, n, rng):
 
 
 def _game(kind, n, rng):
-    """Payoffs drawn from the catalog, the edge cases and two objects
-    outside the catalog, each shared by several players."""
-    outside = [_FixedArrayPayoff(0.25), _FixedArrayPayoff(-0.0)]
-    pool = _edge_payoffs() + outside + [random_payoff(rng) for _ in range(6)]
+    """Payoffs drawn from the edge cases and random catalog payoffs, each
+    shared by several players."""
+    pool = _edge_payoffs() + [random_payoff(rng) for _ in range(6)]
     pairs = tuple(
         (pool[int(a)], pool[int(b)]) for a, b in rng.integers(0, len(pool), (n, 2))
     )
@@ -176,13 +157,33 @@ def test_formulas_match_reference_arithmetic():
         # Two-dimensional z, as the kernel passes it.
         grid = z[: 2 * (len(z) // 2)].reshape(2, -1)
         assert _bits(fn.evaluate_array(grid)) == _bits(_ref_evaluate_array(fn, grid))
+    # Extreme but valid coefficients, through the bank as discretize_game
+    # samples them: every grid point evaluates into [0, 1], never NaN,
+    # since nothing range-checks the sampled values.
+    extreme = [
+        PiecewiseLinear(((0.0, 0.0), (1e-300, 1.0), (1.0, 1.0))),
+        Quadratic(0.0, 0.0, 1.0),  # vertex at z = 0
+        Quadratic(1.0, 0.0, -1.0),
+        Quadratic(1.0, -2.0, 1.0),  # vertex at z = 1
+        Quadratic(0.0, 2.0, -1.0),
+        Constant(-0.0),
+        Affine(-0.0, -0.0),
+    ]
+    bank = core._PayoffBank(extreme)
+    for K in (1, 7, 4 * 10**4):
+        points = AlphaGrid(K).grid_points()
+        values = bank.evaluate(slice(0, len(extreme)), points[None, :])
+        values = np.broadcast_to(values, (len(extreme), K))
+        assert np.all((0.0 <= values) & (values <= 1.0)), K
+        for fn, row in zip(extreme, values):
+            assert _bits(row) == _bits(_ref_evaluate_array(fn, points)), (fn, K)
 
 
 def test_bank_matches_reference_arithmetic():
     # Every player of a chunk gets its own row of z, or all share one row;
     # chunks cut the groups at every offset.
     rng = np.random.default_rng(21)
-    fns = _payoffs(rng) + [_FixedArrayPayoff(0.75)]
+    fns = _payoffs(rng)
     fns = [fns[int(j)] for j in rng.permutation(len(fns))]
     z = _probe_points(fns, rng)
     rows = np.stack([rng.permutation(z) for _ in fns])
@@ -242,10 +243,10 @@ def test_discretize_game_matches_reference_arithmetic(monkeypatch):
         if cells is not None:
             monkeypatch.setattr(core, "_CHUNK_CELLS", 0)
             monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", cells)
-        steps = discretize_game(SummGame(game.summarization, game.payoffs), grid)
+        br = discretize_game(SummGame(game.summarization, game.payoffs), grid)
         points = grid.grid_points()
         expected = [
             _ref_evaluate_array(f1, points) > _ref_evaluate_array(f0, points)
             for f0, f1 in game.payoffs
         ]
-        assert steps.br.tobytes() == np.array(expected).T.tobytes(), grid.K
+        assert br.tobytes() == np.array(expected).T.tobytes(), grid.K

@@ -21,13 +21,14 @@ from summgames import (
     summ_nash,
     summ_nash_with_table,
 )
+from summgames.documents import write_vtable
 
 
 def _bar_table(n=4, K=4):
     game = bar_game(n)
     grid = AlphaGrid(K)
-    steps = discretize_game(game, grid)
-    return game, grid, steps, build_v_table(game, grid, steps)
+    br = discretize_game(game, grid)
+    return game, grid, br, build_v_table(game, grid, br)
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +69,21 @@ def test_v_table_consensus_game():
     assert table.v == (0.0, 0.0, 0.0, 1.0)
 
 
-def test_v_table_rows_export():
-    _, grid, _, table = _bar_table()
-    rows = table.rows()
-    assert rows == [(0.0, 1.0), (0.25, 1.0), (0.5, 0.0), (0.75, 0.0)]
+def test_v_table_rows_export(tmp_path):
+    _, _, _, table = _bar_table()
+    path = tmp_path / "vtable.tsv"
+    write_vtable(str(path), table)
+    assert path.read_text() == (
+        "# alpha=0.25 K=4\n0.0\t1.0\n0.25\t1.0\n0.5\t0.0\n0.75\t0.0\n"
+    )
+
+
+def test_v_table_shares_a_best_response_matrix_of_its_grid():
+    game, grid, br, table = _bar_table()
+    assert table.br._bits is br
+    for shape in ((grid.K, game.n + 1), (grid.K - 1, game.n), (grid.K * game.n,)):
+        with pytest.raises(InputError, match=r"\(K, n\) = \(4, 4\)"):
+            build_v_table(game, grid, np.zeros(shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
