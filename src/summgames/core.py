@@ -577,7 +577,8 @@ class Quadratic(Payoff):
         _require_unit(self.a, "quadratic payoff at z=0")
         _require_unit(self.a + self.b + self.c, "quadratic payoff at z=1")
         if self.c != 0.0:
-            vertex = -self.b / (2.0 * self.c)
+            # Halved last: 2c overflows once |c| > 8.99e307.
+            vertex = -self.b / self.c / 2.0
             if 0.0 < vertex < 1.0:
                 _require_unit(
                     self.a + vertex * (self.b + self.c * vertex),

@@ -13,7 +13,8 @@ V crosses the diagonal, an approximate equilibrium sits:
   adjacent intervals. Walking bit by bit from BR(I_{k-1}) to BR(I_k)
   moves the summarization value by at most tau per flip, so some
   intermediate profile lands strictly within tau of the boundary and is
-  the answer.
+  the answer. The walk evaluates only the profiles that this bound
+  leaves open, jumping past every position it rules out.
 
 Either way the output's max regret is bounded by 3*tau*rho + epsilon; the
 emitted certificate states that bound and carries regrets recomputed by
@@ -49,11 +50,6 @@ __all__ = [
     "summ_nash",
     "summ_nash_with_table",
 ]
-
-
-# Rows per block of the walk are capped so a block holds at most this many
-# player cells (1 MB of bools).
-_WALK_BLOCK_CELLS = 1 << 20
 
 
 class BestResponses(Sequence):
@@ -191,35 +187,35 @@ def _walk(
     first profile whose summarization value is strictly within tau of the
     boundary. Position 0 is the unflipped start.
 
-    The walk's profiles are evaluated in row-major bool blocks of
-    consecutive positions through the batch protocol, doubling from one row
-    up to ``_WALK_BLOCK_CELLS``. A row's value does not depend on its
-    block, so the result is the one a flip-by-flip scan finds; a block may
-    evaluate up to twice as many profiles as that scan would.
+    Each visited position is evaluated alone, then the walk jumps past
+    every position the flips in between cannot bring within tau: the first
+    q flips move S by at most reach[q], the sum of their weights under a
+    linear S and q*tau otherwise. The result is the flip-by-flip scan's.
     """
     tau = game.tau
     summ = game.summarization
-    current = np.array(start.actions, dtype=bool)
-    target = np.array(goal.actions, dtype=bool)
-    flips = np.flatnonzero(current != target)
-    max_rows = max(1, _WALK_BLOCK_CELLS // game.n)
-    position = 0
-    rows = 1
+    profile = np.array(start.actions, dtype=bool)
+    flips = np.flatnonzero(profile != np.array(goal.actions, dtype=bool))
+    if summ.is_linear:
+        reach = np.concatenate(([0.0], np.cumsum(np.asarray(summ.weights)[flips])))
+    else:
+        # Each q*tau is rounded once; a running sum of tau would drift.
+        reach = np.arange(flips.size + 1) * tau
+    # Rounding: each evaluated value and each reach entry sums at most n
+    # terms totalling at most 1 + 1e-12, so it is off by at most n*eps/2;
+    # two values and two reach entries give 2*n*eps, and forming the jump
+    # target adds a few eps more, within 4*n*eps for every n >= 1.
+    slack = 4 * game.n * np.finfo(np.float64).eps
+    flipped = position = 0
     while position <= flips.size:
-        rows = min(rows, max_rows, flips.size + 1 - position)
-        # Row r is the profile at position + r: the first r of cols flipped.
-        cols = flips[position : position + rows]
-        block = np.repeat(current[None, :], rows, axis=0)
-        flipped = np.arange(rows)[:, None] > np.arange(cols.size)[None, :]
-        block[:, cols] = np.where(flipped, target[cols], current[cols])
-        values = summ.batch_value(_block_state(summ, block))
-        hits = np.flatnonzero(np.abs(values - boundary) < tau)
-        if hits.size:
-            r = int(hits[0])
-            return position + r, PureProfile(tuple(block[r].tolist()))
-        current[cols] = target[cols]
-        position += rows
-        rows *= 2
+        profile[flips[flipped:position]] ^= True
+        flipped = position
+        gap = abs(summ.evaluate(profile) - boundary)
+        if gap < tau:
+            return position, PureProfile(tuple(profile.tolist()))
+        # Position q can land within tau only if reach[q] - reach[position] > gap - tau.
+        jump = np.searchsorted(reach, reach[position] + gap - tau - slack, side="right")
+        position = max(position + 1, int(jump))
     raise ContractError(
         "no profile on the best-response walk reached the crossing boundary; "
         "the game's declared influence bound is smaller than its actual "
@@ -235,8 +231,10 @@ def find_vertical_and_walk(
     Scans for the smallest k where V drops past the boundary k*alpha
     (strict on both sides first; if the strict scan is empty, which can
     only happen when some V value hits a boundary exactly, the left side
-    is relaxed to >=, restoring the totality guarantee). Returns
-    (k, walk position, profile).
+    is relaxed to >=, restoring the totality guarantee), then walks from
+    BR(I_{k-1}) toward BR(I_k) to the first profile strictly within tau
+    of the boundary, evaluating only the positions the influence bound
+    leaves open. Returns (k, walk position, profile).
     """
     v = _checked_v(table)
     edges = table.grid.grid_points()

@@ -61,27 +61,31 @@ def test_solve_malformed_game_names_field(capsys, tmp_path):
 
 
 def test_infinite_slope_game_exits_2_naming_the_field(capsys, tmp_path):
-    # Breakpoints one subnormal apart: the slope overflows to inf.
-    steep = {"type": "piecewise_linear", "points": [[0, 0], [5e-324, 1], [1, 1]]}
-    doc = {
-        "players": 2,
-        "summarization": {"type": "mean"},
-        "payoffs": [
-            {"action0": {"type": "constant", "c": 0.5}, "action1": steep},
-            {"action0": steep, "action1": {"type": "constant", "c": 0.5}},
-        ],
-    }
-    bad = tmp_path / "steep.json"
-    bad.write_text(json.dumps(doc))
-    for argv in (
-        ("solve", str(bad), "--epsilon", "0.5"),
-        ("learn", str(bad), "--epsilon", "0.5", "--delta", "1e-3"),
-        ("brute", str(bad)),
+    for steep, reason in (
+        # Breakpoints one subnormal apart: the slope overflows to inf.
+        ({"type": "piecewise_linear", "points": [[0, 0], [5e-324, 1], [1, 1]]}, "slope"),
+        # 2c overflows, yet the vertex at z = 0.5 reaches 2.5e307.
+        ({"type": "quadratic", "a": 0.5, "b": 1e308, "c": -1e308}, "extremum"),
     ):
-        code, out, err = _run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert "$.payoffs[0].action1" in err and "slope" in err, argv
+        doc = {
+            "players": 2,
+            "summarization": {"type": "mean"},
+            "payoffs": [
+                {"action0": {"type": "constant", "c": 0.5}, "action1": steep},
+                {"action0": steep, "action1": {"type": "constant", "c": 0.5}},
+            ],
+        }
+        bad = tmp_path / "steep.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (
+            ("solve", str(bad), "--epsilon", "0.5"),
+            ("learn", str(bad), "--epsilon", "0.5", "--delta", "1e-3"),
+            ("brute", str(bad)),
+        ):
+            code, out, err = _run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "$.payoffs[0].action1" in err and reason in err, argv
 
 
 @pytest.mark.parametrize("normalize", [True, False])

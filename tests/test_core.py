@@ -236,6 +236,8 @@ def test_payoff_constructors_reject_range_escape():
     with pytest.raises(InputError):
         Quadratic(0.0, 3.0, -2.0)  # vertex at 0.75 reaches 1.125
     Quadratic(0.0, 2.0, -2.0)  # vertex value exactly 0.5, fine
+    with pytest.raises(InputError, match="extremum z=0.5"):
+        Quadratic(0.5, 1e308, -1e308)  # 2c overflows; the vertex reaches 2.5e307
     with pytest.raises(InputError):
         PiecewiseLinear(((0.0, 0.0), (0.5, 1.5), (1.0, 0.0)))
     with pytest.raises(InputError):
@@ -261,7 +263,7 @@ def test_payoff_constructors_reject_infinite_slopes():
     assert steep.evaluate(0.0) == 0.0 and steep.evaluate(0.5) == 1.0
 
 
-def test_game_rejects_payoffs_outside_the_catalog():
+def test_game_rejects_payoffs_outside_the_catalog(monkeypatch):
     # The catalog is closed: an object of any other type, a subclass of a
     # catalog kind included, is refused by its field path, whatever it
     # would evaluate to or declare as its derivative bound.
@@ -282,12 +284,11 @@ def test_game_rejects_payoffs_outside_the_catalog():
             pair[b] = outside
             with pytest.raises(InputError, match=rf"payoffs\[1\]\[{b}\] is a "):
                 SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), tuple(pair)))
-    # A catalog payoff passes its range checks with |b| + 2|c| overflowing
-    # to inf, and every guarantee scales with rho, so the game refuses it.
-    steep = Quadratic(0.5, 1e308, -1e308)
-    assert steep.derivative_bound() == math.inf
+    # Every guarantee scales with rho, so the game refuses an infinite one.
+    # No valid catalog coefficients give one, so a kind's bound is patched.
+    monkeypatch.setattr(Affine, "derivative_bound", lambda self: math.inf)
     with pytest.raises(InputError, match=r"payoffs\[1\]\[0\] has derivative bound inf"):
-        SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), (steep, Constant(0.5))))
+        SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), (Affine(0.0, 1.0), Constant(0.5))))
 
 
 def test_derivative_bounds():

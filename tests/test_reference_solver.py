@@ -19,8 +19,13 @@ from conftest import bar_game, discretize, random_game
 from summgames import (
     Affine,
     AlphaGrid,
+    Constant,
     ContractError,
+    CustomSummarization,
     Horizontal,
+    LinearWeighted,
+    MajorityFraction,
+    Mean,
     PureProfile,
     SummGame,
     VTable,
@@ -33,7 +38,6 @@ from summgames import (
     regret_pure,
     summ_nash_with_table,
 )
-from summgames import solver
 from summgames.documents import load_game
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.json"))
@@ -109,6 +113,56 @@ def test_solver_matches_reference_on_random_games():
         bar = SummGame(game.summarization, ((Affine(0.0, 1.0), Affine(1.0, -1.0)),) * game.n)
         walk_flips += _assert_matches_reference(bar, 0.5).walk_position
     assert walk_flips > 500
+    # Walks the games above never take: the q*tau reach of a nonlinear S,
+    # skewed weights, flips both ways, and a black-box S.
+    walks = walk_flips = 0
+    for game, epsilon in _walk_games(np.random.default_rng(4099)):
+        crossing = _assert_matches_reference(game, epsilon)
+        if isinstance(crossing, Vertical):
+            walks += 1
+            walk_flips += crossing.walk_position
+    assert walks > 150 and walk_flips > 900
+
+
+def _threshold_game(summ, threshold, kinds):
+    """Player i prefers action 1 below the threshold (kind "down"), above it
+    ("up"), or always ("one")."""
+    prefer = {
+        "down": Affine(0.5 + 0.5 * threshold, -0.5),
+        "up": Affine(0.5 - 0.5 * threshold, 0.5),
+        "one": Constant(1.0),
+    }
+    return SummGame(summ, tuple((Constant(0.5), prefer[kind]) for kind in kinds))
+
+
+def _walk_games(rng):
+    bar = (Affine(0.0, 1.0), Affine(1.0, -1.0))
+    for index in range(40):
+        n = int(rng.integers(4, 60))
+        epsilon = (0.5, 0.2, 0.05)[index % 3]
+        # Between about 1/2 and 3/4 of the players drop to 0 past a high
+        # threshold, so the majority fraction falls below it.
+        stay = rng.uniform(0.25, 0.5)
+        kinds = np.where(rng.uniform(size=n) < stay, "one", "down")
+        majority = MajorityFraction(n)
+        yield _threshold_game(majority, float(rng.uniform(0.8, 0.95)), kinds), epsilon
+        threshold = float(rng.uniform(0.3, 0.95))
+        # More players leave action 1 than join it, in interleaved order.
+        kinds = rng.choice(["down", "up", "one"], size=n, p=[0.6, 0.3, 0.1])
+        yield _threshold_game(Mean(n), threshold, kinds), epsilon
+        weighted = LinearWeighted(tuple(rng.uniform(0.2, 1.0, size=n)), normalize=True)
+        yield _threshold_game(weighted, threshold, kinds), epsilon
+        skewed = LinearWeighted(tuple(rng.uniform(size=n) ** 8), normalize=True)
+        yield SummGame(skewed, (bar,) * n), epsilon
+        # The last player holds 30 % of the weight; under bar payoffs the
+        # walk stops before reaching them.
+        light = rng.uniform(0.2, 1.0, size=n - 1)
+        heavy = LinearWeighted(tuple(0.7 * light / light.sum()) + (0.3,))
+        yield SummGame(heavy, (bar,) * n), epsilon
+        # A black box whose declared influence 2/n bounds its true one.
+        if index % 4 == 0:
+            square = CustomSummarization(lambda a: (sum(a) / len(a)) ** 2, n, 2.0 / n)
+            yield SummGame(square, (bar,) * n), epsilon
 
 
 @pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01])
@@ -128,16 +182,6 @@ def test_weighted_v_table_is_evaluate_of_each_best_response():
         table = build_v_table(game, make_grid(0.05, game.rho))
         v = [game.summarization.evaluate(row.actions) for row in table.br]
         assert np.array(table.v).tobytes() == np.array(v).tobytes()
-
-
-def test_walk_blocks_capped_by_cell_budget(monkeypatch):
-    # Capping blocks at one or a few rows changes how the walk is cut into
-    # blocks, never where it stops.
-    for name in ("bar100.json", "weighted-voting100.json", "voting100.json"):
-        game, _ = load_game(str(SAMPLES[0].parent / name))
-        for cells in (1, 3 * game.n, 7 * game.n):
-            monkeypatch.setattr(solver, "_WALK_BLOCK_CELLS", cells)
-            _assert_matches_reference(game, 0.5)
 
 
 def _edge_heavy_values(grid):

@@ -8,15 +8,19 @@ from summgames import (
     AlphaGrid,
     BestResponses,
     ContractError,
+    CustomSummarization,
     Horizontal,
     InputError,
+    Mean,
     PureProfile,
+    SummGame,
     VTable,
     Vertical,
     build_v_table,
     discretize_game,
     find_horizontal,
     find_vertical_and_walk,
+    make_grid,
     regret_pure,
     summ_nash,
     summ_nash_with_table,
@@ -129,6 +133,39 @@ def test_vertical_walk_bar100():
     assert position == 50
     assert sum(profile.actions) == 50
     assert game.summarization.evaluate(profile.actions) == 0.5
+
+
+def test_vertical_walk_at_scale_evaluates_few_rows(monkeypatch):
+    # The bar walk at n = 10**5 stops half way, at position 49999. Each flip
+    # moves S by 1/n, so the walk can jump straight there from a row or two.
+    game = bar_game(10**5)
+    assert summ_nash(game, 0.5).crossing == Vertical(8, 49999)
+    table = build_v_table(game, make_grid(0.5, game.rho))
+    rows = []
+    batch_state = Mean.batch_state
+
+    def counting_batch_state(self, bits):
+        rows.append(len(bits))
+        return batch_state(self, bits)
+
+    monkeypatch.setattr(Mean, "batch_state", counting_batch_state)
+    k, position, profile = find_vertical_and_walk(game, table)
+    assert (k, position) == (8, 49999)
+    assert sum(profile.actions) == 10**5 - 49999
+    assert sum(rows) <= 3
+
+
+def test_walk_under_an_understated_influence_is_contract_error():
+    # S is the mean of two players, so the walk's values are 1, 0.5 and 0,
+    # none within the declared tau of the edge 0.25; tau = 0 never lands.
+    for declared in (0.01, 0.0):
+        summ = CustomSummarization(lambda a: sum(a) / len(a), 2, declared)
+        game = SummGame(summ, bar_game(2).payoffs)
+        assert game.tau == declared
+        ones, zeros = PureProfile((1, 1)), PureProfile((0, 0))
+        fake = VTable(AlphaGrid(4), (ones, zeros, zeros, zeros), (1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ContractError, match="influence bound"):
+            find_vertical_and_walk(game, fake)
 
 
 def test_vertical_walk_degenerate_equal_brs_is_contract_error():
