@@ -852,41 +852,29 @@ def _chunk_players(rows: int) -> int:
     return max(1, _CHUNK_PLAYER_CELLS // rows)
 
 
-def _chunk_players_on_row(n: int, points: int) -> int:
-    """Players evaluated together on one shared row of ``points`` z values:
-    all n when their n * points cells fit one ``_CHUNK_CELLS`` chunk, so
-    each payoff kind is one call, else ``_chunk_players(points)``."""
-    return n if n * points <= _CHUNK_CELLS else _chunk_players(points)
-
-
-def _chunk_payoffs(game: SummGame, state, x: np.ndarray, players: slice):
-    """(f0, f1, current) for the consecutive players ``players`` on the rows
-    whose batch state is ``state``, x being those players' bool columns of
-    the rows, one row of x per player. Each array is shaped like x: f_b[j, r]
-    = F_b^i(S(x_r with i playing b)) and current[j, r] = f_{x_ri}[j, r], the
-    payoff i = players.start + j actually receives; the payoffs are one
-    call per payoff kind in the game's payoff banks."""
+def _deviation_values(game: SummGame, state, x: np.ndarray, players: slice):
+    """(f0, f1) for the consecutive players ``players`` on the rows whose
+    batch state is ``state``, x being their 0/1 columns of the rows, one
+    row per player or one row they share: f_b[j, r] = F_b^i(S(x_r with i
+    playing b)) for i = players.start + j, one call per payoff kind in the
+    game's payoff banks. Every regret is a reduction of this kernel."""
     lo, hi = game.summarization.batch_deviation(state, x, players)
     bank0, bank1 = game._payoff_banks()
-    f0 = bank0.evaluate(players, lo)
-    f1 = bank1.evaluate(players, hi)
-    # When x_i = b, S(x with i playing b) is S(x) itself, so the realized
-    # payoff is f_b on that row.
-    return f0, f1, _select(x, f0, f1)
+    return bank0.evaluate(players, lo), bank1.evaluate(players, hi)
 
 
 def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
 
     For the (rows, n) bool matrix ``bits`` and consecutive player slices
-    ``players``, yields (players, f0, f1, current), the ``_chunk_payoffs``
-    of each chunk, each array (players, rows). Pure regrets and Monte Carlo
-    under a weighted or custom S are reductions over this kernel. The state
-    comes from ``_block_state`` and the columns from the C-contiguous
-    (n, rows) transpose of bits. For catalog summarizations that holds
-    O(rows * n) bools plus float64 arrays of one chunk's size. Each row of
-    a yielded array is contiguous, so per-player reductions over it sum in
-    the same order as over a lone (rows,) array.
+    ``players``, yields (players, f0, f1, current), each array (players,
+    rows): f0 and f1 are the chunk's ``_deviation_values`` and
+    current[j, r] = f_{x_ri}[j, r] the payoff i = players.start + j
+    actually receives. The state comes from ``_block_state`` and the
+    columns from the C-contiguous (n, rows) transpose of bits. For catalog
+    summarizations that holds O(rows * n) bools plus float64 arrays of one
+    chunk's size. Each row of a yielded array is contiguous, so per-player
+    reductions over it sum in the same order as over a lone (rows,) array.
     """
     rows, n = bits.shape
     state = _block_state(game.summarization, bits)
@@ -894,7 +882,10 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     width = _chunk_players(rows)
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
-        yield (players, *_chunk_payoffs(game, state, columns[players], players))
+        x = columns[players]
+        f0, f1 = _deviation_values(game, state, x, players)
+        # Playing x_i is deviating to it, so i receives f_{x_i}.
+        yield players, f0, f1, _select(x, f0, f1)
 
 
 def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
@@ -950,7 +941,6 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     negative. Fixed block and player order keep runs bit-identical.
     """
     n = game.n
-    summ = game.summarization
     probs = np.asarray(profile.probs)
     factors = np.stack([1.0 - probs, probs], axis=1)
     sides = (probs >= 0.5).astype(np.int64)
@@ -961,10 +951,9 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     low_weights = np.ones(1)
     for factor in factors[n - low :]:
         low_weights = (low_weights[:, None] * factor).ravel()
-    fills = (np.zeros(rows), np.ones(rows))
-    bank0, bank1 = game._payoff_banks()
+    fills = (np.zeros((1, rows)), np.ones((1, rows)))
     dev = np.zeros((n, 2))
-    for start, _, state in _profile_blocks(summ):
+    for start, _, state in _profile_blocks(game.summarization):
         prefix = 1.0
         for j in range(n - low):
             prefix *= factors[j, (start >> (n - 1 - j)) & 1]
@@ -977,10 +966,10 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
             else:
                 s, w = (_half_rows(a, pos, side) for a in (state, low_weights))
             # x_i is h_i on every row read for player i.
-            lo, hi = summ.batch_deviation(s, fills[side][: len(w)], i)
-            players = slice(i, i + 1)
-            dev[i, 0] += prefix * (w @ bank0.evaluate(players, lo[None, :])[0])
-            dev[i, 1] += prefix * (w @ bank1.evaluate(players, hi[None, :])[0])
+            x = fills[side][:, : len(w)]
+            f0, f1 = _deviation_values(game, s, x, slice(i, i + 1))
+            dev[i, 0] += prefix * (w @ f0[0])
+            dev[i, 1] += prefix * (w @ f1[0])
     dev /= factors[np.arange(n), sides][:, None]
     gain = dev[:, 0] - dev[:, 1]
     regrets = probs * np.maximum(gain, 0.0) + (1.0 - probs) * np.maximum(-gain, 0.0)
@@ -1024,12 +1013,11 @@ def _add_count_gains(
     F_1^i(S(c' + 1)) - F_0^i(S(c')) by switching to 1, and a row where i
     plays 1 gains F_0^i(S(c')) - F_1^i(S(c' + 1)) by switching to 0. Both
     are evaluated once per lattice point c' in {u, u - 1 : u a row count},
-    one payoff-bank call per kind and action on a shared row of z, and
+    by ``_deviation_values`` on one row of count c' where i plays 0, and
     weighted by the number of rows that share them: at count u, the rows
     where i plays 0 count at c' = u, those where i plays 1 at c' = u - 1.
     Each player's per-count terms are summed in ascending count order.
     """
-    summ = game.summarization
     n = game.n
     values = np.array(sorted(hist), dtype=np.int32)
     sizes = np.array([hist[u][0] for u in values.tolist()], dtype=np.int64)
@@ -1038,16 +1026,14 @@ def _add_count_gains(
     # Rows of count u < n have a player at 0; rows of count u > 0 one at 1.
     zeros_at, ones_at = values < n, values > 0
     others = np.union1d(values[zeros_at], values[ones_at] - 1)
-    lo = summ._of_count(others.astype(np.float64))[None, :]
-    hi = summ._of_count(others + 1.0)[None, :]
+    state = others.astype(np.float64)
+    x = np.zeros((1, len(others)))
     at0 = np.searchsorted(others, values[zeros_at])
     at1 = np.searchsorted(others, values[ones_at] - 1)
-    bank0, bank1 = game._payoff_banks()
     width = _chunk_players(len(others))
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
-        f0 = bank0.evaluate(players, lo)
-        f1 = bank1.evaluate(players, hi)
+        f0, f1 = _deviation_values(game, state, x, players)
         held = ones[players]
         for b, weight, gain in (
             (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0]),
@@ -1120,9 +1106,11 @@ def _monte_carlo_mixed_regret(
             _draw_profiles(rng, probs, draws, bits)
             for players, f0, f1, current in _deviation_payoffs(game, bits):
                 for b, fb in ((0, f0), (1, f1)):
-                    for i, g in zip(range(n)[players], fb - current):
-                        g_sum[i, b] += g.sum()
-                        g_sumsq[i, b] += (g * g).sum()
+                    # Each row of g is contiguous, so its sum is the one
+                    # that row alone gives.
+                    g = fb - current
+                    g_sum[players, b] += g.sum(axis=1)
+                    g_sumsq[players, b] += (g * g).sum(axis=1)
         drawn += rows
     means = g_sum / samples
     regrets = []
@@ -1153,8 +1141,9 @@ def regret_mixed(
     profiles where i takes their likelier action, and the regret
     p_i (d_0 - d_1)+ + (1 - p_i) (d_1 - d_0)+ is never negative. Monte-Carlo
     mode draws i.i.d. profiles from a seeded PCG64 generator, so results
-    are bit-identical for a fixed seed. Both work on blocks of up to 16384
-    profiles; float64 copies are made only of 2^18-cell chunks. Exact
+    are bit-identical for a fixed seed. Both reduce ``_deviation_values``
+    on blocks of up to 16384 profiles; float64 copies are made only of
+    2^18-cell chunks. Exact
     mode holds each block as an (n, rows) bool matrix, plus its (rows, n)
     transpose under a weighted or custom S. Monte Carlo under a weighted
     or custom S holds both, so its memory is O(rows * n) bools per block,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SummGame, _chunk_players_on_row
+from .core import _CHUNK_CELLS, SummGame, _chunk_players
 from .errors import CapabilityError, InputError
 
 __all__ = [
@@ -39,6 +39,7 @@ MAX_INTERVALS = 10**6
 # best-response bit, which the V table shares; discretizing peaks at about
 # 2.2 bytes per cell and building V at about 2.5 (tracemalloc at n = 150
 # and 400, K = 10^4), so at this cap a discretized game stays under 10 MB.
+# Only the solver and ``--emit-vtable`` build it; the learner does not.
 MAX_GRID_CELLS = 4 * 10**6
 
 
@@ -108,40 +109,44 @@ def interval_of(grid: AlphaGrid, z: float) -> int:
     return k
 
 
+def _best_responses(game: SummGame, points) -> np.ndarray:
+    """Every player's preferred action at each of the given points.
+
+    Returns an (n, len(points)) bool matrix, True exactly where F_1^i(z) >
+    F_0^i(z): action 1 only where it pays strictly more, ties to action 0.
+    The payoff values are neither kept nor range-checked: on validated
+    coefficients every catalog formula lies in [0, 1] (a constant by its
+    check, the others clip). All players form one chunk when their
+    n*len(points) cells fit in ``_CHUNK_CELLS``, so each payoff kind is one
+    call per action on the points, shared as one row; larger requests go in
+    chunks of at most ``_CHUNK_PLAYER_CELLS`` cells (at least one player).
+    """
+    points = np.asarray(points, dtype=np.float64)[None, :]
+    n, count = game.n, points.shape[1]
+    bank0, bank1 = game._payoff_banks()
+    bits = np.empty((n, count), dtype=bool)
+    width = n if n * count <= _CHUNK_CELLS else _chunk_players(count)
+    for start in range(0, n, width):
+        players = slice(start, min(start + width, n))
+        f0 = bank0.evaluate(players, points)
+        bits[players] = bank1.evaluate(players, points) > f0
+    return bits
+
+
 def discretize_game(game: SummGame, grid: AlphaGrid) -> np.ndarray:
-    """Every player's preferred action on every interval of the grid.
-
-    Returns br, a read-only, C-contiguous (K, n) bool matrix: br[k, i] is
-    True exactly where F_1^i(k*alpha) > F_0^i(k*alpha), so the step
-    approximations' best response to I_k takes action 1 only where it pays
-    strictly more, and ties go to action 0. The step values themselves are
-    neither kept nor range-checked: on validated coefficients every catalog
-    formula lies in [0, 1] (a constant by its check, the others clip).
-
-    All players form one chunk when their n*K cells fit in
-    ``_CHUNK_CELLS``, so each payoff kind is one call per action; larger
-    games are taken in consecutive chunks of at most
-    ``_CHUNK_PLAYER_CELLS`` cells (at least one player). Each chunk is one
-    payoff-bank call per action on the grid points, shared as one row, and
-    leaves only its best-response bits behind. Refuses up front a game
-    whose n*K cells exceed ``MAX_GRID_CELLS``."""
+    """Every player's preferred action on every interval of the grid: a
+    read-only, C-contiguous (K, n) bool matrix whose row k is
+    ``_best_responses`` at k*alpha, the step approximations' best response
+    to I_k. Refuses up front a game whose n*K cells exceed
+    ``MAX_GRID_CELLS``."""
     n, K = game.n, grid.K
     if n * K > MAX_GRID_CELLS:
         raise CapabilityError(
             f"n={n} players on K={K} intervals make {n * K} grid "
             f"cells, over the cap of n*K <= {MAX_GRID_CELLS}"
         )
-    points = grid.grid_points()[None, :]
-    bank0, bank1 = game._payoff_banks()
-    # Player-major while the chunks fill it, transposed once at the end:
-    # writing each chunk straight into its (K, n) columns took about 30 %
-    # longer at n = 150, K = 10^4.
-    bits = np.empty((n, K), dtype=bool)
-    width = _chunk_players_on_row(n, K)
-    for start in range(0, n, width):
-        players = slice(start, min(start + width, n))
-        f0 = bank0.evaluate(players, points)
-        bits[players] = bank1.evaluate(players, points) > f0
-    br = np.ascontiguousarray(bits.T)
+    # Player-major, transposed once: writing each chunk straight into its
+    # (K, n) columns took about 30 % longer at n = 150, K = 10^4.
+    br = np.ascontiguousarray(_best_responses(game, grid.grid_points()).T)
     br.setflags(write=False)
     return br

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EXACT_REGRET_MAX_PLAYERS, MixedProfile, SummGame, regret_mixed
-from .discretization import AlphaGrid, interval_of, make_grid
+from .discretization import AlphaGrid, _best_responses, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
-from .solver import EquilibriumCertificate, Learned, VTable, build_v_table
+from .solver import EquilibriumCertificate, Learned
 
 __all__ = [
     "LearnConfig",
@@ -206,8 +206,9 @@ def run_summ_learn(
     regret (plus a 3-standard-error margin in the Monte-Carlo case), not
     an analytic promise.
 
-    The exact mean recursion is asserted at every step against the V table
-    built on the same grid; a violation means the linearity contract broke
+    Best responses are evaluated per interval entered, the last two
+    kept, so no grid-cell cap applies. The mean recursion is asserted at
+    every step against V(I_k); a violation means the linearity contract broke
     and raises ContractError. The grid, beta and step cap the run resolved
     from the config are reported on the trajectory. A run whose step cap
     could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
@@ -247,8 +248,6 @@ def run_summ_learn(
             "snapshot_every, lower max_steps or drop snapshot_probs"
         )
 
-    table: VTable = build_v_table(game, grid)
-
     if initial is None:
         profile = MixedProfile((0.5,) * game.n)
     else:
@@ -262,14 +261,16 @@ def run_summ_learn(
     visit_len = 0
 
     weights = np.array(summ.weights, dtype=np.float64)
-    # beta * BR(I_k) per visited interval; the bar game alternates two.
-    pushes: dict[int, np.ndarray] = {}
+    # (beta * BR(I_k), V(I_k)) of the last two intervals entered; the bar
+    # game alternates between two.
+    cached: dict[int, tuple[np.ndarray, float]] = {}
     probs = np.array(profile.probs, dtype=np.float64)
     mu = _mean(weights, probs)
     t = 0
     terminated: Converged | MaxStepsReached | None = None
     while t < max_steps:
-        k = interval_of(grid, mu)
+        # Normalized weights may sum to just above 1, and so may mu.
+        k = interval_of(grid, min(mu, 1.0))
         if k != visit_interval:
             if visit_interval is not None:
                 visits.append(Visit(visit_interval, visit_start, visit_len))
@@ -278,13 +279,16 @@ def run_summ_learn(
             visit_len = 0
         visit_len += 1
 
-        push = pushes.get(k)
-        if push is None:
-            push = pushes[k] = beta * np.array(table.br[k].actions, dtype=np.float64)
+        if k not in cached:
+            if len(cached) == 2:
+                del cached[next(iter(cached))]
+            br = _best_responses(game, [grid.left_edge(k)])[:, 0]
+            cached[k] = (beta * br, summ.evaluate(br))
+        push, v = cached[k]
         # Every player moves beta of the way toward BR(I_k).
         new_probs = (1.0 - beta) * probs + push
         new_mu = _mean(weights, new_probs)
-        if abs((new_mu - mu) - beta * (table.v[k] - mu)) > _MU_RECURSION_TOL:
+        if abs((new_mu - mu) - beta * (v - mu)) > _MU_RECURSION_TOL:
             raise ContractError(
                 f"mean recursion violated at step {t}: the summarization is "
                 "not behaving linearly"

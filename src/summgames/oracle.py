@@ -16,9 +16,10 @@ from .core import (
     EXACT_REGRET_MAX_PLAYERS,
     PureProfile,
     SummGame,
-    _chunk_payoffs,
     _chunk_players,
+    _deviation_values,
     _profile_blocks,
+    _select,
     regret_mixed,
     regret_pure,
 )
@@ -88,8 +89,8 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             x = columns[players]
             if len(alive) < rows:
                 x = x[:, alive]
-            f0, f1, current = _chunk_payoffs(game, state, x, players)
-            for regret in np.maximum(f0, f1) - current:
+            f0, f1 = _deviation_values(game, state, x, players)
+            for regret in np.maximum(f0, f1) - _select(x, f0, f1):
                 np.maximum(worst, regret, out=worst)
             keep = worst < best_value
             if not keep.all():

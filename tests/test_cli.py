@@ -180,10 +180,10 @@ def test_learn_rejects_nonlinear_game(capsys, tmp_path):
 def test_learn_rejects_bad_certification_flags_before_the_loop(
     capsys, monkeypatch, sample, flag, value
 ):
-    def no_table(*args):
-        raise AssertionError("the V table was built")
+    def no_best_response(*args):
+        raise AssertionError("a best response was evaluated")
 
-    monkeypatch.setattr(learning, "build_v_table", no_table)
+    monkeypatch.setattr(learning, "_best_responses", no_best_response)
     code, out, err = _run(
         capsys,
         "learn", f"{SAMPLES}/{sample}.json", "--epsilon", "2",
@@ -191,6 +191,37 @@ def test_learn_rejects_bad_certification_flags_before_the_loop(
     )
     assert (code, out) == (2, "")
     assert f"{flag[2:]} must be >= " in err and f"got {value}" in err
+
+
+def test_learn_accepts_weights_summing_just_above_one(capsys, tmp_path):
+    # Normalized, these weights sum to one ulp above 1, and so does the
+    # mean of the all-ones start.
+    pair = {
+        "action0": {"type": "affine", "a": 1.0, "b": -1.0},
+        "action1": {"type": "affine", "a": 0.0, "b": 1.0},
+    }
+    doc = {
+        "players": 3,
+        "summarization": {
+            "type": "linear_weighted",
+            "weights": [0.22269229209081687, 0.7753758182613923, 0.21279338361885758],
+            "normalize": True,
+        },
+        "payoffs": [pair] * 3,
+    }
+    game = tmp_path / "weighted.json"
+    game.write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys,
+        "learn", str(game), "--epsilon", "0.5", "--delta", "1e-3",
+        "--initial-prob", "1",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["learning"]["final_mu"] > 1.0
+    learned = tmp_path / "learned.json"
+    learned.write_text(out)
+    code, out, _ = _run(capsys, "verify", str(game), str(learned))
+    assert code == 0 and json.loads(out)["report"]["valid"] is True
 
 
 def test_learn_trajectory_snapshot_probs(capsys, tmp_path):

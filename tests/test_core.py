@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -23,6 +24,7 @@ from summgames import (
     Constant,
     CustomSummarization,
     InputError,
+    LearnConfig,
     LinearWeighted,
     MajorityFraction,
     Mean,
@@ -32,9 +34,13 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
+    brute_min_epsilon,
     regret_mixed,
     regret_pure,
+    run_summ_learn,
+    summ_nash,
 )
+from summgames import core
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +505,32 @@ def test_monte_carlo_regret_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+def test_payoffs_are_evaluated_only_through_the_two_kernels(monkeypatch):
+    # Every regret reduces the deviation kernel and every best response
+    # comes from the best-response kernel; no other code reads the banks.
+    callers = set()
+    evaluate = core._PayoffBank.evaluate
+
+    def recorded(self, players, z):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return evaluate(self, players, z)
+
+    monkeypatch.setattr(core._PayoffBank, "evaluate", recorded)
+    rng = np.random.default_rng(13)
+    mean, weighted = random_game(rng, 6), random_game(rng, 6, "linear")
+    custom = SummGame(
+        CustomSummarization(lambda acts: sum(acts) / 6, 6, 1 / 6),
+        mean.payoffs,
+    )
+    profile = MixedProfile(tuple(rng.uniform(size=6).tolist()))
+    for game in (mean, weighted, custom):
+        regret_pure(game, PureProfile((0, 1, 1, 0, 1, 0)))
+        regret_mixed(game, profile)
+        brute_min_epsilon(game)
+        summ_nash(game, 0.5)
+    for game in (mean, weighted):
+        regret_mixed(game, profile, mode="monte_carlo", samples=100)
+        run_summ_learn(game, LearnConfig(epsilon=0.5, delta=1e-2))
+    assert callers == {"_deviation_values", "_best_responses"}

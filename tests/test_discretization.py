@@ -22,7 +22,9 @@ from summgames import (
     Constant,
     InputError,
     LearnConfig,
+    MaxStepsReached,
     Mean,
+    MixedProfile,
     Payoff,
     PiecewiseLinear,
     PureProfile,
@@ -36,7 +38,7 @@ from summgames import (
     run_summ_learn,
     summ_nash,
 )
-from summgames import core, discretization
+from summgames import core, discretization, learning
 from summgames.cli import main
 
 
@@ -81,16 +83,38 @@ def test_grid_cell_cap_fails_before_discretizing(monkeypatch, capsys):
     monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 159)
     with pytest.raises(CapabilityError, match="159"):
         summ_nash(bar_game(10), 0.5)
-    with pytest.raises(CapabilityError, match="159"):
-        run_summ_learn(bar_game(10), LearnConfig(epsilon=0.5, delta=1e-3))
-    for command in ("solve", "learn"):
-        argv = [command, "samples/bar10.json", "--epsilon", "0.5"]
-        if command == "learn":
-            argv += ["--delta", "1e-3"]
-        assert main(argv) == 3
-        assert "159" in capsys.readouterr().err
+    assert main(["solve", "samples/bar10.json", "--epsilon", "0.5"]) == 3
+    assert "159" in capsys.readouterr().err
     monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 160)
     summ_nash(bar_game(10), 0.5)  # exactly at the cap
+
+
+def test_learner_computes_only_the_intervals_it_enters(monkeypatch):
+    # The learner reads BR(I_k) only where the mean is, so the grid-cell
+    # cap, which guards the solver's table, does not bound it.
+    monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 0)
+    points = []
+
+    def counted(game, at):
+        points.append(list(at))
+        return best_responses(game, at)
+
+    best_responses = learning._best_responses
+    monkeypatch.setattr(learning, "_best_responses", counted)
+    game = bar_game(1000)
+    trajectory, _, diagnostics = run_summ_learn(
+        game,
+        LearnConfig(epsilon=0.5, delta=1e-4),
+        MixedProfile((0.0,) * 1000),
+        mc_samples=100,
+    )
+    # The mean climbs from I_0 to the crossing at I_8 and oscillates
+    # between I_7 and I_8 until the step cap.
+    assert trajectory.terminated == MaxStepsReached(4732)
+    assert len(diagnostics.visit_log) == 4718
+    assert points == [[k / 16] for k in range(9)]
+    with pytest.raises(CapabilityError, match="16000 grid cells"):
+        summ_nash(game, 0.5)
 
 
 def test_discretize_examples():

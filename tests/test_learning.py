@@ -7,15 +7,18 @@ import pytest
 
 from conftest import bar_game, consensus_game, constant_game, random_game
 from summgames import (
+    Affine,
     CapabilityError,
     Converged,
     InputError,
     LearnConfig,
+    LinearWeighted,
     MajorityFraction,
     MaxStepsReached,
     MixedProfile,
     SummGame,
     Constant,
+    Visit,
     broadcast_mean,
     build_v_table,
     interval_of,
@@ -119,15 +122,15 @@ def test_run_rejects_nonlinear_and_bad_beta():
 
 def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
     # bar100 at epsilon = 0.01, delta = 1e-6 has a default cap of 1.77e7
-    # steps, about 5.7 GB of records; it is refused before the V table.
+    # steps, about 5.7 GB of records; it is refused before any best response.
     game = bar_game(100)
     grid = make_grid(0.01, game.rho)
     assert default_step_cap(grid, grid.alpha / 2.0, 1e-6) > 1.7e7
 
-    def no_table(*args):
-        raise AssertionError("the V table was built")
+    def no_best_response(*args):
+        raise AssertionError("a best response was evaluated")
 
-    monkeypatch.setattr(learning, "build_v_table", no_table)
+    monkeypatch.setattr(learning, "_best_responses", no_best_response)
     with pytest.raises(CapabilityError, match="MAX_RECORDED_STEPS"):
         run_summ_learn(game, LearnConfig(epsilon=0.01, delta=1e-6))
     monkeypatch.undo()
@@ -289,6 +292,25 @@ def test_psi_scale_dominates_tau():
         config = LearnConfig(epsilon=0.5, delta=1e-2)
         _, _, diagnostics = run_summ_learn(game, config)
         assert diagnostics.psi_scale >= game.tau - 1e-15
+
+
+def test_mean_just_above_one_lies_in_the_last_interval():
+    # These normalized weights sum to one ulp above 1, and so does the
+    # mean of the all-ones profile.
+    weights = (0.22269229209081687, 0.7753758182613923, 0.21279338361885758)
+    game = SummGame(
+        LinearWeighted(weights, normalize=True),
+        ((Affine(1.0, -1.0), Affine(0.0, 1.0)),) * 3,
+    )
+    ones = MixedProfile((1.0,) * 3)
+    mu = broadcast_mean(game, ones)
+    assert mu > 1.0
+    config = LearnConfig(epsilon=0.5, delta=1e-3)
+    trajectory, certificate, diagnostics = run_summ_learn(game, config, ones)
+    assert trajectory.terminated == Converged(1)
+    assert trajectory.steps[0].mu == mu  # recorded unclipped
+    assert diagnostics.visit_log == (Visit(15, 0, 1),)
+    assert certificate.regrets == (0.0,) * 3
 
 
 def test_learner_default_initial_is_uniform_half():
