@@ -64,7 +64,6 @@ from .solver import (
     find_horizontal,
     find_vertical_and_walk,
     summ_nash,
-    summ_nash_with_table,
 )
 
 __all__ = [
@@ -115,6 +114,5 @@ __all__ = [
     "regret_pure",
     "run_summ_learn",
     "summ_nash",
-    "summ_nash_with_table",
     "validate_certificate",
 ]

@@ -21,6 +21,7 @@ import time
 
 from . import __version__
 from .core import MixedProfile
+from .discretization import make_grid
 from .documents import (
     certificate_to_doc,
     load_certificate,
@@ -36,7 +37,7 @@ from .learning import (
     run_summ_learn,
 )
 from .oracle import brute_min_epsilon, validate_certificate
-from .solver import summ_nash_with_table
+from .solver import build_v_table, summ_nash
 
 __all__ = ["main"]
 
@@ -61,17 +62,18 @@ def _game_section(path: str, digest: str, game) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     game, digest = load_game(args.game)
-    certificate, table = summ_nash_with_table(game, args.epsilon)
+    certificate = summ_nash(game, args.epsilon)
+    grid = make_grid(args.epsilon, game.rho)
     if args.emit_vtable:
-        write_vtable(args.emit_vtable, table)
+        write_vtable(args.emit_vtable, build_v_table(game, grid))
     doc = {
         "tool": _TOOL,
         "command": "solve",
         "game": _game_section(args.game, digest, game),
         "parameters": {
             "epsilon": args.epsilon,
-            "alpha": table.grid.alpha,
-            "intervals": table.grid.K,
+            "alpha": grid.alpha,
+            "intervals": grid.K,
         },
         "certificate": certificate_to_doc(certificate),
         "outputs": {"vtable": args.emit_vtable},

@@ -39,7 +39,7 @@ MAX_INTERVALS = 10**6
 # best-response bit, which the V table shares; discretizing peaks at about
 # 2.2 bytes per cell and building V at about 2.5 (tracemalloc at n = 150
 # and 400, K = 10^4), so at this cap a discretized game stays under 10 MB.
-# Only the solver and ``--emit-vtable`` build it; the learner does not.
+# Only ``--emit-vtable`` builds it; the solver and the learner do not.
 MAX_GRID_CELLS = 4 * 10**6
 
 
@@ -74,19 +74,20 @@ def make_grid(epsilon: float, rho: float) -> AlphaGrid:
     every payoff is constant and one interval suffices. More than
     ``MAX_INTERVALS`` intervals are refused.
     """
-    if math.isnan(epsilon) or epsilon <= 0.0:
-        raise InputError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise InputError(f"epsilon must be > 0 and finite, got {epsilon}")
     if math.isnan(rho) or rho < 0.0:
         raise InputError(f"rho must be >= 0, got {rho}")
     if rho == 0.0:
         return AlphaGrid(1)
-    needed = max(1, math.ceil((8.0 * rho) / epsilon))
+    # Compared before the ceil, which fails on the ratio's overflow to inf.
+    needed = (8.0 * rho) / epsilon
     if needed > MAX_INTERVALS:
         raise CapabilityError(
-            f"epsilon={epsilon} with rho={rho} needs {needed} intervals, "
+            f"epsilon={epsilon} with rho={rho} needs {needed:.6g} intervals, "
             f"over the cap of {MAX_INTERVALS}"
         )
-    return AlphaGrid(needed)
+    return AlphaGrid(max(1, math.ceil(needed)))
 
 
 def interval_of(grid: AlphaGrid, z: float) -> int:
@@ -137,8 +138,8 @@ def discretize_game(game: SummGame, grid: AlphaGrid) -> np.ndarray:
     """Every player's preferred action on every interval of the grid: a
     read-only, C-contiguous (K, n) bool matrix whose row k is
     ``_best_responses`` at k*alpha, the step approximations' best response
-    to I_k. Refuses up front a game whose n*K cells exceed
-    ``MAX_GRID_CELLS``."""
+    to I_k, which only the exported V table reads whole. Refuses up front
+    a game whose n*K cells exceed ``MAX_GRID_CELLS``."""
     n, K = game.n, grid.K
     if n * K > MAX_GRID_CELLS:
         raise CapabilityError(

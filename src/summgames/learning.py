@@ -83,8 +83,8 @@ class LearnConfig:
     def __post_init__(self) -> None:
         if math.isnan(self.epsilon) or self.epsilon <= 0.0:
             raise InputError(f"epsilon must be > 0, got {self.epsilon}")
-        if math.isnan(self.delta) or self.delta < 0.0:
-            raise InputError(f"delta must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise InputError(f"delta must be >= 0 and finite, got {self.delta}")
         if self.delta == 0.0 and (self.max_steps is None or self.max_steps <= 0):
             raise InputError("delta = 0 never self-terminates; max_steps > 0 is required")
         if self.max_steps is not None and self.max_steps <= 0:
@@ -183,12 +183,18 @@ def default_step_cap(grid: AlphaGrid, beta: float, delta: float) -> int:
 
     Set to the worst-case convergence scale (1/alpha)(1/beta) ln(1/delta)
     plus one sweep of headroom. Near-diagonal oscillation can keep the delta rule from ever
-    firing, so an unbounded run is never allowed.
+    firing, so an unbounded run is never allowed; a cap that is not finite
+    raises CapabilityError.
     """
-    if delta <= 0.0:
-        raise InputError("the default step cap applies only to delta > 0 runs")
-    burn = math.ceil(grid.K * (1.0 / beta) * max(0.0, math.log(1.0 / delta)))
-    return max(1, burn + grid.K)
+    if not 0.0 < delta < math.inf:
+        raise InputError("the default step cap applies only to finite delta > 0 runs")
+    burn = grid.K * (1.0 / beta) * max(0.0, math.log(1.0 / delta))
+    if not math.isfinite(burn):
+        raise CapabilityError(
+            f"beta={beta} and delta={delta} make the default step cap "
+            f"{burn}; give max_steps"
+        )
+    return max(1, math.ceil(burn) + grid.K)
 
 
 def run_summ_learn(

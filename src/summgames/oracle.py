@@ -173,14 +173,16 @@ def validate_certificate(
         fresh_se = 0.0 if stderrs is None else stderrs[i]
         return 4.0 * math.hypot(claimed_se[i], fresh_se)
 
+    # Both checks are negated so that a NaN claim, false in every
+    # comparison, fails them.
     for i, (fresh, claimed) in enumerate(zip(recomputed, certificate.regrets)):
-        if abs(fresh - claimed) > allowance(i):
+        if not abs(fresh - claimed) <= allowance(i):
             violations.append(
                 f"player {i}: certificate regret {claimed} differs from "
                 f"recomputed {fresh} by more than {allowance(i)}"
             )
     worst = max(range(game.n), key=lambda i: recomputed[i])
-    if recomputed[worst] > certificate.epsilon_claimed + allowance(worst):
+    if not recomputed[worst] <= certificate.epsilon_claimed + allowance(worst):
         violations.append(
             f"max recomputed regret {recomputed[worst]} (player {worst}) "
             f"exceeds the claimed epsilon {certificate.epsilon_claimed}"

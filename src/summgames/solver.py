@@ -20,21 +20,23 @@ Either way the output's max regret is bounded by 3*tau*rho + epsilon; the
 emitted certificate states that bound and carries regrets recomputed by
 the independent regret oracle, never the solver's own bookkeeping.
 
-Tie-breaking is to action 0 everywhere, crossings are scanned smallest-k
-first (horizontal before vertical), and the walk flips differing bits in
+As V(I_0) >= 0 and V(I_{K-1}) <= 1, bisection finds a crossing in at most
+ceil(log2 K) + 2 reads of V. Ties go to action 0 and the walk flips bits in
 ascending player order, so identical inputs produce identical outputs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import MixedProfile, PureProfile, SummGame, _block_state, regret_pure
-from .discretization import AlphaGrid, discretize_game, make_grid
+from .discretization import AlphaGrid, _best_responses, discretize_game, make_grid
 from .errors import ContractError, InputError
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "find_horizontal",
     "find_vertical_and_walk",
     "summ_nash",
-    "summ_nash_with_table",
 ]
 
 
@@ -105,7 +106,7 @@ class Vertical:
 
 @dataclass(frozen=True)
 class Learned:
-    """The profile came from the learning dynamics, not a crossing scan."""
+    """The profile came from the learning dynamics, not a crossing search."""
 
 
 Crossing = Union[Horizontal, Vertical, Learned]
@@ -166,26 +167,44 @@ def _checked_v(table: VTable) -> np.ndarray:
     return v
 
 
-def find_horizontal(table: VTable) -> int | None:
-    """The smallest k whose V value lands back inside I_k, if any.
+def _search(grid: AlphaGrid, value: Callable[[int], float]) -> tuple[int, bool]:
+    """Bisect for a crossing of V, read as ``value(k)`` in [0, 1]: (k, True)
+    if V(I_k) lies inside I_k by ``interval_of``'s float comparisons, else
+    (k, False) with V(I_{k-1}) >= k*alpha > V(I_k). V(I_0) is never below
+    I_0 nor V(I_{K-1}) above I_{K-1}; at most ceil(log2 K) + 2 reads."""
+    last = grid.K - 1
 
-    I_k is [k*alpha, (k+1)*alpha) under exact float comparisons, the last
-    interval closed at 1, as in ``interval_of``.
-    """
-    v = _checked_v(table)
-    edges = table.grid.grid_points()
-    inside = edges <= v
-    inside[:-1] &= v[:-1] < edges[1:]
-    hits = np.flatnonzero(inside)
-    return int(hits[0]) if hits.size else None
+    def side(k: int) -> int:  # -1 below I_k, 1 above it, 0 inside
+        v = value(k)
+        if v < grid.left_edge(k):
+            return -1
+        return 1 if k < last and v >= grid.left_edge(k + 1) else 0
+
+    lo, hi = 0, last
+    for k in (lo, hi):
+        if side(k) == 0:
+            return k, True
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        where = side(mid)
+        if where == 0:
+            return mid, True
+        lo, hi = (mid, hi) if where > 0 else (lo, mid)
+    return hi, False
+
+
+def find_horizontal(table: VTable) -> int | None:
+    """The k of the horizontal crossing ``_search`` finds in the table, else None."""
+    k, inside = _search(table.grid, _checked_v(table).__getitem__)
+    return k if inside else None
 
 
 def _walk(
-    game: SummGame, start: PureProfile, goal: PureProfile, boundary: float
+    game: SummGame, start: ArrayLike, goal: ArrayLike, boundary: float
 ) -> tuple[int, PureProfile]:
-    """Flip start's bits toward goal (ascending player order) and return the
-    first profile whose summarization value is strictly within tau of the
-    boundary. Position 0 is the unflipped start.
+    """Flip start's 0/1 actions toward goal's (ascending player order) and
+    return the first profile whose summarization value is strictly within
+    tau of the boundary. Position 0 is the unflipped start.
 
     Each visited position is evaluated alone, then the walk jumps past
     every position the flips in between cannot bring within tau: the first
@@ -194,8 +213,8 @@ def _walk(
     """
     tau = game.tau
     summ = game.summarization
-    profile = np.array(start.actions, dtype=bool)
-    flips = np.flatnonzero(profile != np.array(goal.actions, dtype=bool))
+    profile = np.array(start, dtype=bool)
+    flips = np.flatnonzero(profile != np.asarray(goal, dtype=bool))
     if summ.is_linear:
         reach = np.concatenate(([0.0], np.cumsum(np.asarray(summ.weights)[flips])))
     else:
@@ -226,52 +245,47 @@ def _walk(
 def find_vertical_and_walk(
     game: SummGame, table: VTable
 ) -> tuple[int, int, PureProfile]:
-    """Locate a vertical crossing and resolve it to a single profile.
+    """Resolve the vertical crossing k that ``_search`` finds in the table
+    (an InputError if it finds a horizontal one) to a single profile.
 
-    Scans for the smallest k where V drops past the boundary k*alpha
-    (strict on both sides first; if the strict scan is empty, which can
-    only happen when some V value hits a boundary exactly, the left side
-    is relaxed to >=, restoring the totality guarantee), then walks from
-    BR(I_{k-1}) toward BR(I_k) to the first profile strictly within tau
-    of the boundary, evaluating only the positions the influence bound
-    leaves open. Returns (k, walk position, profile).
+    Walks from BR(I_{k-1}) toward BR(I_k) to the first profile strictly
+    within tau of the boundary k*alpha, evaluating only the positions the
+    influence bound leaves open. Returns (k, walk position, profile).
     """
-    v = _checked_v(table)
-    edges = table.grid.grid_points()
-    left, edge, right = v[:-1], edges[1:], v[1:]
-    drops = np.flatnonzero((left > edge) & (edge > right))
-    if not drops.size:
-        drops = np.flatnonzero((left >= edge) & (edge > right))
-    if not drops.size:
-        raise ContractError(
-            "no horizontal or vertical crossing exists; the game definition "
-            "violates the bounds that guarantee one"
-        )
-    crossing_k = int(drops[0]) + 1
-    start = table.br[crossing_k - 1]
-    goal = table.br[crossing_k]
+    k, inside = _search(table.grid, _checked_v(table).__getitem__)
+    if inside:
+        raise InputError(f"the crossing search found a horizontal one, k={k}")
+    start, goal = table.br[k - 1], table.br[k]
     if start == goal:
         raise ContractError(
             "vertical crossing with identical best-response profiles on both "
             "sides; V cannot drop across the boundary in that case"
         )
-    position, profile = _walk(game, start, goal, table.grid.left_edge(crossing_k))
-    return crossing_k, position, profile
+    position, profile = _walk(game, start.actions, goal.actions, table.grid.left_edge(k))
+    return k, position, profile
 
 
-def summ_nash_with_table(
-    game: SummGame, epsilon: float
-) -> tuple[EquilibriumCertificate, VTable]:
-    """As ``summ_nash`` but also returns the V table, for export/plotting."""
+def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
+    """Compute a pure profile whose max regret is at most 3*tau*rho + epsilon.
+
+    BR(I_k) is one ``_best_responses`` row at k*alpha, evaluated only for
+    the intervals ``_search`` reads: O(n log K) payoff evaluations.
+
+    The certificate's regrets are recomputed independently rather than
+    taken from the crossing analysis. The horizontal case actually
+    satisfies the tighter tau*rho + epsilon/2; the certificate reports the
+    uniform worst-case bound and callers can recover the tighter one from
+    the crossing field.
+    """
     grid = make_grid(epsilon, game.rho)
-    table = build_v_table(game, grid)
-    k = find_horizontal(table)
+    row = cache(lambda k: _best_responses(game, [grid.left_edge(k)])[:, 0])
+    k, inside = _search(grid, lambda k: game.summarization.evaluate(row(k)))
     crossing: Crossing
-    if k is not None:
-        profile = table.br[k]
+    if inside:
+        profile = PureProfile(tuple(row(k).tolist()))
         crossing = Horizontal(k)
     else:
-        k, position, profile = find_vertical_and_walk(game, table)
+        position, profile = _walk(game, row(k - 1), row(k), grid.left_edge(k))
         crossing = Vertical(k, position)
     regrets = regret_pure(game, profile)
     claimed = 3.0 * game.tau * game.rho + epsilon
@@ -281,18 +295,4 @@ def summ_nash_with_table(
             f"{claimed}; the game's declared influence/derivative bounds are "
             "wrong"
         )
-    certificate = EquilibriumCertificate(profile, claimed, regrets, crossing)
-    return certificate, table
-
-
-def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
-    """Compute a pure profile whose max regret is at most 3*tau*rho + epsilon.
-
-    The certificate's regrets are recomputed independently rather than
-    taken from the crossing analysis. The horizontal case actually
-    satisfies the tighter tau*rho + epsilon/2; the certificate reports the
-    uniform worst-case bound and callers can recover the tighter one from
-    the crossing field.
-    """
-    certificate, _ = summ_nash_with_table(game, epsilon)
-    return certificate
+    return EquilibriumCertificate(profile, claimed, regrets, crossing)

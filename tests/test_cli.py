@@ -326,6 +326,26 @@ def test_verify_tampered_certificate_exits_1(capsys, tmp_path):
     assert report["violations"]
 
 
+def test_verify_nan_certificate_exits_1(capsys, tmp_path):
+    # Python's JSON reader accepts NaN; a certificate of NaN claims is not
+    # valid, whatever its profile's recomputed regrets (0.9 here).
+    code, out, _ = _run(capsys, "solve", f"{SAMPLES}/bar10.json", "--epsilon", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    doc["certificate"]["profile"]["actions"] = [1] * 10
+    doc["certificate"]["regrets"] = [float("nan")] * 10
+    doc["certificate"]["epsilon_claimed"] = float("nan")
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    assert "NaN" in forged.read_text()
+    code, out, _ = _run(capsys, "verify", f"{SAMPLES}/bar10.json", str(forged))
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["valid"] is False
+    assert len(report["violations"]) == 11
+    assert max(report["recomputed_regrets"]) == pytest.approx(0.9)
+
+
 def test_verify_wrong_game_arity_exits_2(capsys, tmp_path):
     code, out, _ = _run(capsys, "solve", f"{SAMPLES}/bar4.json", "--epsilon", "1")
     result = tmp_path / "bar4-cert.json"
@@ -382,6 +402,25 @@ def test_brute_over_cap_exits_3(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve", "--epsilon", "1e-320"], 3),
+        (["solve", "--epsilon", "inf"], 2),
+        (["learn", "--epsilon", "0.5", "--delta", "1e-3", "--beta", "1e-320"], 3),
+        (["learn", "--epsilon", "0.5", "--delta", "1e-320"], 3),
+        (["learn", "--epsilon", "0.5", "--delta", "inf"], 2),
+    ],
+)
+def test_overflowing_parameters_fail_cleanly(capsys, argv, expected):
+    # 8*rho/epsilon, 1/beta and 1/delta overflow to inf here; none may
+    # reach math.ceil or math.log, or print Infinity as JSON.
+    code, out, err = _run(capsys, argv[0], f"{SAMPLES}/bar4.json", *argv[1:])
+    assert (code, out) == (expected, "")
+    assert "Traceback" not in err
+    assert err.startswith("capability error: " if expected == 3 else "error: ")
 
 
 def test_solve_documents_byte_identical_modulo_duration(capsys):

@@ -30,6 +30,7 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
+    Vertical,
     build_v_table,
     discretize_game,
     interval_of,
@@ -38,7 +39,7 @@ from summgames import (
     run_summ_learn,
     summ_nash,
 )
-from summgames import core, discretization, learning
+from summgames import core, discretization, learning, solver
 from summgames.cli import main
 
 
@@ -73,25 +74,49 @@ def test_make_grid_interval_cap():
         run_summ_learn(bar_game(2), LearnConfig(epsilon=1e-300, delta=1e-3))
 
 
-def test_grid_cell_cap_fails_before_discretizing(monkeypatch, capsys):
+def _assert_solve_reads_few_intervals(monkeypatch, game):
+    """bar1000 at epsilon = 0.5 (K = 16) solves from ceil(log2 16) + 2 = 6
+    one-point best responses, with no grid cells allowed, while its V table
+    is still refused."""
+    monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 0)
+    points = []
+
+    def counted(game, at):
+        points.append(list(at))
+        return best_responses(game, at)
+
+    best_responses = solver._best_responses
+    monkeypatch.setattr(solver, "_best_responses", counted)
+    assert summ_nash(game, 0.5).crossing == Vertical(8, 500)
+    assert points == [[k / 16] for k in (0, 15, 7, 11, 9, 8)]
+    with pytest.raises(CapabilityError, match="16000 grid cells"):
+        build_v_table(game, make_grid(0.5, game.rho))
+
+
+def test_grid_cell_cap_fails_before_discretizing(monkeypatch, capsys, tmp_path):
     # n = 1000 at K = 8000 is 8e6 cells, refused without building them.
     with pytest.raises(CapabilityError) as err:
-        summ_nash(bar_game(1000), 1e-3)
+        build_v_table(bar_game(1000), make_grid(1e-3, 1.0))
     assert str(discretization.MAX_GRID_CELLS) in str(err.value)
 
     # bar10 at epsilon = 0.5 has K = 16, so 160 cells.
     monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 159)
     with pytest.raises(CapabilityError, match="159"):
-        summ_nash(bar_game(10), 0.5)
-    assert main(["solve", "samples/bar10.json", "--epsilon", "0.5"]) == 3
+        build_v_table(bar_game(10), make_grid(0.5, 1.0))
+    vtable = tmp_path / "vtable.tsv"
+    argv = ["solve", "samples/bar10.json", "--epsilon", "0.5"]
+    assert main(argv + ["--emit-vtable", str(vtable)]) == 3
     assert "159" in capsys.readouterr().err
+    assert not vtable.exists()
     monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 160)
-    summ_nash(bar_game(10), 0.5)  # exactly at the cap
+    build_v_table(bar_game(10), make_grid(0.5, 1.0))  # exactly at the cap
+    _assert_solve_reads_few_intervals(monkeypatch, bar_game(1000))
+    assert main(argv) == 0
 
 
 def test_learner_computes_only_the_intervals_it_enters(monkeypatch):
     # The learner reads BR(I_k) only where the mean is, so the grid-cell
-    # cap, which guards the solver's table, does not bound it.
+    # cap, which guards the exported V table, does not bound it.
     monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 0)
     points = []
 
@@ -113,8 +138,7 @@ def test_learner_computes_only_the_intervals_it_enters(monkeypatch):
     assert trajectory.terminated == MaxStepsReached(4732)
     assert len(diagnostics.visit_log) == 4718
     assert points == [[k / 16] for k in range(9)]
-    with pytest.raises(CapabilityError, match="16000 grid cells"):
-        summ_nash(game, 0.5)
+    _assert_solve_reads_few_intervals(monkeypatch, game)
 
 
 def test_discretize_examples():

@@ -97,6 +97,17 @@ def test_config_validation():
         LearnConfig(epsilon=0.5, delta=0.01, snapshot_every=0)
 
 
+def test_default_step_cap_is_finite_or_refused():
+    grid = make_grid(2.0, 1.0)
+    for delta in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="finite delta > 0"):
+            default_step_cap(grid, 0.1, delta)
+    # 1/beta or 1/delta overflows to inf; times ln(1/delta) = 0 it is NaN.
+    for beta, delta in ((1e-320, 1e-3), (0.1, 1e-320), (1e-320, 1.0)):
+        with pytest.raises(CapabilityError, match="give max_steps"):
+            default_step_cap(grid, beta, delta)
+
+
 def test_run_reports_resolved_parameters():
     game = bar_game(4)
     trajectory, _, _ = run_summ_learn(game, LearnConfig(epsilon=2.0, delta=1e-3))

@@ -241,6 +241,23 @@ def test_validate_tampered_epsilon():
     assert any("exceeds the claimed epsilon" in v for v in report.violations)
 
 
+def test_validate_rejects_nan_claims():
+    # Every comparison with NaN is false, so a NaN regret or epsilon must
+    # fail the checks rather than slip past them.
+    game = bar_game(10)
+    profile = PureProfile((1,) * 10)  # regret 0.9 for every player
+    nan = float("nan")
+    report = validate_certificate(
+        game, EquilibriumCertificate(profile, nan, (nan,) * 10, Learned())
+    )
+    assert not report.valid
+    assert max(report.recomputed_regrets) == pytest.approx(0.9)
+    assert sum("differs from recomputed" in v for v in report.violations) == 10
+    assert any("exceeds the claimed epsilon nan" in v for v in report.violations)
+    honest = EquilibriumCertificate(profile, nan, regret_pure(game, profile), Learned())
+    assert len(validate_certificate(game, honest).violations) == 1
+
+
 def test_validate_tampered_regrets():
     game = bar_game(4)
     cert = summ_nash(game, 1.0)

@@ -2,10 +2,10 @@
 
 The reference builds the same algorithm from the per-function views:
 ``discretize`` tuples for each payoff, one validated ``PureProfile`` per
-interval, ``interval_of`` scans in Python and a walk that evaluates the
-summarization once per flip. The solver must match it exactly: the V
-table, every best-response row, the crossing, the walk position, the
-profile and the regrets.
+interval, a bisection that locates each value with ``interval_of`` and a
+walk that evaluates the summarization once per flip. The solver and the
+exported V table must match it exactly: the V table, every best-response
+row, the crossing, the walk position, the profile and the regrets.
 """
 
 from pathlib import Path
@@ -23,6 +23,7 @@ from summgames import (
     ContractError,
     CustomSummarization,
     Horizontal,
+    InputError,
     LinearWeighted,
     MajorityFraction,
     Mean,
@@ -36,7 +37,7 @@ from summgames import (
     interval_of,
     make_grid,
     regret_pure,
-    summ_nash_with_table,
+    summ_nash,
 )
 from summgames.documents import load_game
 
@@ -58,13 +59,23 @@ def _reference_walk(game, start, goal, boundary):
     raise ContractError("the reference walk never reached the boundary")
 
 
-def _reference_scans(grid, v):
-    """(smallest horizontal k, smallest vertical k), each None if absent."""
-    horizontal = [k for k in range(grid.K) if interval_of(grid, v[k]) == k]
-    drops = [
-        k for k in range(1, grid.K) if v[k - 1] > grid.left_edge(k) > v[k]
-    ] or [k for k in range(1, grid.K) if v[k - 1] >= grid.left_edge(k) > v[k]]
-    return (horizontal or [None])[0], (drops or [None])[0]
+def _reference_search(grid, v):
+    """Bisection over k, locating each value read with ``interval_of``:
+    (k, True) for a horizontal crossing, (k, False) for a vertical one."""
+    lo, hi = 0, grid.K - 1
+    for k in (lo, hi):
+        if interval_of(grid, v[k]) == k:
+            return k, True
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        located = interval_of(grid, v[mid])
+        if located == mid:
+            return mid, True
+        if located > mid:
+            lo = mid
+        else:
+            hi = mid
+    return hi, False
 
 
 def reference_solve(game, epsilon):
@@ -78,17 +89,18 @@ def reference_solve(game, epsilon):
         for k in range(grid.K)
     )
     v = tuple(game.summarization.evaluate(row.actions) for row in br)
-    horizontal, k = _reference_scans(grid, v)
-    if horizontal is not None:
-        profile = br[horizontal]
-        return v, br, Horizontal(horizontal), profile, regret_pure(game, profile)
+    k, inside = _reference_search(grid, v)
+    if inside:
+        profile = br[k]
+        return v, br, Horizontal(k), profile, regret_pure(game, profile)
     position, profile = _reference_walk(game, br[k - 1], br[k], grid.left_edge(k))
     return v, br, Vertical(k, position), profile, regret_pure(game, profile)
 
 
 def _assert_matches_reference(game, epsilon):
     v, br, crossing, profile, regrets = reference_solve(game, epsilon)
-    cert, table = summ_nash_with_table(game, epsilon)
+    cert = summ_nash(game, epsilon)
+    table = build_v_table(game, make_grid(epsilon, game.rho))
     # V(I_k) = S(BR(I_k)) bit for bit, compared as IEEE bytes.
     assert np.array(table.v).tobytes() == np.array(v).tobytes()
     assert len(table.br) == len(br)
@@ -201,17 +213,18 @@ def test_crossing_scans_match_reference_scans(K, data):
     grid = AlphaGrid(K)
     v = data.draw(st.lists(_edge_heavy_values(grid), min_size=K, max_size=K))
     # One player with tau = 1: every walk stops at position 0, so the
-    # vertical result is the scan's k alone.
+    # vertical result is the search's k alone.
     game = bar_game(1)
     br = tuple(PureProfile((k % 2,)) for k in range(K))
     table = VTable(grid, br, tuple(v))
-    horizontal, vertical = _reference_scans(grid, v)
-    assert find_horizontal(table) == horizontal
-    if vertical is not None:
-        assert find_vertical_and_walk(game, table) == (vertical, 0, br[vertical - 1])
-    else:
-        with pytest.raises(ContractError):
+    k, inside = _reference_search(grid, v)
+    if inside:
+        assert find_horizontal(table) == k
+        with pytest.raises(InputError, match=f"k={k}$"):
             find_vertical_and_walk(game, table)
+    else:
+        assert find_horizontal(table) is None
+        assert find_vertical_and_walk(game, table) == (k, 0, br[k - 1])
 
 
 def test_grid_points_are_the_left_edges():

@@ -1,7 +1,11 @@
-"""Crossing scan, walk resolution, and end-to-end solver guarantees."""
+"""Crossing search, walk resolution, and end-to-end solver guarantees."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bar_game, consensus_game, constant_game, discretize, random_game
 from summgames import (
@@ -20,11 +24,12 @@ from summgames import (
     discretize_game,
     find_horizontal,
     find_vertical_and_walk,
+    interval_of,
     make_grid,
     regret_pure,
     summ_nash,
-    summ_nash_with_table,
 )
+from summgames import solver
 from summgames.documents import write_vtable
 
 
@@ -91,8 +96,65 @@ def test_v_table_shares_a_best_response_matrix_of_its_grid():
 
 
 # ---------------------------------------------------------------------------
-# Crossing scans
+# Crossing search
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(K=st.one_of(st.integers(1, 40), st.integers(1, 10**6)), data=st.data())
+def test_search_finds_a_crossing_in_logarithmically_many_reads(K, data):
+    # Each V(I_k) is drawn when first read, so any V in [0, 1]^K can come
+    # up; values sit on, just below or just above an edge of I_k often.
+    grid = AlphaGrid(K)
+    values = {}
+
+    def near_edges(k):
+        edge = st.integers(k, k + 1).map(lambda j: min(1.0, j * grid.alpha))
+        return st.one_of(
+            st.floats(0.0, 1.0),
+            edge,
+            edge.map(lambda e: max(0.0, float(np.nextafter(e, 0.0)))),
+            edge.map(lambda e: min(1.0, float(np.nextafter(e, 1.0)))),
+        )
+
+    def value(k):
+        assert k not in values
+        values[k] = data.draw(near_edges(k))
+        return values[k]
+
+    k, inside = solver._search(grid, value)
+    assert len(values) <= math.ceil(math.log2(K)) + 2
+    if inside:
+        assert interval_of(grid, values[k]) == k
+    else:
+        # V(I_{k-1}) >= k*alpha > V(I_k).
+        assert 0 < k < K
+        assert interval_of(grid, values[k - 1]) >= k > interval_of(grid, values[k])
+
+
+def test_summ_nash_reads_logarithmically_many_intervals(monkeypatch):
+    def refused(*args):
+        raise AssertionError("summ_nash built the (K, n) table")
+
+    monkeypatch.setattr(solver, "discretize_game", refused)
+    monkeypatch.setattr(solver, "build_v_table", refused)
+    points = []
+    best_responses = solver._best_responses
+
+    def counted(game, at):
+        points.extend(at)
+        return best_responses(game, at)
+
+    monkeypatch.setattr(solver, "_best_responses", counted)
+    rng = np.random.default_rng(4242)
+    for game in (bar_game(20), random_game(rng, 20, "linear"), random_game(rng, 20, "mean")):
+        for epsilon in (0.5, 0.01, 2e-4):
+            points.clear()
+            K = make_grid(epsilon, game.rho).K
+            cert = summ_nash(game, epsilon)
+            assert 1 <= len(points) <= math.ceil(math.log2(K)) + 2
+            assert len(set(points)) == len(points)
+            assert cert.max_regret <= cert.epsilon_claimed
 
 
 def test_find_horizontal_absent_for_bar_game():
@@ -103,15 +165,6 @@ def test_find_horizontal_absent_for_bar_game():
 def test_find_horizontal_consensus_and_constant():
     assert find_horizontal(build_v_table(consensus_game(4), AlphaGrid(4))) == 0
     assert find_horizontal(build_v_table(constant_game(3), AlphaGrid(5))) == 0
-
-
-def test_find_horizontal_prefers_smallest_k():
-    # v = (0.9, 0.3, 0.6, 0.9): intervals [0,.25),[.25,.5),[.5,.75),[.75,1];
-    # k=1 and k=2 and k=3 all contain their value except k=0; smallest wins.
-    grid = AlphaGrid(4)
-    prof = PureProfile((0,))
-    table = VTable(grid, (prof,) * 4, (0.9, 0.3, 0.6, 0.9))
-    assert find_horizontal(table) == 1
 
 
 def test_vertical_walk_bar4():
@@ -235,7 +288,7 @@ def test_summ_nash_randomized_guarantee_and_totality():
         kind = "mean" if rng.uniform() < 0.5 else "linear"
         game = random_game(rng, n, kind)
         epsilon = float(rng.choice([0.5, 0.25, 0.1]))
-        cert, table = summ_nash_with_table(game, epsilon)
+        cert = summ_nash(game, epsilon)
         bound = 3.0 * game.tau * game.rho + epsilon
         assert cert.max_regret <= bound
         assert isinstance(cert.crossing, (Horizontal, Vertical))
@@ -243,7 +296,8 @@ def test_summ_nash_randomized_guarantee_and_totality():
         assert regret_pure(game, cert.profile) == cert.regrets
         if isinstance(cert.crossing, Horizontal):
             # Tighter horizontal-case bound (step error twice, lifted once).
-            assert cert.max_regret <= game.tau * game.rho + 4.0 * game.rho * table.grid.alpha
+            alpha = make_grid(epsilon, game.rho).alpha
+            assert cert.max_regret <= game.tau * game.rho + 4.0 * game.rho * alpha
 
 
 def test_summ_nash_epsilon_validation():
