@@ -134,6 +134,13 @@ def _best_responses(game: SummGame, points) -> np.ndarray:
     return bits
 
 
+def _probe(game: SummGame, grid: AlphaGrid, k: int) -> tuple[np.ndarray, float]:
+    """BR(I_k) as an (n,) bool row, the ``_best_responses`` at k*alpha, and
+    V(I_k) = S(BR(I_k)): what the solver and the learner read per interval."""
+    row = _best_responses(game, [grid.left_edge(k)])[:, 0]
+    return row, game.summarization.evaluate(row)
+
+
 def discretize_game(game: SummGame, grid: AlphaGrid) -> np.ndarray:
     """Every player's preferred action on every interval of the grid: a
     read-only, C-contiguous (K, n) bool matrix whose row k is

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import EXACT_REGRET_MAX_PLAYERS, MixedProfile, SummGame, regret_mixed
-from .discretization import AlphaGrid, _best_responses, interval_of, make_grid
+from .discretization import AlphaGrid, _probe, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
 from .solver import EquilibriumCertificate, Learned
 
@@ -212,8 +213,8 @@ def run_summ_learn(
     regret (plus a 3-standard-error margin in the Monte-Carlo case), not
     an analytic promise.
 
-    Best responses are evaluated per interval entered, the last two
-    kept, so no grid-cell cap applies. The mean recursion is asserted at
+    BR(I_k) and V(I_k) come from ``_probe`` per interval entered, the last
+    two kept, so no grid-cell cap applies. The mean recursion is asserted at
     every step against V(I_k); a violation means the linearity contract broke
     and raises ContractError. The grid, beta and step cap the run resolved
     from the config are reported on the trajectory. A run whose step cap
@@ -260,37 +261,24 @@ def run_summ_learn(
         game._check_profile(initial.n)
         profile = initial
 
-    records: list[TrajectoryStep] = []
-    visits: list[Visit] = []
-    visit_interval: int | None = None
-    visit_start = 0
-    visit_len = 0
-
-    weights = np.array(summ.weights, dtype=np.float64)
     # (beta * BR(I_k), V(I_k)) of the last two intervals entered; the bar
     # game alternates between two.
-    cached: dict[int, tuple[np.ndarray, float]] = {}
+    @lru_cache(maxsize=2)
+    def step_toward(k: int) -> tuple[np.ndarray, float]:
+        row, v = _probe(game, grid, k)
+        return beta * row, v
+
+    records: list[TrajectoryStep] = []
+    starts: list[tuple[int, int]] = []  # (interval, first step) of each visit
+    weights = np.array(summ.weights, dtype=np.float64)
     probs = np.array(profile.probs, dtype=np.float64)
     mu = _mean(weights, probs)
-    t = 0
-    terminated: Converged | MaxStepsReached | None = None
-    while t < max_steps:
+    for t in range(max_steps):
         # Normalized weights may sum to just above 1, and so may mu.
         k = interval_of(grid, min(mu, 1.0))
-        if k != visit_interval:
-            if visit_interval is not None:
-                visits.append(Visit(visit_interval, visit_start, visit_len))
-            visit_interval = k
-            visit_start = t
-            visit_len = 0
-        visit_len += 1
-
-        if k not in cached:
-            if len(cached) == 2:
-                del cached[next(iter(cached))]
-            br = _best_responses(game, [grid.left_edge(k)])[:, 0]
-            cached[k] = (beta * br, summ.evaluate(br))
-        push, v = cached[k]
+        if not starts or starts[-1][0] != k:
+            starts.append((k, t))
+        push, v = step_toward(k)
         # Every player moves beta of the way toward BR(I_k).
         new_probs = (1.0 - beta) * probs + push
         new_mu = _mean(weights, new_probs)
@@ -300,12 +288,9 @@ def run_summ_learn(
                 "not behaving linearly"
             )
         max_delta = float(np.abs(new_probs - probs).max())
-
-        stopping = (
-            config.delta > 0.0 and max_delta <= config.delta
-        ) or t + 1 >= max_steps
+        converged = config.delta > 0.0 and max_delta <= config.delta
         # The final update step is always recorded, even when thinned.
-        if t % config.snapshot_every == 0 or stopping:
+        if t % config.snapshot_every == 0 or converged or t + 1 == max_steps:
             records.append(
                 TrajectoryStep(
                     t,
@@ -314,16 +299,15 @@ def run_summ_learn(
                     tuple(probs.tolist()) if config.snapshot_probs else None,
                 )
             )
-        probs = new_probs
-        mu = new_mu
-        t += 1
-        if config.delta > 0.0 and max_delta <= config.delta:
-            terminated = Converged(t)
+        probs, mu = new_probs, new_mu
+        if converged:
+            terminated: Converged | MaxStepsReached = Converged(t + 1)
             break
-    if terminated is None:
-        terminated = MaxStepsReached(t)
-    if visit_interval is not None:
-        visits.append(Visit(visit_interval, visit_start, visit_len))
+    else:
+        terminated = MaxStepsReached(max_steps)
+    # Each visit lasts until the next one starts, the last until the run ends.
+    ends = [start for _, start in starts[1:]] + [terminated.step]
+    visits = [Visit(k, start, end - start) for (k, start), end in zip(starts, ends)]
 
     final = MixedProfile(tuple(probs.tolist()))
     trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)

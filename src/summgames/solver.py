@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .core import MixedProfile, PureProfile, SummGame, _block_state, regret_pure
-from .discretization import AlphaGrid, _best_responses, discretize_game, make_grid
+from .discretization import AlphaGrid, _probe, discretize_game, interval_of, make_grid
 from .errors import ContractError, InputError
 
 __all__ = [
@@ -172,15 +172,12 @@ def _search(grid: AlphaGrid, value: Callable[[int], float]) -> tuple[int, bool]:
     if V(I_k) lies inside I_k by ``interval_of``'s float comparisons, else
     (k, False) with V(I_{k-1}) >= k*alpha > V(I_k). V(I_0) is never below
     I_0 nor V(I_{K-1}) above I_{K-1}; at most ceil(log2 K) + 2 reads."""
-    last = grid.K - 1
 
     def side(k: int) -> int:  # -1 below I_k, 1 above it, 0 inside
-        v = value(k)
-        if v < grid.left_edge(k):
-            return -1
-        return 1 if k < last and v >= grid.left_edge(k + 1) else 0
+        j = interval_of(grid, value(k))
+        return (j > k) - (j < k)
 
-    lo, hi = 0, last
+    lo, hi = 0, grid.K - 1
     for k in (lo, hi):
         if side(k) == 0:
             return k, True
@@ -268,8 +265,8 @@ def find_vertical_and_walk(
 def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
     """Compute a pure profile whose max regret is at most 3*tau*rho + epsilon.
 
-    BR(I_k) is one ``_best_responses`` row at k*alpha, evaluated only for
-    the intervals ``_search`` reads: O(n log K) payoff evaluations.
+    BR(I_k) and V(I_k) come from ``_probe``, evaluated only for the
+    intervals ``_search`` reads: O(n log K) payoff evaluations.
 
     The certificate's regrets are recomputed independently rather than
     taken from the crossing analysis. The horizontal case actually
@@ -278,14 +275,14 @@ def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
     the crossing field.
     """
     grid = make_grid(epsilon, game.rho)
-    row = cache(lambda k: _best_responses(game, [grid.left_edge(k)])[:, 0])
-    k, inside = _search(grid, lambda k: game.summarization.evaluate(row(k)))
+    probe = cache(partial(_probe, game, grid))
+    k, inside = _search(grid, lambda k: probe(k)[1])
     crossing: Crossing
     if inside:
-        profile = PureProfile(tuple(row(k).tolist()))
+        profile = PureProfile(tuple(probe(k)[0].tolist()))
         crossing = Horizontal(k)
     else:
-        position, profile = _walk(game, row(k - 1), row(k), grid.left_edge(k))
+        position, profile = _walk(game, probe(k - 1)[0], probe(k)[0], grid.left_edge(k))
         crossing = Vertical(k, position)
     regrets = regret_pure(game, profile)
     claimed = 3.0 * game.tau * game.rho + epsilon

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from summgames import learning
+from summgames import discretization
 from summgames.cli import main
 
 SAMPLES = "samples"
@@ -183,7 +183,7 @@ def test_learn_rejects_bad_certification_flags_before_the_loop(
     def no_best_response(*args):
         raise AssertionError("a best response was evaluated")
 
-    monkeypatch.setattr(learning, "_best_responses", no_best_response)
+    monkeypatch.setattr(discretization, "_best_responses", no_best_response)
     code, out, err = _run(
         capsys,
         "learn", f"{SAMPLES}/{sample}.json", "--epsilon", "2",

@@ -39,7 +39,7 @@ from summgames import (
     run_summ_learn,
     summ_nash,
 )
-from summgames import core, discretization, learning, solver
+from summgames import core, discretization
 from summgames.cli import main
 
 
@@ -85,8 +85,8 @@ def _assert_solve_reads_few_intervals(monkeypatch, game):
         points.append(list(at))
         return best_responses(game, at)
 
-    best_responses = solver._best_responses
-    monkeypatch.setattr(solver, "_best_responses", counted)
+    best_responses = discretization._best_responses
+    monkeypatch.setattr(discretization, "_best_responses", counted)
     assert summ_nash(game, 0.5).crossing == Vertical(8, 500)
     assert points == [[k / 16] for k in (0, 15, 7, 11, 9, 8)]
     with pytest.raises(CapabilityError, match="16000 grid cells"):
@@ -124,8 +124,8 @@ def test_learner_computes_only_the_intervals_it_enters(monkeypatch):
         points.append(list(at))
         return best_responses(game, at)
 
-    best_responses = learning._best_responses
-    monkeypatch.setattr(learning, "_best_responses", counted)
+    best_responses = discretization._best_responses
+    monkeypatch.setattr(discretization, "_best_responses", counted)
     game = bar_game(1000)
     trajectory, _, diagnostics = run_summ_learn(
         game,

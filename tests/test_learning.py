@@ -25,7 +25,7 @@ from summgames import (
     make_grid,
     run_summ_learn,
 )
-from summgames import learning
+from summgames import discretization, learning
 from summgames.learning import default_step_cap
 
 
@@ -141,7 +141,7 @@ def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
     def no_best_response(*args):
         raise AssertionError("a best response was evaluated")
 
-    monkeypatch.setattr(learning, "_best_responses", no_best_response)
+    monkeypatch.setattr(discretization, "_best_responses", no_best_response)
     with pytest.raises(CapabilityError, match="MAX_RECORDED_STEPS"):
         run_summ_learn(game, LearnConfig(epsilon=0.01, delta=1e-6))
     monkeypatch.undo()

@@ -29,7 +29,7 @@ from summgames import (
     regret_pure,
     summ_nash,
 )
-from summgames import solver
+from summgames import discretization, solver
 from summgames.documents import write_vtable
 
 
@@ -139,13 +139,13 @@ def test_summ_nash_reads_logarithmically_many_intervals(monkeypatch):
     monkeypatch.setattr(solver, "discretize_game", refused)
     monkeypatch.setattr(solver, "build_v_table", refused)
     points = []
-    best_responses = solver._best_responses
+    best_responses = discretization._best_responses
 
     def counted(game, at):
         points.extend(at)
         return best_responses(game, at)
 
-    monkeypatch.setattr(solver, "_best_responses", counted)
+    monkeypatch.setattr(discretization, "_best_responses", counted)
     rng = np.random.default_rng(4242)
     for game in (bar_game(20), random_game(rng, 20, "linear"), random_game(rng, 20, "mean")):
         for epsilon in (0.5, 0.01, 2e-4):
