@@ -12,7 +12,9 @@ where V is the solver's per-interval best-response value table: the mean
 chases the diagonal crossings of V. With beta < alpha the mean moves at
 most one interval per step.
 
-Two stopping regimes exist. With delta > 0 the run terminates once every
+Two stopping regimes exist, and both need delta < beta: every update is
+at most beta, so a larger delta would stop any run after one step, and
+such a run is refused. With delta > 0 the run terminates once every
 player's update is at most delta; because updates shrink geometrically
 while the mean stays inside one interval, no interval visit can last more
 than about (1/beta) * ln(1/delta) steps. With delta = 0 the dynamics never
@@ -220,8 +222,9 @@ def run_summ_learn(
     from the config are reported on the trajectory. A run whose step cap
     could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
     counted n + 1 times with probability snapshots, raises CapabilityError
-    before its first step, and ``mc_samples`` < 1 or ``mc_seed`` < 0
-    raises InputError there, whichever regret mode certifies the run.
+    before its first step, and ``mc_samples`` < 1, ``mc_seed`` < 0 or
+    delta >= beta raises InputError there, whichever regret mode certifies
+    the run.
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -242,6 +245,11 @@ def run_summ_learn(
         max_steps = config.max_steps
     else:
         max_steps = default_step_cap(grid, beta, config.delta)
+    if config.delta >= beta:
+        raise InputError(
+            f"delta={config.delta} must be below beta={beta}: every update is "
+            "at most beta, so the delta rule would stop after one step"
+        )
     # ceil(max_steps / snapshot_every) thinned steps, plus the final step,
     # which is always recorded.
     recorded = -(-max_steps // config.snapshot_every) + 1

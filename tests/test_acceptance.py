@@ -167,15 +167,18 @@ def learner_suite():
         kind = "mean" if rng.uniform() < 0.5 else "linear"
         game = random_game(rng, n, kind)
         epsilon = float(rng.choice([0.5, 0.3]))
+        grid = make_grid(epsilon, game.rho)
+        beta = grid.alpha / 2.0
         delta = float(rng.choice([1e-2, 1e-3, 1e-4]))
+        if delta >= beta:  # refused; replaced after the draw, keeping the stream
+            delta = beta / 2.0
         config = LearnConfig(epsilon=epsilon, delta=delta, max_steps=3000)
         trajectory, _, diagnostics = run_summ_learn(game, config)
-        grid = make_grid(epsilon, game.rho)
         runs.append(
             {
                 "game": game,
                 "grid": grid,
-                "beta": grid.alpha / 2.0,
+                "beta": beta,
                 "delta": delta,
                 "trajectory": trajectory,
                 "diagnostics": diagnostics,

@@ -193,6 +193,17 @@ def test_learn_rejects_bad_certification_flags_before_the_loop(
     assert f"{flag[2:]} must be >= " in err and f"got {value}" in err
 
 
+def test_learn_refuses_delta_at_or_above_beta(capsys):
+    # bar100 at epsilon = 0.01 has beta = alpha/2 = 6.25e-4 < delta.
+    code, out, err = _run(
+        capsys,
+        "learn", f"{SAMPLES}/bar100.json", "--epsilon", "0.01", "--delta", "1e-3",
+        "--initial-prob", "0", "--max-steps", "1000",
+    )
+    assert (code, out) == (2, "")
+    assert "delta=0.001 must be below beta=0.000625" in err
+
+
 def test_learn_accepts_weights_summing_just_above_one(capsys, tmp_path):
     # Normalized, these weights sum to one ulp above 1, and so does the
     # mean of the all-ones start.

@@ -131,6 +131,26 @@ def test_run_rejects_nonlinear_and_bad_beta():
             )
 
 
+def test_run_refuses_delta_at_or_above_beta(monkeypatch):
+    # Every update is at most beta, so delta >= beta would "converge" after
+    # one step: bar100 at epsilon = 0.01 has beta = 6.25e-4.
+    def no_best_response(*args):
+        raise AssertionError("a best response was evaluated")
+
+    monkeypatch.setattr(discretization, "_best_responses", no_best_response)
+    game = bar_game(100)
+    start = MixedProfile((0.0,) * 100)
+    for delta, beta in ((1e-3, None), (6.25e-4, None), (1e-3, 1e-3)):
+        config = LearnConfig(epsilon=0.01, delta=delta, beta=beta, max_steps=1000)
+        with pytest.raises(InputError) as err:
+            run_summ_learn(game, config, start)
+        assert f"delta={delta} must be below beta={beta or 6.25e-4}" in str(err.value)
+    monkeypatch.undo()
+    config = LearnConfig(epsilon=0.01, delta=6.2e-4, max_steps=3)
+    trajectory, _, _ = run_summ_learn(game, config, start)
+    assert trajectory.terminated == MaxStepsReached(3)
+
+
 def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
     # bar100 at epsilon = 0.01, delta = 1e-6 has a default cap of 1.77e7
     # steps, about 5.7 GB of records; it is refused before any best response.
@@ -253,19 +273,24 @@ def test_visit_durations_bounded():
     for _ in range(6):
         n = int(rng.integers(2, 40))
         game = random_game(rng, n, "mean")
-        delta = float(rng.choice([1e-2, 1e-3, 1e-4]))
-        config = LearnConfig(epsilon=0.4, delta=delta)
-        trajectory, _, diagnostics = run_summ_learn(game, config)
         grid = make_grid(0.4, game.rho)
         beta = grid.alpha / 2.0
+        delta = float(rng.choice([1e-2, 1e-3, 1e-4]))
+        if delta >= beta:  # refused; replaced after the draw, keeping the stream
+            delta = beta / 2.0
+        config = LearnConfig(epsilon=0.4, delta=delta)
+        trajectory, _, diagnostics = run_summ_learn(game, config)
         bound = math.ceil((1.0 / beta) * math.log(1.0 / delta)) + 1
         assert diagnostics.visit_log, "every run records at least one visit"
         for visit in diagnostics.visit_log:
             assert visit.duration <= bound
-        # Visits tile the update steps exactly.
+        # Visits tile the update steps exactly, each a maximal run.
         assert sum(v.duration for v in diagnostics.visit_log) == (
             trajectory.terminated.step
         )
+        for before, after in zip(diagnostics.visit_log, diagnostics.visit_log[1:]):
+            assert before.start < after.start
+            assert before.interval != after.interval
 
 
 def test_trajectory_thinning_keeps_dynamics_and_last_step():
