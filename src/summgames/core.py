@@ -1002,10 +1002,11 @@ def _count_histogram(bits: np.ndarray, hist: dict) -> None:
 
 
 def _add_count_gains(
-    game: SummGame, hist: dict, g_sum: np.ndarray, g_sumsq: np.ndarray
+    game: SummGame, hist: dict, shift: np.ndarray, moments: np.ndarray
 ) -> None:
-    """Add a block's deviation gains and their squares to g_sum and g_sumsq,
-    for a count-based S, from the block's count histogram ``hist``
+    """Add a block's deviation gains to ``moments``, the plain and the
+    ``shift``-ed sums ``_monte_carlo_mixed_regret`` keeps, for a
+    count-based S, from the block's count histogram ``hist``
     (``_count_histogram``).
 
     Under such an S a row's gain for player i depends only on x_ri and the
@@ -1016,7 +1017,8 @@ def _add_count_gains(
     by ``_deviation_values`` on one row of count c' where i plays 0, and
     weighted by the number of rows that share them: at count u, the rows
     where i plays 0 count at c' = u, those where i plays 1 at c' = u - 1.
-    Each player's per-count terms are summed in ascending count order.
+    Each player's per-count terms are summed in ascending count order. The
+    rows where i already plays b gain 0 and add only to the shifted moments.
     """
     n = game.n
     values = np.array(sorted(hist), dtype=np.int32)
@@ -1030,21 +1032,35 @@ def _add_count_gains(
     x = np.zeros((1, len(others)))
     at0 = np.searchsorted(others, values[zeros_at])
     at1 = np.searchsorted(others, values[ones_at] - 1)
+    rows = float(sizes.sum())
     width = _chunk_players(len(others))
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         f0, f1 = _deviation_values(game, state, x, players)
         held = ones[players]
-        for b, weight, gain in (
-            (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0]),
-            (0, held[:, ones_at], (f0 - f1)[:, at1]),
+        plays1 = held.sum(axis=1)
+        for b, weight, gain, idle in (
+            (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0], plays1),
+            (0, held[:, ones_at], (f0 - f1)[:, at1], rows - plays1),
         ):
+            k = shift[players, b]
+            dev = gain - k[:, None]
             # Gathered columns come out column-major; C-ordered terms make
             # each player's row contiguous, so it sums like a lone array.
-            terms = np.multiply(weight, gain, order="C")
-            squares = np.multiply(weight, gain * gain, order="C")
-            g_sum[players, b] += terms.sum(axis=1)
-            g_sumsq[players, b] += squares.sum(axis=1)
+            total, dev_sum, dev_sq = moments[:, players, b]
+            total += np.multiply(weight, gain, order="C").sum(axis=1)
+            dev_sum += np.multiply(weight, dev, order="C").sum(axis=1) - idle * k
+            dev_sq += np.multiply(weight, dev * dev, order="C").sum(axis=1) + idle * k * k
+
+
+def _sample_gains(game: SummGame, row: np.ndarray) -> np.ndarray:
+    """The (n, 2) gains g_b of each player deviating to b at the one
+    profile ``row``: Monte Carlo's per-player, per-action shift."""
+    gains = np.empty((game.n, 2))
+    for players, f0, f1, current in _deviation_payoffs(game, row[None, :]):
+        gains[players, 0] = (f0 - current)[:, 0]
+        gains[players, 1] = (f1 - current)[:, 0]
+    return gains
 
 
 def _draw_profiles(
@@ -1080,10 +1096,12 @@ def _monte_carlo_mixed_regret(
     probs = np.asarray(profile.probs)
     rng = np.random.default_rng(seed)
     # Per-sample gain of deviating to b is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x));
-    # the regret estimate is max_b mean(g_b). Track first and second moments
-    # for the standard error of the chosen deviation.
-    g_sum = np.zeros((n, 2))
-    g_sumsq = np.zeros((n, 2))
+    # the regret estimate is max_b mean(g_b). moments[:, i, b] holds the sum
+    # of g_b, for the mean, and the first two moments of g_b - K about the
+    # first sample's gain K, for the standard error of the chosen deviation:
+    # about K, a gain the same in every sample adds exact zeros.
+    moments = np.zeros((3, n, 2))
+    shift = None
     counted = isinstance(game.summarization, _CountBase)
     step = _chunk_rows(n)
     draws = np.empty((min(step, samples), n))
@@ -1099,27 +1117,35 @@ def _monte_carlo_mixed_regret(
             for start in range(0, rows, len(buffer)):
                 part = buffer[: min(len(buffer), rows - start)]
                 _draw_profiles(rng, probs, draws, part)
+                if shift is None:
+                    shift = _sample_gains(game, part[0])
                 _count_histogram(part, hist)
-            _add_count_gains(game, hist, g_sum, g_sumsq)
+            _add_count_gains(game, hist, shift, moments)
         else:
             bits = buffer[:rows]
             _draw_profiles(rng, probs, draws, bits)
+            if shift is None:
+                shift = _sample_gains(game, bits[0])
             for players, f0, f1, current in _deviation_payoffs(game, bits):
                 for b, fb in ((0, f0), (1, f1)):
                     # Each row of g is contiguous, so its sum is the one
                     # that row alone gives.
                     g = fb - current
-                    g_sum[players, b] += g.sum(axis=1)
-                    g_sumsq[players, b] += (g * g).sum(axis=1)
+                    dev = g - shift[players, b, None]
+                    total, dev_sum, dev_sq = moments[:, players, b]
+                    total += g.sum(axis=1)
+                    dev_sum += dev.sum(axis=1)
+                    dev_sq += (dev * dev).sum(axis=1)
         drawn += rows
-    means = g_sum / samples
+    total, dev_sum, dev_sq = moments
+    means = total / samples
     regrets = []
     stderrs = []
     for i in range(n):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))
         if samples >= 2:
-            var = (g_sumsq[i, b] - g_sum[i, b] ** 2 / samples) / (samples - 1)
+            var = (dev_sq[i, b] - dev_sum[i, b] ** 2 / samples) / (samples - 1)
             stderrs.append(float(math.sqrt(max(var, 0.0) / samples)))
         else:
             stderrs.append(float("inf"))
@@ -1154,7 +1180,10 @@ def regret_mixed(
     costs O(rows * n) bool work plus payoffs at about 2U counts per player,
     U <= min(rows, n + 1) being the block's distinct counts (about 100 at
     n = 1000). Its per-count sums differ from per-row sums
-    only in rounding. The seed must be >= 0 in either mode.
+    only in rounding. Standard errors take the second moments of each
+    gain about its value in the first sample, so a gain that is the same
+    in every sample has stderr exactly 0. The seed must be >= 0 in either
+    mode.
     """
     game._check_profile(profile.n)
     if seed < 0:

@@ -11,7 +11,9 @@ in for -0.0 fails. Monte Carlo under a count-based summarization sums per
 row count, not per row; it is compared bit for bit with a per-count
 reference, and with the per-row one within 1e-14. Exact ``regret_mixed``
 evaluates each deviation once, over half the profiles, and is compared
-within 1e-14 with the full enumeration it replaced.
+within 1e-14 with the full enumeration it replaced. Both Monte-Carlo
+references take their second moments about the first sample's gains, as
+the library does; a two-pass ``math.fsum`` variance checks that choice.
 """
 
 import math
@@ -121,26 +123,42 @@ def _ref_exact(game, probs):
     return tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
 
 
+def _ref_first_gains(game, bits):
+    """The (n, 2) gains of the block's first row: the shift K about which
+    both Monte-Carlo references take their second moments."""
+    first = bits[:1].astype(np.float64)
+    return np.array(
+        [[(f0 - current)[0], (f1 - current)[0]]
+         for f0, f1, current in _ref_deviation_payoffs(game, first)]
+    )
+
+
 def _ref_monte_carlo(game, probs, samples, seed):
     n = game.n
     probs = np.asarray(probs)
     rng = np.random.default_rng(seed)
     g_sum = np.zeros((n, 2))
-    g_sumsq = np.zeros((n, 2))
+    d_sum = np.zeros((n, 2))
+    d_sumsq = np.zeros((n, 2))
     drawn = 0
     while drawn < samples:
         rows = min(_REF_BATCH_ROWS, samples - drawn)
         bits = (rng.random((rows, n)) < probs[None, :]).astype(np.float64)
+        if drawn == 0:
+            shift = _ref_first_gains(game, bits)
         for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
             for b, fb in ((0, f0), (1, f1)):
                 g = fb - current
+                d = g - shift[i, b]
                 g_sum[i, b] += g.sum()
-                g_sumsq[i, b] += (g * g).sum()
+                d_sum[i, b] += d.sum()
+                d_sumsq[i, b] += (d * d).sum()
         drawn += rows
-    return _ref_moments_to_regret(g_sum, g_sumsq, samples)
+    return _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples)
 
 
-def _ref_moments_to_regret(g_sum, g_sumsq, samples):
+def _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples):
+    """Means from the plain sums, variances from the shifted ones."""
     n = len(g_sum)
     means = g_sum / samples
     regrets, stderrs = [], []
@@ -148,7 +166,7 @@ def _ref_moments_to_regret(g_sum, g_sumsq, samples):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))
         if samples >= 2:
-            var = (g_sumsq[i, b] - g_sum[i, b] ** 2 / samples) / (samples - 1)
+            var = (d_sumsq[i, b] - d_sum[i, b] ** 2 / samples) / (samples - 1)
             stderrs.append(float(math.sqrt(max(var, 0.0) / samples)))
         else:
             stderrs.append(float("inf"))
@@ -161,17 +179,21 @@ def _ref_monte_carlo_counts(game, probs, samples, seed):
     Each block's histogram is built by a loop over its rows; then, for every
     player and both deviations, the gain at each row count is evaluated on
     its own and weighted by the number of rows holding it, and those terms
-    are summed in ascending count order."""
+    are summed in ascending count order. The rows where a player already
+    plays b gain 0, which counts only in the shifted moments."""
     n = game.n
     summ = game.summarization
     probs = np.asarray(probs)
     rng = np.random.default_rng(seed)
     g_sum = np.zeros((n, 2))
-    g_sumsq = np.zeros((n, 2))
+    d_sum = np.zeros((n, 2))
+    d_sumsq = np.zeros((n, 2))
     drawn = 0
     while drawn < samples:
         rows = min(_REF_BATCH_ROWS, samples - drawn)
         bits = rng.random((rows, n)) < probs[None, :]
+        if drawn == 0:
+            shift = _ref_first_gains(game, bits)
         rows_of, ones = {}, {}
         for row in bits:
             c = int(row.sum())
@@ -193,10 +215,15 @@ def _ref_monte_carlo_counts(game, probs, samples, seed):
                 f0 = pay0.evaluate_array(summ._of_count(others))
                 f1 = pay1.evaluate_array(summ._of_count(others + 1.0))
                 gain = f1 - f0 if b else f0 - f1
+                plays1 = float(sum(ones[c][i] for c in counts))
+                idle = plays1 if b else rows - plays1
+                k = shift[i, b]
+                d = gain - k
                 g_sum[i, b] += (weight * gain).sum()
-                g_sumsq[i, b] += (weight * (gain * gain)).sum()
+                d_sum[i, b] += (weight * d).sum() - idle * k
+                d_sumsq[i, b] += (weight * (d * d)).sum() + idle * k * k
         drawn += rows
-    return _ref_moments_to_regret(g_sum, g_sumsq, samples)
+    return _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples)
 
 
 def _ref_learn(game, epsilon, delta, initial, max_steps=None):
@@ -441,9 +468,8 @@ def test_brute_matches_reference(monkeypatch, block_rows):
 def _check_monte_carlo(kind, game, profile, samples, seed):
     """Count-based S is byte-equal to the per-count reference and agrees
     with the per-row one within 1e-14 (means, and variances samples *
-    stderr^2: near a zero variance the sum-of-squares formula leaves
-    rounding noise of about 1e-10 in stderr either way); the others are
-    byte-equal to the per-row reference."""
+    stderr^2, as a square root magnifies rounding near a zero variance);
+    the others are byte-equal to the per-row reference."""
     result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
     regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, seed)
     if kind in ("mean", "majority"):
@@ -514,6 +540,51 @@ def test_monte_carlo_counts_edge_cases(monkeypatch, player_cells):
         game = SummGame(summ, tuple(pairs))
         profile = MixedProfile((0.0, 1.0, 0.5, 0.25))
         _check_monte_carlo("mean", game, profile, 1000, 3)
+
+
+def test_monte_carlo_stderr_of_a_constant_gain_is_zero():
+    # Every fifth player has constant payoffs and a pure strategy, so their
+    # gain is the same in every sample. Taken as (sum g^2 - (sum g)^2 / N)
+    # / (N - 1), their stderrs read up to 9.5e-11 on both paths.
+    n = 100
+    for summ in (LinearWeighted((1.0 / n,) * n), Mean(n)):
+        rng = np.random.default_rng(1)
+        pairs, probs = [], []
+        for i in range(n):
+            if i % 5 == 0:
+                c0, c1 = rng.uniform(size=2).tolist()
+                pairs.append((Constant(c0), Constant(c1)))
+                probs.append(float(i % 2))
+            else:
+                a0, a1 = rng.uniform(0.2, 0.8, 2).tolist()
+                b0, b1 = rng.uniform(-0.2, 0.2, 2).tolist()
+                pairs.append((Affine(a0, b0), Affine(a1, b1)))
+                probs.append(float(rng.uniform()))
+        game = SummGame(summ, tuple(pairs))
+        result = regret_mixed(game, MixedProfile(tuple(probs)), "monte_carlo", 5000, seed=1)
+        assert [result.stderrs[i] for i in range(0, n, 5)] == [0.0] * (n // 5)
+        assert all(se > 0.0 for i, se in enumerate(result.stderrs) if i % 5)
+
+
+def test_monte_carlo_stderrs_match_two_pass_fsum():
+    # Two blocks of draws; the reference takes the exactly rounded mean of
+    # every sample's gain, then the exactly rounded sum of squared deviations.
+    rng = np.random.default_rng(12)
+    n, samples, seed = 25, 17389, 4
+    for kind in ("mean", "linear"):
+        game = random_game(rng, n, kind)
+        probs = rng.uniform(0.05, 0.95, size=n)
+        profile = MixedProfile(tuple(probs.tolist()))
+        result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
+        draws = np.random.default_rng(seed).random((samples, n))
+        bits = (draws < probs[None, :]).astype(np.float64)
+        for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
+            gains = [(f0 - current).tolist(), (f1 - current).tolist()]
+            means = [math.fsum(g) / samples for g in gains]
+            b = 1 if means[1] > means[0] else 0
+            var = math.fsum((g - means[b]) ** 2 for g in gains[b]) / (samples - 1)
+            expected = math.sqrt(var / samples)
+            assert math.isclose(result.stderrs[i], expected, rel_tol=1e-12), (kind, i)
 
 
 def _learn_cases():
