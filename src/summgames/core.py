@@ -1032,7 +1032,6 @@ def _add_count_gains(
     x = np.zeros((1, len(others)))
     at0 = np.searchsorted(others, values[zeros_at])
     at1 = np.searchsorted(others, values[ones_at] - 1)
-    rows = float(sizes.sum())
     width = _chunk_players(len(others))
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
@@ -1041,26 +1040,24 @@ def _add_count_gains(
         plays1 = held.sum(axis=1)
         for b, weight, gain, idle in (
             (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0], plays1),
-            (0, held[:, ones_at], (f0 - f1)[:, at1], rows - plays1),
+            (0, held[:, ones_at], (f0 - f1)[:, at1], sizes.sum() - plays1),
         ):
             k = shift[players, b]
             dev = gain - k[:, None]
             # Gathered columns come out column-major; C-ordered terms make
             # each player's row contiguous, so it sums like a lone array.
-            total, dev_sum, dev_sq = moments[:, players, b]
-            total += np.multiply(weight, gain, order="C").sum(axis=1)
-            dev_sum += np.multiply(weight, dev, order="C").sum(axis=1) - idle * k
-            dev_sq += np.multiply(weight, dev * dev, order="C").sum(axis=1) + idle * k * k
+            moments[:, players, b] += (
+                np.multiply(weight, gain, order="C").sum(axis=1),
+                np.multiply(weight, dev, order="C").sum(axis=1) - idle * k,
+                np.multiply(weight, dev * dev, order="C").sum(axis=1) + idle * k * k,
+            )
 
 
 def _sample_gains(game: SummGame, row: np.ndarray) -> np.ndarray:
     """The (n, 2) gains g_b of each player deviating to b at the one
     profile ``row``: Monte Carlo's per-player, per-action shift."""
-    gains = np.empty((game.n, 2))
-    for players, f0, f1, current in _deviation_payoffs(game, row[None, :]):
-        gains[players, 0] = (f0 - current)[:, 0]
-        gains[players, 1] = (f1 - current)[:, 0]
-    return gains
+    chunks = _deviation_payoffs(game, row[None, :])
+    return np.concatenate([np.hstack((f0, f1)) - x for _, f0, f1, x in chunks])
 
 
 def _draw_profiles(
@@ -1109,8 +1106,7 @@ def _monte_carlo_mixed_regret(
     # short last block is not allocated while a full one is still held.
     held = step * _COUNT_PART_CHUNKS if counted else _BATCH_ROWS
     buffer = np.empty((min(held, _BATCH_ROWS, samples), n), dtype=bool)
-    drawn = 0
-    while drawn < samples:
+    for drawn in range(0, samples, _BATCH_ROWS):
         rows = min(_BATCH_ROWS, samples - drawn)
         if counted:
             hist: dict = {}
@@ -1132,15 +1128,11 @@ def _monte_carlo_mixed_regret(
                     # that row alone gives.
                     g = fb - current
                     dev = g - shift[players, b, None]
-                    total, dev_sum, dev_sq = moments[:, players, b]
-                    total += g.sum(axis=1)
-                    dev_sum += dev.sum(axis=1)
-                    dev_sq += (dev * dev).sum(axis=1)
-        drawn += rows
+                    sums = g.sum(axis=1), dev.sum(axis=1), (dev * dev).sum(axis=1)
+                    moments[:, players, b] += sums
     total, dev_sum, dev_sq = moments
     means = total / samples
-    regrets = []
-    stderrs = []
+    regrets, stderrs = [], []
     for i in range(n):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))

@@ -39,6 +39,7 @@ from summgames import (
     regret_pure,
     summ_nash,
 )
+from summgames.discretization import _probe
 from summgames.documents import load_game
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.json"))
@@ -187,13 +188,20 @@ def test_solver_matches_reference_on_samples(epsilon):
 
 def test_weighted_v_table_is_evaluate_of_each_best_response():
     # einsum sums a column-major row in another order than ``evaluate``
-    # sums the same row alone; the V table must be summed row-major.
+    # sums the same row alone; the V table must be summed row-major. The
+    # probe the solver and the learner read per interval is the table's
+    # row k and V(I_k), bit for bit.
     rng = np.random.default_rng(5077)
-    for _ in range(20):
-        game = random_game(rng, int(rng.integers(2, 60)), "linear")
-        table = build_v_table(game, make_grid(0.05, game.rho))
+    for kind in ("linear", "mean") * 10:
+        game = random_game(rng, int(rng.integers(2, 60)), kind)
+        grid = make_grid(0.05, game.rho)
+        table = build_v_table(game, grid)
         v = [game.summarization.evaluate(row.actions) for row in table.br]
         assert np.array(table.v).tobytes() == np.array(v).tobytes()
+        for k in range(grid.K):
+            row, value = _probe(game, grid, k)
+            assert row.dtype == bool and tuple(row.tolist()) == table.br[k].actions
+            assert np.float64(value).tobytes() == np.float64(table.v[k]).tobytes()
 
 
 def _edge_heavy_values(grid):
