@@ -1125,11 +1125,11 @@ def _monte_carlo_mixed_regret(
             for players, f0, f1, current in _deviation_payoffs(game, bits):
                 for b, fb in ((0, f0), (1, f1)):
                     # Each row of g is contiguous, so its sum is the one
-                    # that row alone gives.
+                    # that row alone gives; g then becomes g - K in place.
                     g = fb - current
-                    dev = g - shift[players, b, None]
-                    sums = g.sum(axis=1), dev.sum(axis=1), (dev * dev).sum(axis=1)
-                    moments[:, players, b] += sums
+                    total = g.sum(axis=1)
+                    g -= shift[players, b, None]
+                    moments[:, players, b] += total, g.sum(axis=1), (g * g).sum(axis=1)
     total, dev_sum, dev_sq = moments
     means = total / samples
     regrets, stderrs = [], []

@@ -301,9 +301,6 @@ def run_summ_learn(
             break
     else:
         terminated = MaxStepsReached(max_steps)
-    # Each visit lasts until the next one starts, the last until the run ends.
-    ends = [start for _, start in starts[1:]] + [terminated.step]
-    visits = [Visit(k, start, end - start) for (k, start), end in zip(starts, ends)]
 
     final = MixedProfile(tuple(probs.tolist()))
     trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)
@@ -318,9 +315,11 @@ def run_summ_learn(
         final, claimed, result.regrets, Learned(), stderrs=result.stderrs
     )
 
+    # Each visit lasts until the next one starts, the last until the run
+    # ends. Built after certification, which then holds only ``starts``.
+    ends = [start for _, start in starts[1:]] + [terminated.step]
+    visits = tuple(Visit(k, start, end - start) for (k, start), end in zip(starts, ends))
     psi_scale = math.sqrt(math.fsum(w * w for w in summ.weights))
     log_term = math.log(1.0 / psi_scale) if psi_scale > 0.0 else 0.0
-    diagnostics = LearnDiagnostics(
-        psi_scale, game.rho * psi_scale * log_term, tuple(visits)
-    )
+    diagnostics = LearnDiagnostics(psi_scale, game.rho * psi_scale * log_term, visits)
     return trajectory, certificate, diagnostics
