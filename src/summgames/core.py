@@ -1127,9 +1127,9 @@ def _monte_carlo_mixed_regret(
                     # Each row of g is contiguous, so its sum is the one
                     # that row alone gives; g then becomes g - K in place.
                     g = fb - current
-                    total = g.sum(axis=1)
+                    plain = g.sum(axis=1)
                     g -= shift[players, b, None]
-                    moments[:, players, b] += total, g.sum(axis=1), (g * g).sum(axis=1)
+                    moments[:, players, b] += plain, g.sum(axis=1), (g * g).sum(axis=1)
     total, dev_sum, dev_sq = moments
     means = total / samples
     regrets, stderrs = [], []

@@ -98,7 +98,8 @@ def interval_of(grid: AlphaGrid, z: float) -> int:
     """
     if math.isnan(z) or not 0.0 <= z <= 1.0:
         raise InputError(f"value must lie in [0, 1], got {z}")
-    K, alpha = grid.K, grid.alpha
+    K = grid.K
+    alpha = grid.alpha
     k = min(int(z * K), K - 1)
     # int(z*K) can land one interval off the float boundaries; walk to the
     # cell whose edges actually bracket z.
