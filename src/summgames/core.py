@@ -1094,11 +1094,12 @@ def _monte_carlo_mixed_regret(
     rng = np.random.default_rng(seed)
     # Per-sample gain of deviating to b is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x));
     # the regret estimate is max_b mean(g_b). moments[:, i, b] holds the sum
-    # of g_b, for the mean, and the first two moments of g_b - K about the
-    # first sample's gain K, for the standard error of the chosen deviation:
-    # about K, a gain the same in every sample adds exact zeros.
+    # of g_b, for the mean, and the first two moments of g_b - K, K being
+    # the gain in the first sample (a fresh stream's first row), for the
+    # standard error of the chosen deviation: about K, a gain the same in
+    # every sample adds exact zeros.
     moments = np.zeros((3, n, 2))
-    shift = None
+    shift = _sample_gains(game, np.random.default_rng(seed).random(n) < probs)
     counted = isinstance(game.summarization, _CountBase)
     step = _chunk_rows(n)
     draws = np.empty((min(step, samples), n))
@@ -1106,22 +1107,19 @@ def _monte_carlo_mixed_regret(
     # short last block is not allocated while a full one is still held.
     held = step * _COUNT_PART_CHUNKS if counted else _BATCH_ROWS
     buffer = np.empty((min(held, _BATCH_ROWS, samples), n), dtype=bool)
-    for drawn in range(0, samples, _BATCH_ROWS):
+    drawn = 0
+    while drawn < samples:
         rows = min(_BATCH_ROWS, samples - drawn)
         if counted:
             hist: dict = {}
             for start in range(0, rows, len(buffer)):
                 part = buffer[: min(len(buffer), rows - start)]
                 _draw_profiles(rng, probs, draws, part)
-                if shift is None:
-                    shift = _sample_gains(game, part[0])
                 _count_histogram(part, hist)
             _add_count_gains(game, hist, shift, moments)
         else:
             bits = buffer[:rows]
             _draw_profiles(rng, probs, draws, bits)
-            if shift is None:
-                shift = _sample_gains(game, bits[0])
             for players, f0, f1, current in _deviation_payoffs(game, bits):
                 for b, fb in ((0, f0), (1, f1)):
                     # Each row of g is contiguous, so its sum is the one
@@ -1130,9 +1128,11 @@ def _monte_carlo_mixed_regret(
                     plain = g.sum(axis=1)
                     g -= shift[players, b, None]
                     moments[:, players, b] += plain, g.sum(axis=1), (g * g).sum(axis=1)
+        drawn += rows
     total, dev_sum, dev_sq = moments
     means = total / samples
-    regrets, stderrs = [], []
+    regrets = []
+    stderrs = []
     for i in range(n):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))

@@ -241,7 +241,10 @@ def run_summ_learn(
         raise InputError(f"mc_samples must be >= 1, got {mc_samples}")
     if mc_seed < 0:
         raise InputError(f"mc_seed must be >= 0, got {mc_seed}")
-    max_steps = config.max_steps or default_step_cap(grid, beta, config.delta)
+    if config.max_steps is not None:
+        max_steps = config.max_steps
+    else:
+        max_steps = default_step_cap(grid, beta, config.delta)
     if config.delta >= beta:
         raise InputError(
             f"delta={config.delta} must be below beta={beta}: every update is "
@@ -260,8 +263,11 @@ def run_summ_learn(
             "snapshot_every, lower max_steps or drop snapshot_probs"
         )
 
-    if initial is not None:
+    if initial is None:
+        profile = MixedProfile((0.5,) * game.n)
+    else:
         game._check_profile(initial.n)
+        profile = initial
 
     # (beta * BR(I_k), V(I_k)) of the last two intervals entered; the bar
     # game alternates between two.
@@ -273,7 +279,7 @@ def run_summ_learn(
     records: list[TrajectoryStep] = []
     starts: list[tuple[int, int]] = []  # (interval, first step) of each visit
     weights = np.array(summ.weights, dtype=np.float64)
-    probs = np.array((0.5,) * game.n if initial is None else initial.probs)
+    probs = np.array(profile.probs, dtype=np.float64)
     mu = _mean(weights, probs)
     for t in range(max_steps):
         # Normalized weights may sum to just above 1, and so may mu.
@@ -293,9 +299,16 @@ def run_summ_learn(
         converged = config.delta > 0.0 and max_delta <= config.delta
         # The final update step is always recorded, even when thinned.
         if t % config.snapshot_every == 0 or converged or t + 1 == max_steps:
-            snapshot = tuple(probs.tolist()) if config.snapshot_probs else None
-            records.append(TrajectoryStep(t, mu, max_delta, snapshot))
-        probs, mu = new_probs, new_mu
+            records.append(
+                TrajectoryStep(
+                    t,
+                    mu,
+                    max_delta,
+                    tuple(probs.tolist()) if config.snapshot_probs else None,
+                )
+            )
+        probs = new_probs
+        mu = new_mu
         if converged:
             terminated: Converged | MaxStepsReached = Converged(t + 1)
             break
@@ -309,8 +322,12 @@ def run_summ_learn(
         result = regret_mixed(game, final, mode="exact")
         claimed = result.max_regret
     else:
-        result = regret_mixed(game, final, "monte_carlo", mc_samples, mc_seed)
-        claimed = max(r + 3.0 * se for r, se in zip(result.regrets, result.stderrs))
+        result = regret_mixed(
+            game, final, mode="monte_carlo", samples=mc_samples, seed=mc_seed
+        )
+        claimed = max(
+            r + 3.0 * se for r, se in zip(result.regrets, result.stderrs)
+        )
     certificate = EquilibriumCertificate(
         final, claimed, result.regrets, Learned(), stderrs=result.stderrs
     )
@@ -318,8 +335,13 @@ def run_summ_learn(
     # Each visit lasts until the next one starts, the last until the run
     # ends. Built after certification, which then holds only ``starts``.
     ends = [start for _, start in starts[1:]] + [terminated.step]
-    visits = tuple(Visit(k, start, end - start) for (k, start), end in zip(starts, ends))
-    psi_scale = math.sqrt(math.fsum(w * w for w in summ.weights))
-    log_term = math.log(1.0 / psi_scale) if psi_scale > 0.0 else 0.0
-    diagnostics = LearnDiagnostics(psi_scale, game.rho * psi_scale * log_term, visits)
+    visits = [Visit(k, start, end - start) for (k, start), end in zip(starts, ends)]
+
+    weights = summ.weights
+    psi_scale = math.sqrt(math.fsum(w * w for w in weights))
+    if psi_scale > 0.0:
+        psi_expression = game.rho * psi_scale * math.log(1.0 / psi_scale)
+    else:
+        psi_expression = 0.0
+    diagnostics = LearnDiagnostics(psi_scale, psi_expression, tuple(visits))
     return trajectory, certificate, diagnostics

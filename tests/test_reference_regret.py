@@ -123,10 +123,11 @@ def _ref_exact(game, probs):
     return tuple(float(max(dev[i, 0], dev[i, 1]) - cur[i]) for i in range(n))
 
 
-def _ref_first_gains(game, bits):
-    """The (n, 2) gains of the block's first row: the shift K about which
+def _ref_first_gains(game, probs, seed):
+    """The (n, 2) gains in the seed's first sample: the shift K about which
     both Monte-Carlo references take their second moments."""
-    first = bits[:1].astype(np.float64)
+    draw = np.random.default_rng(seed).random((1, len(probs)))
+    first = (draw < probs).astype(np.float64)
     return np.array(
         [[(f0 - current)[0], (f1 - current)[0]]
          for f0, f1, current in _ref_deviation_payoffs(game, first)]
@@ -137,6 +138,7 @@ def _ref_monte_carlo(game, probs, samples, seed):
     n = game.n
     probs = np.asarray(probs)
     rng = np.random.default_rng(seed)
+    shift = _ref_first_gains(game, probs, seed)
     g_sum = np.zeros((n, 2))
     d_sum = np.zeros((n, 2))
     d_sumsq = np.zeros((n, 2))
@@ -144,8 +146,6 @@ def _ref_monte_carlo(game, probs, samples, seed):
     while drawn < samples:
         rows = min(_REF_BATCH_ROWS, samples - drawn)
         bits = (rng.random((rows, n)) < probs[None, :]).astype(np.float64)
-        if drawn == 0:
-            shift = _ref_first_gains(game, bits)
         for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
             for b, fb in ((0, f0), (1, f1)):
                 g = fb - current
@@ -185,6 +185,7 @@ def _ref_monte_carlo_counts(game, probs, samples, seed):
     summ = game.summarization
     probs = np.asarray(probs)
     rng = np.random.default_rng(seed)
+    shift = _ref_first_gains(game, probs, seed)
     g_sum = np.zeros((n, 2))
     d_sum = np.zeros((n, 2))
     d_sumsq = np.zeros((n, 2))
@@ -192,8 +193,6 @@ def _ref_monte_carlo_counts(game, probs, samples, seed):
     while drawn < samples:
         rows = min(_REF_BATCH_ROWS, samples - drawn)
         bits = rng.random((rows, n)) < probs[None, :]
-        if drawn == 0:
-            shift = _ref_first_gains(game, bits)
         rows_of, ones = {}, {}
         for row in bits:
             c = int(row.sum())
