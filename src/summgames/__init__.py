@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .core import (
     Affine,
     Constant,
-    CustomSummarization,
     LinearWeighted,
     MajorityFraction,
     Mean,
@@ -76,7 +75,6 @@ __all__ = [
     "Constant",
     "ContractError",
     "Converged",
-    "CustomSummarization",
     "EquilibriumCertificate",
     "Horizontal",
     "InputError",

@@ -16,14 +16,13 @@ profile embeds as a mixed profile with the same 0/1 entries.
 
 Payoff functions form a closed catalog (constant, affine, quadratic,
 piecewise linear) so that derivative bounds are computed exactly rather
-than declared; a game accepts no other payoff type. Custom summarizations
-are allowed but must declare their influence bound, which is verifiable by
-brute force for small n.
+than declared; a game accepts no other payoff type. Summarizations are
+closed the same way (mean, majority fraction, linear weighted), so tau is
+always computed from the summarization, never declared.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError, InputError
+from .errors import CapabilityError, InputError
 
 __all__ = [
     "PureProfile",
@@ -40,7 +39,6 @@ __all__ = [
     "Mean",
     "LinearWeighted",
     "MajorityFraction",
-    "CustomSummarization",
     "Payoff",
     "Constant",
     "Affine",
@@ -51,10 +49,6 @@ __all__ = [
     "regret_pure",
     "regret_mixed",
 ]
-
-# Exact influence computation enumerates 2^(n-1) opponent settings; beyond
-# this cap only declared bounds are available.
-EXACT_INFLUENCE_MAX_PLAYERS = 20
 
 # Exact mixed-strategy regret enumerates all 2^n profiles.
 EXACT_REGRET_MAX_PLAYERS = 20
@@ -147,7 +141,7 @@ def _profile_blocks(summ: "Summarization"):
     block only refills the other, high columns with its constant bits. A
     count-based S's state is the low bits' count, summed once, plus the
     high bits': exact integers, the floats ``_block_state`` sums, which
-    builds the state of any other S from a (rows, n) copy of the block.
+    builds a weighted S's state from a (rows, n) copy of the block.
     """
     n = summ.n
     total = 1 << n
@@ -197,7 +191,9 @@ class Summarization:
     state must not depend on the other rows of the batch, so ``evaluate``
     -- that path on one row -- agrees bit for bit with every row-major
     batch containing the same profile, and a block's state may be built
-    from row chunks and concatenated.
+    from row chunks and concatenated. A game accepts only the three kinds
+    below, ``Mean``, ``MajorityFraction`` and ``LinearWeighted``, not
+    subclasses, so its tau is always computed.
     """
 
     n: int
@@ -211,9 +207,6 @@ class Summarization:
     def influence(self, i: int) -> float:
         """The largest |S(x with i playing 0) - S(x with i playing 1)|."""
         raise NotImplementedError
-
-    def influence_bound(self) -> float:
-        return max(self.influence(i) for i in range(self.n))
 
     def _check_arity(self, actions: Sequence[int]) -> None:
         if len(actions) != self.n:
@@ -231,24 +224,6 @@ class Summarization:
 
     def batch_deviation(self, state, x: np.ndarray, players):
         raise NotImplementedError
-
-
-def _exact_influence(summ: Summarization, i: int) -> float:
-    """Exhaustive influence of player i over all 2^(n-1) opponent settings."""
-    n = summ.n
-    if n > EXACT_INFLUENCE_MAX_PLAYERS:
-        raise CapabilityError(
-            f"exact influence enumeration is capped at n <= "
-            f"{EXACT_INFLUENCE_MAX_PLAYERS} (got n={n})"
-        )
-    worst = 0.0
-    for others in itertools.product((0, 1), repeat=n - 1):
-        acts = list(others[:i]) + [0] + list(others[i:])
-        low = summ.evaluate(tuple(acts))
-        acts[i] = 1
-        high = summ.evaluate(tuple(acts))
-        worst = max(worst, abs(low - high))
-    return worst
 
 
 class _LinearBase(Summarization):
@@ -395,85 +370,16 @@ class MajorityFraction(_CountBase):
     def influence(self, i: int) -> float:
         if not 0 <= i < self.n:
             raise InputError(f"player index {i} out of range for n={self.n}")
-        if self.n <= EXACT_INFLUENCE_MAX_PLAYERS:
-            return self._exact_influence_symmetric()
-        # One flip moves the majority count by at most one; the maximum is
-        # attained whenever the flip does not cross an odd-n tie, so the
-        # influence is exactly 1/n for every player (0 for the trivial n=1).
-        return 0.0 if self.n == 1 else 1.0 / self.n
+        return self.influence_bound()
 
-    def _exact_influence_symmetric(self) -> float:
-        # Symmetric function: enumerate opponent one-counts once.
-        n = self.n
-        worst = 0.0
-        for c in range(n):
-            low = max(c, n - c) / n
-            high = max(c + 1, n - c - 1) / n
-            worst = max(worst, abs(low - high))
-        return worst
+    def influence_bound(self) -> float:
+        # Every player moves the count by one, so the influence is S's
+        # largest float step between neighbouring counts.
+        values = self._of_count(np.arange(self.n + 1.0))
+        return float(np.abs(np.diff(values)).max())
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         return np.maximum(ones, self.n - ones) / self.n
-
-
-@dataclass(frozen=True)
-class CustomSummarization(Summarization):
-    """A black-box summarization with a declared influence bound.
-
-    The evaluator must map any length-n 0/1 tuple into [0, 1]. Exact
-    influence is exponential to compute, so the declared bound stands in
-    for it; for n <= 20 the declaration can be checked by brute force
-    (see ``influence``).
-    """
-
-    evaluator: Callable[[tuple[int, ...]], float]
-    n: int
-    declared_influence: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("player count must be >= 1")
-        if not 0.0 <= self.declared_influence <= 1.0:
-            raise InputError("declared influence must lie in [0, 1]")
-
-    def evaluate(self, actions: Sequence[int]) -> float:
-        self._check_arity(actions)
-        value = float(self.evaluator(tuple(int(a) for a in actions)))
-        if not -1e-12 <= value <= 1.0 + 1e-12:
-            raise ContractError(
-                f"custom summarization returned {value}, outside [0, 1]"
-            )
-        return min(1.0, max(0.0, value))
-
-    def influence(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        if self.n <= EXACT_INFLUENCE_MAX_PLAYERS:
-            return _exact_influence(self, i)
-        return self.declared_influence
-
-    def influence_bound(self) -> float:
-        return self.declared_influence
-
-    # The black box is evaluated row by row, which is only tolerable for
-    # small custom games.
-
-    def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return bits
-
-    def batch_value(self, state: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.evaluate(tuple(int(b) for b in row)) for row in state]
-        )
-
-    def batch_deviation(self, state: np.ndarray, x: np.ndarray, players):
-        lo, hi = [], []
-        for i in np.arange(self.n)[players].reshape(-1):
-            for b, out in ((0.0, lo), (1.0, hi)):
-                forced = state.copy()
-                forced[:, i] = b
-                out.append(self.batch_value(forced))
-        return np.reshape(lo, x.shape), np.reshape(hi, x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +569,8 @@ class PiecewiseLinear(Payoff):
 
 _CATALOG = frozenset((Constant, Affine, Quadratic, PiecewiseLinear))
 
+_SUMMARIZATIONS = frozenset((Mean, MajorityFraction, LinearWeighted))
+
 
 @dataclass(frozen=True, eq=False)
 class _PayoffGroup:
@@ -741,13 +649,14 @@ class _PayoffBank:
 class SummGame:
     """An n-player game: one summarization plus n pairs of payoff functions.
 
-    ``payoffs[i]`` is the pair (F for action 0, F for action 1) of player i,
-    each an instance of one of the catalog kinds ``Constant``, ``Affine``,
-    ``Quadratic`` and ``PiecewiseLinear`` (not of a subclass). The influence
-    bound ``tau`` and derivative bound ``rho`` are derived at construction:
-    tau from the summarization (the declared bound for custom ones), rho as
-    the exact maximum derivative bound over all 2n payoffs, which must be
-    finite.
+    ``summarization`` is a ``Mean``, ``MajorityFraction`` or
+    ``LinearWeighted`` (not a subclass), and ``payoffs[i]`` is the pair (F
+    for action 0, F for action 1) of player i, each an instance of one of
+    the catalog kinds ``Constant``, ``Affine``, ``Quadratic`` and
+    ``PiecewiseLinear`` (not of a subclass). The influence bound ``tau``
+    and derivative bound ``rho`` are derived at construction: tau from the
+    summarization, rho as the exact maximum derivative bound over all 2n
+    payoffs, which must be finite.
 
     Instances are immutable and safe to share across threads.
     """
@@ -759,6 +668,12 @@ class SummGame:
     _banks: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        # The three kinds themselves: a subclass could take any tau.
+        if type(self.summarization) not in _SUMMARIZATIONS:
+            raise InputError(
+                f"summarization is a {type(self.summarization).__name__}, not "
+                "a Mean, MajorityFraction or LinearWeighted summarization"
+            )
         pairs = tuple((p[0], p[1]) for p in self.payoffs)
         if len(pairs) != self.summarization.n:
             raise InputError(
@@ -871,10 +786,10 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     rows): f0 and f1 are the chunk's ``_deviation_values`` and
     current[j, r] = f_{x_ri}[j, r] the payoff i = players.start + j
     actually receives. The state comes from ``_block_state`` and the
-    columns from the C-contiguous (n, rows) transpose of bits. For catalog
-    summarizations that holds O(rows * n) bools plus float64 arrays of one
-    chunk's size. Each row of a yielded array is contiguous, so per-player
-    reductions over it sum in the same order as over a lone (rows,) array.
+    columns from the C-contiguous (n, rows) transpose of bits. That holds
+    O(rows * n) bools plus float64 arrays of one chunk's size. Each row of
+    a yielded array is contiguous, so per-player reductions over it sum in
+    the same order as over a lone (rows,) array.
     """
     rows, n = bits.shape
     state = _block_state(game.summarization, bits)
@@ -894,9 +809,8 @@ def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
     regret[i] is the payoff i forgoes by not playing their best unilateral
     deviation; the profile is an eps-Nash equilibrium iff every entry is
     <= eps. The profile's summarization state is built once and every
-    deviation updates it, so catalog summarizations cost O(n) in total,
-    evaluated as one numpy call per payoff kind; custom ones re-evaluate S
-    per deviation, O(n^2).
+    deviation updates it, so it costs O(n) in total, evaluated as one numpy
+    call per payoff kind.
     """
     game._check_profile(profile.n)
     bits = np.array([profile.actions], dtype=bool)
@@ -1084,8 +998,8 @@ def _monte_carlo_mixed_regret(
     (``_add_count_gains``), drawing and counting it ``_COUNT_PART_CHUNKS``
     draw chunks at a time: O(rows * n) bool work, and payoffs at about 2U
     points per player, where U <= min(rows, n + 1) is the number of
-    distinct counts in the block. Other summarizations hold each block as
-    a (rows, n) bool matrix and go through ``_deviation_payoffs``, which
+    distinct counts in the block. A weighted S holds each block as a
+    (rows, n) bool matrix and go through ``_deviation_payoffs``, which
     also holds its (n, rows) transpose and evaluates both payoffs per
     player and row.
     """
@@ -1161,18 +1075,17 @@ def regret_mixed(
     mode draws i.i.d. profiles from a seeded PCG64 generator, so results
     are bit-identical for a fixed seed. Both reduce ``_deviation_values``
     on blocks of up to 16384 profiles; float64 copies are made only of
-    2^18-cell chunks. Exact
-    mode holds each block as an (n, rows) bool matrix, plus its (rows, n)
-    transpose under a weighted or custom S. Monte Carlo under a weighted
-    or custom S holds both, so its memory is O(rows * n) bools per block,
-    and evaluates both payoffs for every player and row. Monte Carlo under
-    ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
-    only on their own action and the others' count, so a block is drawn
-    and counted 2^21 bool cells at a time into its count histogram, and
-    costs O(rows * n) bool work plus payoffs at about 2U counts per player,
-    U <= min(rows, n + 1) being the block's distinct counts (about 100 at
-    n = 1000). Its per-count sums differ from per-row sums
-    only in rounding. Standard errors take the second moments of each
+    2^18-cell chunks. Exact mode holds each block as an (n, rows) bool
+    matrix, plus its (rows, n) transpose under a weighted S. Monte Carlo
+    under a weighted S holds both, so its memory is O(rows * n) bools per
+    block, and evaluates both payoffs for every player and row. Monte
+    Carlo under ``Mean`` or ``MajorityFraction`` needs neither: a player's
+    gain depends only on their own action and the others' count, so a
+    block is drawn and counted 2^21 bool cells at a time into its count
+    histogram, and costs O(rows * n) bool work plus payoffs at about 2U
+    counts per player, U <= min(rows, n + 1) being the block's distinct
+    counts (about 100 at n = 1000). Its per-count sums differ from per-row
+    sums only in rounding. Standard errors take the second moments of each
     gain about its value in the first sample, so a gain that is the same
     in every sample has stderr exactly 0. The seed must be >= 0 in either
     mode.

@@ -13,8 +13,8 @@ Game files are JSON, one game per document:
     }
 
 Summarization specs: {"type": "mean"}, {"type": "majority_fraction"}, or
-{"type": "linear_weighted", "weights": [...], "normalize": false}. Custom
-summarizations are code-only and cannot be expressed in files.
+{"type": "linear_weighted", "weights": [...], "normalize": false}. These
+are the only three kinds a game accepts, in files or in code.
 
 Payoff specs: {"type": "constant", "c": ...}, {"type": "affine", "a": ...,
 "b": ...}, {"type": "quadratic", "a": ..., "b": ..., "c": ...}, or

@@ -1,9 +1,8 @@
 """Exception taxonomy shared by all summgames modules.
 
 The CLI maps these onto its exit-code contract: input errors exit 2,
-capability errors exit 3. Contract errors signal that a game definition's
-declared bounds are inconsistent with its actual behavior (or that an
-internal invariant broke) and are treated as input errors by the CLI.
+capability errors exit 3. Contract errors signal that an internal
+invariant broke and are treated as input errors by the CLI.
 """
 
 
@@ -22,5 +21,8 @@ class CapabilityError(SummGamesError):
 
 
 class ContractError(SummGamesError, RuntimeError):
-    """An invariant that should hold by construction failed, typically
-    because a custom summarization's declared influence bound is wrong."""
+    """An invariant that the analysis guarantees failed, such as a walk that
+    never came within tau of its boundary or a certificate above
+    3*tau*rho + eps. Every tau is computed from the summarization, so this
+    signals a library defect, or a V table passed in that was not built
+    from its game."""

@@ -233,9 +233,9 @@ def _walk(
         jump = np.searchsorted(reach, reach[position] + gap - tau - slack, side="right")
         position = max(position + 1, int(jump))
     raise ContractError(
-        "no profile on the best-response walk reached the crossing boundary; "
-        "the game's declared influence bound is smaller than its actual "
-        "influence"
+        "no profile on the best-response walk came within tau of the "
+        "crossing boundary: an internal invariant broke, as the crossing "
+        "search leaves the walk's ends on either side of it"
     )
 
 
@@ -289,7 +289,6 @@ def summ_nash(game: SummGame, epsilon: float) -> EquilibriumCertificate:
     if max(regrets) > claimed:
         raise ContractError(
             f"solver output has regret {max(regrets)}, above the guaranteed "
-            f"{claimed}; the game's declared influence/derivative bounds are "
-            "wrong"
+            f"{claimed}: an internal invariant of the crossing analysis broke"
         )
     return EquilibriumCertificate(profile, claimed, regrets, crossing)

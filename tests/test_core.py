@@ -22,7 +22,6 @@ from summgames import (
     Affine,
     CapabilityError,
     Constant,
-    CustomSummarization,
     InputError,
     LearnConfig,
     LinearWeighted,
@@ -34,6 +33,7 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
+    Summarization,
     brute_min_epsilon,
     regret_mixed,
     regret_pure,
@@ -154,12 +154,29 @@ def test_mean_game_builds_in_linear_time():
     assert Mean(n).influence(n - 1) == Mean(n).weights[n - 1] == 1.0 / n
     weighted = LinearWeighted((0.25, 0.5, 0.25))
     assert weighted.influence_bound() == 0.5
-    assert MajorityFraction(30).influence_bound() == 1.0 / 30
+    assert MajorityFraction(30).influence_bound() == _largest_count_step(30)
 
 
-def test_influence_constant_custom_is_zero():
-    summ = CustomSummarization(lambda x: 0.5, 3, declared_influence=0.25)
-    assert summ.influence(0) == 0.0
+def _largest_count_step(n):
+    """MajorityFraction(n)'s largest |S(c + 1 ones) - S(c ones)|, one
+    scalar ``evaluate`` per count."""
+    summ = MajorityFraction(n)
+    values = [summ.evaluate((1,) * c + (0,) * (n - c)) for c in range(n + 1)]
+    return max(abs(hi - lo) for lo, hi in zip(values, values[1:]))
+
+
+def test_majority_influence_is_its_largest_count_step():
+    # One flip moves the count by one, so the influence is the float step
+    # ``evaluate`` actually takes; above n = 20 it exceeds 1/n in the last
+    # bits (n = 30: 0.033...3344 against 0.033...3333).
+    for n in (1, 2, 3, 20, 21, 30, 1000):
+        summ = MajorityFraction(n)
+        step = _largest_count_step(n)
+        assert summ.influence_bound() == step
+        assert summ.influence(0) == summ.influence(n - 1) == step
+        with pytest.raises(InputError, match="out of range"):
+            summ.influence(n)
+    assert _largest_count_step(30) > 1.0 / 30
 
 
 def test_influence_majority_n3_matches_hand_enumeration():
@@ -178,22 +195,11 @@ def test_influence_majority_n3_matches_hand_enumeration():
 
 
 def test_influence_majority_closed_form_matches_enumeration():
-    # The n > 20 closed form must agree with the exact value where both exist.
+    # Away from the n = 1 case the influence is 1/n up to rounding.
     for n in (2, 3, 5, 8, 12):
         summ = MajorityFraction(n)
         assert summ.influence(0) == pytest.approx(1.0 / n)
     assert MajorityFraction(1).influence(0) == 0.0
-
-
-def test_custom_declared_influence_is_checkable():
-    # Mean-like custom function: true influence 0.25 per player.
-    summ = CustomSummarization(
-        lambda x: sum(x) / 4.0, 4, declared_influence=0.3
-    )
-    exact = summ.influence(0)
-    assert exact == pytest.approx(0.25)
-    assert exact <= summ.declared_influence
-    assert summ.influence_bound() == 0.3  # games trust the declaration
 
 
 @settings(max_examples=200)
@@ -295,6 +301,18 @@ def test_game_rejects_payoffs_outside_the_catalog(monkeypatch):
     monkeypatch.setattr(Affine, "derivative_bound", lambda self: math.inf)
     with pytest.raises(InputError, match=r"payoffs\[1\]\[0\] has derivative bound inf"):
         SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), (Affine(0.0, 1.0), Constant(0.5))))
+
+
+def test_game_rejects_summarizations_outside_the_three_kinds():
+    # A subclass could report any tau, and the bare base class has none.
+    class Halved(Mean):
+        def influence_bound(self):
+            return 0.5 / self.n
+
+    pairs = ((Constant(0.5), Constant(0.5)),) * 2
+    for outside in (Halved(2), Summarization(), None):
+        with pytest.raises(InputError, match=r"^summarization is a "):
+            SummGame(outside, pairs)
 
 
 def test_derivative_bounds():
@@ -520,12 +538,9 @@ def test_payoffs_are_evaluated_only_through_the_two_kernels(monkeypatch):
     monkeypatch.setattr(core._PayoffBank, "evaluate", recorded)
     rng = np.random.default_rng(13)
     mean, weighted = random_game(rng, 6), random_game(rng, 6, "linear")
-    custom = SummGame(
-        CustomSummarization(lambda acts: sum(acts) / 6, 6, 1 / 6),
-        mean.payoffs,
-    )
+    majority = SummGame(MajorityFraction(6), mean.payoffs)
     profile = MixedProfile(tuple(rng.uniform(size=6).tolist()))
-    for game in (mean, weighted, custom):
+    for game in (mean, weighted, majority):
         regret_pure(game, PureProfile((0, 1, 1, 0, 1, 0)))
         regret_mixed(game, profile)
         brute_min_epsilon(game)

@@ -163,58 +163,6 @@ def test_brute_majority_summarization():
     assert abs(report.epsilon_star - best) <= 1e-12
 
 
-def _quadratic_mean_game(n):
-    """Custom summarization (squared vote fraction) exercising the generic
-    row-loop batch paths; per-player influence is (2c+1)/n^2 for c opponents
-    playing 1, maximized at c = n-1, so (2n-1)/n^2 bounds it."""
-    from summgames import Affine, CustomSummarization, SummGame
-
-    summ = CustomSummarization(
-        lambda x: (sum(x) / len(x)) ** 2,
-        n,
-        declared_influence=(2 * n - 1) / n**2,
-    )
-    return SummGame(
-        summ, tuple((Affine(0.0, 1.0), Affine(1.0, -1.0)) for _ in range(n))
-    )
-
-
-def test_custom_summarization_brute_and_solver():
-    game = _quadratic_mean_game(5)
-    # Declared influence matches the exhaustive computation exactly.
-    assert game.summarization.influence(0) == pytest.approx(9 / 25)
-    report = brute_min_epsilon(game)
-    best = min(
-        max(regret_pure(game, PureProfile(acts)))
-        for acts in itertools.product((0, 1), repeat=5)
-    )
-    assert abs(report.epsilon_star - best) <= 1e-12
-    cert = summ_nash(game, 0.5)
-    assert cert.max_regret <= 3.0 * game.tau * game.rho + 0.5
-
-
-def test_custom_summarization_exact_mixed_regret():
-    game = _quadratic_mean_game(4)
-    profile = MixedProfile((0.3, 0.8, 0.5, 0.1))
-    result = regret_mixed(game, profile, mode="exact")
-    # Independent scalar enumeration.
-    for i in range(4):
-        dev = [0.0, 0.0]
-        cur = 0.0
-        for x in itertools.product((0, 1), repeat=4):
-            w = 1.0
-            for j, xj in enumerate(x):
-                w *= profile.probs[j] if xj else 1.0 - profile.probs[j]
-            s = game.summarization.evaluate(x)
-            cur += w * game.payoffs[i][x[i]].evaluate(s)
-            for b in (0, 1):
-                xb = x[:i] + (b,) + x[i + 1 :]
-                dev[b] += w * game.payoffs[i][b].evaluate(
-                    game.summarization.evaluate(xb)
-                )
-        assert abs(result.regrets[i] - (max(dev) - cur)) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Certificate validation
 # ---------------------------------------------------------------------------

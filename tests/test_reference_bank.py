@@ -16,7 +16,6 @@ from summgames import (
     Affine,
     AlphaGrid,
     Constant,
-    CustomSummarization,
     LinearWeighted,
     MajorityFraction,
     Mean,
@@ -126,9 +125,7 @@ def _summarization(kind, n, rng):
         return Mean(n)
     if kind == "majority":
         return MajorityFraction(n)
-    if kind == "linear":
-        return LinearWeighted(tuple(rng.uniform(0.2, 1.0, size=n)), normalize=True)
-    return CustomSummarization(lambda a: sum(a) / len(a), n, 1.0 / n)
+    return LinearWeighted(tuple(rng.uniform(0.2, 1.0, size=n)), normalize=True)
 
 
 def _game(kind, n, rng):
@@ -201,13 +198,12 @@ def test_bank_matches_reference_arithmetic():
             assert _bits(got) == _bits(shared[start:stop]), (width, start)
 
 
-@pytest.mark.parametrize("kind", ["mean", "majority", "linear", "custom"])
+@pytest.mark.parametrize("kind", ["mean", "majority", "linear"])
 def test_kernel_matches_reference_loop(kind):
     rng = np.random.default_rng(22)
-    sizes = (1, 3, 1023) if kind == "custom" else (1, 3, 1023, 1024, 16384)
-    for n in (1, 5) if kind == "custom" else (1, 6, 41):
+    for n in (1, 6, 41):
         game = _game(kind, n, rng)
-        for rows in sizes:
+        for rows in (1, 3, 1023, 1024, 16384):
             bits = rng.random((rows, n)) < rng.uniform()
             chunks = list(core._deviation_payoffs(game, bits))
             edges = [players.start for players, *_ in chunks] + [chunks[-1][0].stop]
@@ -221,10 +217,10 @@ def test_kernel_matches_reference_loop(kind):
                     assert _bits(x) == _bits(y), (kind, n, rows)
 
 
-@pytest.mark.parametrize("kind", ["mean", "majority", "linear", "custom"])
+@pytest.mark.parametrize("kind", ["mean", "majority", "linear"])
 def test_regret_pure_matches_reference_loop(kind):
     rng = np.random.default_rng(23)
-    for n in (1, 4) if kind == "custom" else (1, 7, 300):
+    for n in (1, 7, 300):
         game = _game(kind, n, rng)
         for _ in range(3):
             profile = PureProfile(tuple(int(a) for a in rng.integers(0, 2, n)))

@@ -25,7 +25,6 @@ from conftest import adoption_game, bar_game, consensus_game, random_game
 from summgames import (
     Affine,
     Constant,
-    CustomSummarization,
     LearnConfig,
     LinearWeighted,
     MajorityFraction,
@@ -264,10 +263,6 @@ def _ref_learn(game, epsilon, delta, initial, max_steps=None):
 # ---------------------------------------------------------------------------
 
 
-def _custom(n):
-    return CustomSummarization(lambda a: sum(a) / len(a), n, 1.0 / n)
-
-
 def _with_edge_payoffs(game, rng):
     """The game with some players' payoffs swapped for constant pairs with
     F0 == F1 and for pairs holding Constant(-0.0)."""
@@ -285,15 +280,10 @@ def _with_edge_payoffs(game, rng):
 
 def _regret_games(seed, sizes):
     rng = np.random.default_rng(seed)
-    for kind in ("mean", "majority", "linear", "custom"):
+    for kind in ("mean", "majority", "linear"):
         for n in sizes:
-            if kind == "custom" and n > 5:
-                continue
             base = random_game(rng, n, "linear" if kind == "linear" else "mean")
-            summ = {
-                "majority": MajorityFraction(n),
-                "custom": _custom(n),
-            }.get(kind, base.summarization)
+            summ = MajorityFraction(n) if kind == "majority" else base.summarization
             game = SummGame(summ, base.payoffs)
             yield kind, game
             yield kind, _with_edge_payoffs(game, rng)
@@ -319,7 +309,7 @@ def test_kernel_matches_reference_kernel(monkeypatch, select_rows):
     rng = np.random.default_rng(3)
     for kind, game in _regret_games(3, (1, 4, 9)):
         monkeypatch.setattr(core, "_CHUNK_CELLS", 3 * game.n)
-        for rows in (1, 5, 64 if kind == "custom" else 1500):
+        for rows in (1, 5, 1500):
             bits = rng.random((rows, game.n)) < 0.5
             ours = [
                 player
@@ -489,9 +479,8 @@ def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
         profile = _profile(rng, game.n)
         # Below the bitwise select, above it, and two blocks; none a
-        # multiple of the 7-row draw chunk. The black box stays small.
-        counts = (1, 500, 1103) if kind == "custom" else (1, 999, 17389)
-        for samples in counts:
+        # multiple of the 7-row draw chunk.
+        for samples in (1, 999, 17389):
             _check_monte_carlo(kind, game, profile, samples, samples)
 
 

@@ -12,12 +12,10 @@ from summgames import (
     AlphaGrid,
     BestResponses,
     ContractError,
-    CustomSummarization,
     Horizontal,
     InputError,
     Mean,
     PureProfile,
-    SummGame,
     VTable,
     Vertical,
     build_v_table,
@@ -209,16 +207,14 @@ def test_vertical_walk_at_scale_evaluates_few_rows(monkeypatch):
 
 
 def test_walk_under_an_understated_influence_is_contract_error():
-    # S is the mean of two players, so the walk's values are 1, 0.5 and 0,
-    # none within the declared tau of the edge 0.25; tau = 0 never lands.
-    for declared in (0.01, 0.0):
-        summ = CustomSummarization(lambda a: sum(a) / len(a), 2, declared)
-        game = SummGame(summ, bar_game(2).payoffs)
-        assert game.tau == declared
-        ones, zeros = PureProfile((1, 1)), PureProfile((0, 0))
-        fake = VTable(AlphaGrid(4), (ones, zeros, zeros, zeros), (1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ContractError, match="influence bound"):
-            find_vertical_and_walk(game, fake)
+    # The fake table's rows do not give its values: the walk from 1111 to
+    # 1110 takes S through 1.0 and 0.75, never within tau = 0.25 of the
+    # edge 0.25, which a table built from the game cannot do.
+    game = bar_game(4)
+    start, rest = PureProfile((1, 1, 1, 1)), PureProfile((1, 1, 1, 0))
+    fake = VTable(AlphaGrid(4), (start, rest, rest, rest), (1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ContractError, match="within tau of the crossing boundary"):
+        find_vertical_and_walk(game, fake)
 
 
 def test_vertical_walk_degenerate_equal_brs_is_contract_error():
