@@ -78,6 +78,18 @@ def adoption_game(n: int) -> SummGame:
     )
 
 
+def threshold_game(thresholds) -> SummGame:
+    """Player i prefers action 1 while the mean is below thresholds[i]:
+    F0 = 1/2, F1 = 1/2 + (thresholds[i] - z)/2, so players who agree at a
+    low mean part ways at a higher one."""
+    return SummGame(
+        Mean(len(thresholds)),
+        tuple(
+            (Constant(0.5), Affine(0.5 + 0.5 * float(h), -0.5)) for h in thresholds
+        ),
+    )
+
+
 def constant_game(n: int, c0: float = 0.5, c1: float = 0.5) -> SummGame:
     return SummGame(
         Mean(n), tuple((Constant(c0), Constant(c1)) for _ in range(n))

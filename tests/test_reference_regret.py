@@ -21,7 +21,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adoption_game, bar_game, consensus_game, random_game
+from conftest import (
+    adoption_game,
+    bar_game,
+    consensus_game,
+    random_game,
+    random_payoff,
+    threshold_game,
+)
 from summgames import (
     Affine,
     Constant,
@@ -41,7 +48,7 @@ from summgames import (
     regret_pure,
     run_summ_learn,
 )
-from summgames import core
+from summgames import core, learning
 from summgames.learning import default_step_cap
 
 _REF_BATCH_ROWS = 1 << 14
@@ -576,35 +583,83 @@ def test_monte_carlo_stderrs_match_two_pass_fsum():
 
 
 def _learn_cases():
+    """(game, epsilon, delta, initial, step cap, snapshot_every) per run."""
     rng = np.random.default_rng(8)
     for n in (1, 4, 30, 120):
         for kind in ("mean", "linear"):
             game = random_game(rng, n, kind)
-            yield game, 0.5, 1e-3, _profile(rng, n), 3000
-            yield _with_edge_payoffs(game, rng), 0.3, 1e-4, _profile(rng, n), 3000
+            yield game, 0.5, 1e-3, _profile(rng, n), 3000, 1
+            yield _with_edge_payoffs(game, rng), 0.3, 1e-4, _profile(rng, n), 3000, 1
     # The oscillating bar game from all zeros, and one from all ones.
-    yield bar_game(50), 0.5, 1e-4, MixedProfile((0.0,) * 50), 600
-    yield bar_game(7), 0.25, 0.0, MixedProfile((1.0,) * 7), 300
+    yield bar_game(50), 0.5, 1e-4, MixedProfile((0.0,) * 50), 600, 1
+    yield bar_game(7), 0.25, 0.0, MixedProfile((1.0,) * 7), 300, 1
+    # Players that share a class from the start: a few repeated initial
+    # probabilities, and under weights, repeated weights too.
+    for kind in ("mean", "linear"):
+        game = random_game(rng, 40, kind)
+        start = rng.choice([0.0, 0.2, 0.5, 1.0, 0.2000000000000001], size=40)
+        yield game, 0.5, 1e-4, MixedProfile(tuple(start.tolist())), 3000, 3
+    weights = tuple(float(w) for w in rng.choice([0.125, 0.25, 0.375], size=12))
+    game = SummGame(
+        LinearWeighted(weights, normalize=True),
+        tuple((random_payoff(rng), random_payoff(rng)) for _ in range(12)),
+    )
+    yield game, 0.5, 1e-4, MixedProfile((0.25,) * 6 + (0.75,) * 6), 3000, 4
+    # Signed zeros in the initial probabilities and in the weights, which
+    # start classes of their own.
+    zeros = (-0.0, 0.0, -0.0, 0.0, 0.5, -0.0)
+    game = random_game(rng, 6, "mean")
+    yield game, 0.5, 1e-4, MixedProfile(zeros), 3000, 5
+    yield game, 0.5, 1e-4, MixedProfile((-0.0,) * 6), 3000, 5
+    signed = SummGame(
+        LinearWeighted((0.0, -0.0, 0.25, 0.25, -0.0, 0.5)),
+        tuple((random_payoff(rng), random_payoff(rng)) for _ in range(6)),
+    )
+    yield signed, 0.5, 1e-4, MixedProfile(zeros), 3000, 5
+    # One class from the start, split once the mean passes 0.3.
+    thresholds = (0.3, 0.7) * 15
+    yield threshold_game(thresholds), 0.5, 1e-4, MixedProfile((0.0,) * 30), 3000, 7
+    # Probabilities that decay through the subnormals to zero: rho = 0, so
+    # alpha = 1 and beta = 1/2, and 1100 steps halve 1.0 past 2**-1074.
+    decay = (1.0, 0.75, 0.75, 1e-300, 0.3)
+    for summ in (Mean(5), LinearWeighted((0.1, 0.2, 0.2, 0.25, 0.25))):
+        game = SummGame(summ, ((Constant(1.0), Constant(0.0)),) * 5)
+        yield game, 0.5, 0.0, MixedProfile(decay), 1100, 10
+    # A single player.
+    yield bar_game(1), 0.5, 1e-4, MixedProfile((0.3,)), 3000, 4
+    yield random_game(rng, 1, "linear"), 0.5, 1e-4, MixedProfile((0.9,)), 3000, 6
 
 
-def test_learner_matches_reference_loop():
-    for game, epsilon, delta, initial, cap in _learn_cases():
-        config = LearnConfig(
-            epsilon=epsilon, delta=delta, max_steps=cap, snapshot_probs=True
-        )
-        trajectory, cert, diagnostics = run_summ_learn(game, config, initial=initial)
+def test_learner_matches_reference_loop(monkeypatch):
+    # Below n = 2C + _EXPAND_SLACK the learner sums the n players' terms;
+    # a slack of -inf makes it split every class's term, at every n.
+    slacks = (learning._EXPAND_SLACK, -math.inf)
+    for game, epsilon, delta, initial, cap, every in _learn_cases():
         records, steps, final, visits = _ref_learn(game, epsilon, delta, initial, cap)
-        assert trajectory.terminated.step == steps
-        assert [s.t for s in trajectory.steps] == [r[0] for r in records]
-        assert _bits([s.mu for s in trajectory.steps]) == _bits([r[1] for r in records])
-        assert _bits([s.max_delta for s in trajectory.steps]) == _bits(
-            [r[2] for r in records]
+        # Every snapshot_every-th step and the final one are recorded.
+        records = [r for r in records if r[0] % every == 0 or r[0] == steps - 1]
+        config = LearnConfig(
+            epsilon=epsilon,
+            delta=delta,
+            max_steps=cap,
+            snapshot_every=every,
+            snapshot_probs=True,
         )
-        for step, record in zip(trajectory.steps, records):
-            assert _bits(step.probs) == _bits(record[3])
-            assert all(type(p) is float for p in step.probs)
-        assert _bits(trajectory.final.probs) == _bits(final)
-        assert _bits(cert.profile.probs) == _bits(final)
-        assert [(v.interval, v.start, v.duration) for v in diagnostics.visit_log] == visits
-        assert all(type(s.mu) is float and type(s.max_delta) is float for s in trajectory.steps)
-
+        for slack in slacks:
+            monkeypatch.setattr(learning, "_EXPAND_SLACK", slack)
+            trajectory, cert, diagnostics = run_summ_learn(game, config, initial=initial)
+            assert trajectory.terminated.step == steps
+            assert [s.t for s in trajectory.steps] == [r[0] for r in records]
+            assert _bits([s.mu for s in trajectory.steps]) == _bits([r[1] for r in records])
+            assert _bits([s.max_delta for s in trajectory.steps]) == _bits(
+                [r[2] for r in records]
+            )
+            for step, record in zip(trajectory.steps, records):
+                assert _bits(step.probs) == _bits(record[3])
+                assert all(type(p) is float for p in step.probs)
+            assert _bits(trajectory.final.probs) == _bits(final)
+            assert _bits(cert.profile.probs) == _bits(final)
+            assert [(v.interval, v.start, v.duration) for v in diagnostics.visit_log] == visits
+            assert all(
+                type(s.mu) is float and type(s.max_delta) is float for s in trajectory.steps
+            )
