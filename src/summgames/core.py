@@ -7,7 +7,11 @@ summarization value that results when i plays b. Two bounds parameterize
 every guarantee in this library:
 
 * ``tau``  -- the influence bound: the largest change any single player can
-  cause in the summarization value by switching their own action.
+  cause in the summarization value by switching their own action, one
+  number per summarization (``influence_bound``). For the count-based kinds
+  it is the largest float step S takes between neighbouring counts; for a
+  weighted vote it is the largest weight, which a float step can exceed by
+  rounding (the solver's walk allows 4*n*eps for that).
 * ``rho``  -- the derivative bound: a bound on |F'| over all 2n payoff
   functions.
 
@@ -77,12 +81,6 @@ _COUNT_PART_CHUNKS = 8
 # 1.3-2 times slower, and chunks of 2^18 cells 4-6 times slower. Exact
 # ``regret_mixed`` evaluates one player at a time.
 _CHUNK_PLAYER_CELLS = 1 << 14
-
-# From this many rows up, the payoff a player receives is picked with a
-# branch-free bitwise select, which costs a fixed few microseconds more
-# than ``np.where`` but does not slow down on unpredictable masks (at
-# 16384 random rows: 38 against 133 microseconds).
-_BITWISE_SELECT_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,9 @@ def _profile_blocks(summ: "Summarization"):
 class Summarization:
     """Aggregates a joint pure play into a single value in [0, 1].
 
-    Subclasses provide per-player influence and one arithmetic path, the
-    batch protocol, over a (rows, n) 0/1 float matrix of profiles:
+    Subclasses provide the influence bound tau, ``influence_bound()``, and
+    one arithmetic path, the batch protocol, over a (rows, n) 0/1 float
+    matrix of profiles:
     ``batch_state`` builds a per-row intermediate, an array whose first
     axis is the rows, ``batch_value`` maps it to summarization values, and
     ``batch_deviation(state, x, players)``, given the 0/1 columns x (bool
@@ -204,8 +203,9 @@ class Summarization:
         bits = np.asarray(actions, dtype=np.float64)[None, :]
         return float(self.batch_value(self.batch_state(bits))[0])
 
-    def influence(self, i: int) -> float:
-        """The largest |S(x with i playing 0) - S(x with i playing 1)|."""
+    def influence_bound(self) -> float:
+        """tau: a bound on |S(x with i playing 0) - S(x with i playing 1)|
+        over every player i and profile x."""
         raise NotImplementedError
 
     def _check_arity(self, actions: Sequence[int]) -> None:
@@ -226,22 +226,6 @@ class Summarization:
         raise NotImplementedError
 
 
-class _LinearBase(Summarization):
-    """Summarizations of the form sum_i w_i x_i; subclasses expose the
-    weight vector as ``weights``."""
-
-    is_linear = True
-    weights: tuple[float, ...]
-
-    def influence(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        return self.weights[i]
-
-    def influence_bound(self) -> float:
-        return max(self.weights)
-
-
 class _CountBase(Summarization):
     """Summarizations that depend only on the number of players playing 1.
 
@@ -252,6 +236,12 @@ class _CountBase(Summarization):
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def influence_bound(self) -> float:
+        # Every player moves the count by one, so tau is S's largest float
+        # step between neighbouring counts.
+        values = self._of_count(np.arange(self.n + 1.0))
+        return float(np.abs(np.diff(values)).max())
 
     def batch_state(self, bits: np.ndarray) -> np.ndarray:
         return bits.sum(axis=1)
@@ -265,10 +255,11 @@ class _CountBase(Summarization):
 
 
 @dataclass(frozen=True)
-class Mean(_CountBase, _LinearBase):
+class Mean(_CountBase):
     """The vote fraction: every player carries weight 1/n."""
 
     n: int
+    is_linear = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -278,18 +269,12 @@ class Mean(_CountBase, _LinearBase):
     def weights(self) -> tuple[float, ...]:
         return (1.0 / self.n,) * self.n
 
-    # The same float as every entry of ``weights``, without building them.
-    def influence(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        return 1.0 / self.n
-
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         return ones / self.n
 
 
 @dataclass(frozen=True)
-class LinearWeighted(_LinearBase):
+class LinearWeighted(Summarization):
     """Weighted vote sum_i w_i x_i with nonnegative weights summing to <= 1.
 
     With ``normalize=True`` the weights are rescaled to sum to exactly 1;
@@ -302,6 +287,7 @@ class LinearWeighted(_LinearBase):
     weights: tuple[float, ...]
     normalize: bool = False
     _w: np.ndarray = field(init=False, repr=False, compare=False)
+    is_linear = True
 
     def __post_init__(self) -> None:
         ws = tuple(float(w) for w in self.weights)
@@ -337,6 +323,9 @@ class LinearWeighted(_LinearBase):
     def n(self) -> int:
         return len(self.weights)
 
+    def influence_bound(self) -> float:
+        return max(self.weights)
+
     # einsum reduces each row on its own, so a row's sum does not depend on
     # the batch it sits in; a BLAS matrix-vector product does not promise
     # that.
@@ -366,17 +355,6 @@ class MajorityFraction(_CountBase):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("player count must be >= 1")
-
-    def influence(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise InputError(f"player index {i} out of range for n={self.n}")
-        return self.influence_bound()
-
-    def influence_bound(self) -> float:
-        # Every player moves the count by one, so the influence is S's
-        # largest float step between neighbouring counts.
-        values = self._of_count(np.arange(self.n + 1.0))
-        return float(np.abs(np.diff(values)).max())
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         return np.maximum(ones, self.n - ones) / self.n
@@ -747,12 +725,13 @@ def _block_state(summ: Summarization, bits: np.ndarray):
 def _select(x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """f1 where the bool x is set, f0 elsewhere, bit for bit.
 
-    Long blocks use f0 ^ ((f0 ^ f1) & -x) on the int64 views, which copies
-    the chosen bits exactly (signed zeros included) without a branch per
-    row; short ones use ``np.where``, which has less fixed cost.
+    Computes f0 ^ ((f0 ^ f1) & -x) on the int64 views, which copies the
+    chosen bits exactly, signed zeros included, as ``np.where(x, f1, f0)``
+    does, but without a branch per element: on the i.i.d. masks of
+    weighted Monte Carlo ``np.where`` took 12-26 % longer at n = 1000. On
+    the regular masks of an enumeration, or one profile row, ``np.where``
+    is the faster of the two.
     """
-    if x.size < _BITWISE_SELECT_ROWS:
-        return np.where(x, f1, f0)
     a = f0.view(np.int64)
     mask = x.astype(np.int64)
     np.negative(mask, out=mask)
@@ -782,11 +761,12 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     """Yield, chunk by chunk of players, the payoffs of unilateral deviations.
 
     For the (rows, n) bool matrix ``bits`` and consecutive player slices
-    ``players``, yields (players, f0, f1, current), each array (players,
-    rows): f0 and f1 are the chunk's ``_deviation_values`` and
-    current[j, r] = f_{x_ri}[j, r] the payoff i = players.start + j
-    actually receives. The state comes from ``_block_state`` and the
-    columns from the C-contiguous (n, rows) transpose of bits. That holds
+    ``players``, yields (players, x, f0, f1), each array (players, rows):
+    x is the chunk's columns of bits, and f0 and f1 its
+    ``_deviation_values``, so the payoff i = players.start + j actually
+    receives on row r is f_{x[j, r]}[j, r]: playing x_i is deviating to
+    it. The state comes from ``_block_state`` and the columns from the
+    C-contiguous (n, rows) transpose of bits. That holds
     O(rows * n) bools plus float64 arrays of one chunk's size. Each row of
     a yielded array is contiguous, so per-player reductions over it sum in
     the same order as over a lone (rows,) array.
@@ -798,9 +778,7 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         x = columns[players]
-        f0, f1 = _deviation_values(game, state, x, players)
-        # Playing x_i is deviating to it, so i receives f_{x_i}.
-        yield players, f0, f1, _select(x, f0, f1)
+        yield (players, x, *_deviation_values(game, state, x, players))
 
 
 def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
@@ -815,8 +793,8 @@ def regret_pure(game: SummGame, profile: PureProfile) -> tuple[float, ...]:
     game._check_profile(profile.n)
     bits = np.array([profile.actions], dtype=bool)
     regrets: list[float] = []
-    for _, f0, f1, current in _deviation_payoffs(game, bits):
-        regrets.extend((np.maximum(f0, f1) - current)[:, 0].tolist())
+    for _, x, f0, f1 in _deviation_payoffs(game, bits):
+        regrets.extend((np.maximum(f0, f1) - np.where(x, f1, f0))[:, 0].tolist())
     return tuple(regrets)
 
 
@@ -971,7 +949,9 @@ def _sample_gains(game: SummGame, row: np.ndarray) -> np.ndarray:
     """The (n, 2) gains g_b of each player deviating to b at the one
     profile ``row``: Monte Carlo's per-player, per-action shift."""
     chunks = _deviation_payoffs(game, row[None, :])
-    return np.concatenate([np.hstack((f0, f1)) - x for _, f0, f1, x in chunks])
+    return np.concatenate(
+        [np.hstack((f0, f1)) - np.where(x, f1, f0) for _, x, f0, f1 in chunks]
+    )
 
 
 def _draw_profiles(
@@ -1034,7 +1014,8 @@ def _monte_carlo_mixed_regret(
         else:
             bits = buffer[:rows]
             _draw_profiles(rng, probs, draws, bits)
-            for players, f0, f1, current in _deviation_payoffs(game, bits):
+            for players, x, f0, f1 in _deviation_payoffs(game, bits):
+                current = _select(x, f0, f1)
                 for b, fb in ((0, f0), (1, f1)):
                     # Each row of g is contiguous, so its sum is the one
                     # that row alone gives; g then becomes g - K in place.

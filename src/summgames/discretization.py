@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHUNK_CELLS, SummGame, _chunk_players
+from .core import SummGame, _chunk_players
 from .errors import CapabilityError, InputError
 
 __all__ = [
@@ -117,16 +117,16 @@ def _best_responses(game: SummGame, points) -> np.ndarray:
     F_0^i(z): action 1 only where it pays strictly more, ties to action 0.
     The payoff values are neither kept nor range-checked: on validated
     coefficients every catalog formula lies in [0, 1] (a constant by its
-    check, the others clip). All players form one chunk when their
-    n*len(points) cells fit in ``_CHUNK_CELLS``, so each payoff kind is one
-    call per action on the points, shared as one row; larger requests go in
-    chunks of at most ``_CHUNK_PLAYER_CELLS`` cells (at least one player).
+    check, the others clip). Players go in chunks of ``_chunk_players``, as
+    in every payoff-kernel call, with the points shared as one row: a probe
+    (one point) is one chunk, so one call per payoff kind and action, up to
+    16384 players.
     """
     points = np.asarray(points, dtype=np.float64)[None, :]
     n, count = game.n, points.shape[1]
     bank0, bank1 = game._payoff_banks()
     bits = np.empty((n, count), dtype=bool)
-    width = n if n * count <= _CHUNK_CELLS else _chunk_players(count)
+    width = _chunk_players(count)
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         f0 = bank0.evaluate(players, points)

@@ -207,19 +207,23 @@ def parse_game(doc: Any) -> SummGame:
     return SummGame(summarization, tuple(pairs))
 
 
-def load_game(path: str) -> tuple[SummGame, str]:
-    """Read a game file; returns the game and the file's SHA-256 digest."""
+def _read_json(path: str, what: str) -> tuple[bytes, Any]:
+    """The bytes of the ``what`` file at path and the JSON they decode to."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as err:
-        raise InputError(f"cannot read game file {path}: {err}") from err
-    digest = hashlib.sha256(raw).hexdigest()
+        raise InputError(f"cannot read {what} {path}: {err}") from err
     try:
-        doc = json.loads(raw)
+        return raw, json.loads(raw)
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
-    return parse_game(doc), digest
+
+
+def load_game(path: str) -> tuple[SummGame, str]:
+    """Read a game file; returns the game and the file's SHA-256 digest."""
+    raw, doc = _read_json(path, "game file")
+    return parse_game(doc), hashlib.sha256(raw).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +322,7 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
 
 
 def load_certificate(path: str) -> EquilibriumCertificate:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise InputError(f"cannot read certificate file {path}: {err}") from err
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise InputError(f"{path} is not valid JSON: {err}") from err
-    return certificate_from_doc(doc)
+    return certificate_from_doc(_read_json(path, "certificate file")[1])
 
 
 # ---------------------------------------------------------------------------

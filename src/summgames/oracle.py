@@ -19,7 +19,6 @@ from .core import (
     _chunk_players,
     _deviation_values,
     _profile_blocks,
-    _select,
     regret_mixed,
     regret_pure,
 )
@@ -90,7 +89,7 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             if len(alive) < rows:
                 x = x[:, alive]
             f0, f1 = _deviation_values(game, state, x, players)
-            for regret in np.maximum(f0, f1) - _select(x, f0, f1):
+            for regret in np.maximum(f0, f1) - np.where(x, f1, f0):
                 np.maximum(worst, regret, out=worst)
             keep = worst < best_value
             if not keep.all():

@@ -140,43 +140,42 @@ def test_linear_weighted_validation():
 
 
 def test_influence_mean():
-    assert Mean(10).influence(3) == pytest.approx(0.1)
+    assert Mean(10).influence_bound() == pytest.approx(0.1)
 
 
 def test_mean_game_builds_in_linear_time():
-    # tau is the same float as every weight, found without n influence
-    # calls that each build the n weights.
+    # tau is one vectorized pass over the n + 1 counts.
     n = 10**5
     start = time.perf_counter()
     game = bar_game(n)
     assert time.perf_counter() - start < 2.0
-    assert game.tau == 1.0 / n
-    assert Mean(n).influence(n - 1) == Mean(n).weights[n - 1] == 1.0 / n
+    # The largest float step count/n takes, 1/n up to its last bits.
+    assert game.tau == 1.0000000000065512e-05
+    assert Mean(n).weights[n - 1] == 1.0 / n
     weighted = LinearWeighted((0.25, 0.5, 0.25))
     assert weighted.influence_bound() == 0.5
-    assert MajorityFraction(30).influence_bound() == _largest_count_step(30)
+    assert MajorityFraction(30).influence_bound() == _largest_count_step(
+        MajorityFraction(30)
+    )
 
 
-def _largest_count_step(n):
-    """MajorityFraction(n)'s largest |S(c + 1 ones) - S(c ones)|, one
-    scalar ``evaluate`` per count."""
-    summ = MajorityFraction(n)
+def _largest_count_step(summ):
+    """A count-based S's largest |S(c + 1 ones) - S(c ones)|, one scalar
+    ``evaluate`` per count."""
+    n = summ.n
     values = [summ.evaluate((1,) * c + (0,) * (n - c)) for c in range(n + 1)]
     return max(abs(hi - lo) for lo, hi in zip(values, values[1:]))
 
 
-def test_majority_influence_is_its_largest_count_step():
-    # One flip moves the count by one, so the influence is the float step
-    # ``evaluate`` actually takes; above n = 20 it exceeds 1/n in the last
-    # bits (n = 30: 0.033...3344 against 0.033...3333).
-    for n in (1, 2, 3, 20, 21, 30, 1000):
-        summ = MajorityFraction(n)
-        step = _largest_count_step(n)
-        assert summ.influence_bound() == step
-        assert summ.influence(0) == summ.influence(n - 1) == step
-        with pytest.raises(InputError, match="out of range"):
-            summ.influence(n)
-    assert _largest_count_step(30) > 1.0 / 30
+def test_count_influence_is_its_largest_count_step():
+    # One flip moves the count by one, so tau is the float step
+    # ``evaluate`` actually takes; it exceeds 1/n in the last bits for most
+    # n (n = 30: 0.033...3344 against 0.033...3333, for both kinds).
+    for kind in (Mean, MajorityFraction):
+        for n in (1, 2, 3, 10, 30, 1000):
+            summ = kind(n)
+            assert summ.influence_bound() == _largest_count_step(summ), (kind, n)
+        assert _largest_count_step(kind(30)) > 1.0 / 30
 
 
 def test_influence_majority_n3_matches_hand_enumeration():
@@ -191,15 +190,15 @@ def test_influence_majority_n3_matches_hand_enumeration():
             acts[i] = 1
             hi = summ.evaluate(tuple(acts))
             worst = max(worst, abs(lo - hi))
-        assert summ.influence(i) == worst == pytest.approx(1.0 / 3.0)
+        assert summ.influence_bound() == worst == pytest.approx(1.0 / 3.0)
 
 
 def test_influence_majority_closed_form_matches_enumeration():
     # Away from the n = 1 case the influence is 1/n up to rounding.
     for n in (2, 3, 5, 8, 12):
         summ = MajorityFraction(n)
-        assert summ.influence(0) == pytest.approx(1.0 / n)
-    assert MajorityFraction(1).influence(0) == 0.0
+        assert summ.influence_bound() == pytest.approx(1.0 / n)
+    assert MajorityFraction(1).influence_bound() == 0.0
 
 
 @settings(max_examples=200)
@@ -223,8 +222,11 @@ def test_influence_bounds_any_profile(data):
     i = data.draw(st.integers(0, n - 1))
     lo = summ.evaluate(actions[:i] + (0,) + actions[i + 1 :])
     hi = summ.evaluate(actions[:i] + (1,) + actions[i + 1 :])
-    assert abs(lo - hi) <= summ.influence(i) + 1e-12
-    assert summ.influence(i) <= summ.influence_bound() + 1e-12
+    # A count-based tau is S's own largest float step, so it bounds every
+    # flip exactly; a weighted step can exceed the largest weight by
+    # rounding.
+    slack = 1e-12 if kind == "linear" else 0.0
+    assert abs(lo - hi) <= summ.influence_bound() + slack
 
 
 # ---------------------------------------------------------------------------

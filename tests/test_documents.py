@@ -21,6 +21,7 @@ from summgames import (
 from summgames.documents import (
     certificate_from_doc,
     certificate_to_doc,
+    load_certificate,
     load_game,
     parse_game,
 )
@@ -148,6 +149,27 @@ def test_load_game_reports_digest_and_json_errors(tmp_path):
         load_game(str(broken))
     with pytest.raises(InputError):
         load_game(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize(
+    "load, what", [(load_game, "game file"), (load_certificate, "certificate file")]
+)
+def test_loaders_report_unreadable_files_and_invalid_json(tmp_path, load, what):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(InputError) as caught:
+        load(missing)
+    assert str(caught.value) == (
+        f"cannot read {what} {missing}: [Errno 2] No such file or directory: "
+        f"'{missing}'"
+    )
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    with pytest.raises(InputError) as caught:
+        load(str(broken))
+    assert str(caught.value) == (
+        f"{broken} is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)"
+    )
 
 
 def test_certificate_roundtrip_pure():

@@ -211,10 +211,11 @@ def test_kernel_matches_reference_loop(kind):
             ours = [triple for _, *arrays in chunks for triple in zip(*arrays)]
             ref = list(_ref_deviation_payoffs(game, bits))
             assert len(ours) == len(ref) == n
-            for a, b in zip(ours, ref):
-                for x, y in zip(a, b):
-                    assert x.flags.c_contiguous
-                    assert _bits(x) == _bits(y), (kind, n, rows)
+            for i, ((x, f0, f1), (r0, r1, current)) in enumerate(zip(ours, ref)):
+                assert x.tobytes() == bits[:, i].tobytes()
+                for a, b in ((f0, r0), (f1, r1), (np.where(x, f1, f0), current)):
+                    assert a.flags.c_contiguous
+                    assert _bits(a) == _bits(b), (kind, n, rows)
 
 
 @pytest.mark.parametrize("kind", ["mean", "majority", "linear"])

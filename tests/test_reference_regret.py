@@ -309,10 +309,9 @@ def _profile(rng, n):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("select_rows", [1, core._BITWISE_SELECT_ROWS, 1 << 30])
-def test_kernel_matches_reference_kernel(monkeypatch, select_rows):
-    # Both selects, and states built from chunks of 3 rows.
-    monkeypatch.setattr(core, "_BITWISE_SELECT_ROWS", select_rows)
+def test_kernel_matches_reference_kernel(monkeypatch):
+    # States built from chunks of 3 rows; both selects of the payoff a
+    # player receives.
     rng = np.random.default_rng(3)
     for kind, game in _regret_games(3, (1, 4, 9)):
         monkeypatch.setattr(core, "_CHUNK_CELLS", 3 * game.n)
@@ -325,9 +324,20 @@ def test_kernel_matches_reference_kernel(monkeypatch, select_rows):
             ]
             ref = list(_ref_deviation_payoffs(game, bits.astype(np.float64)))
             assert len(ours) == len(ref) == game.n
-            for a, b in zip(ours, ref):
-                for x, y in zip(a, b):
-                    assert _bits(x) == _bits(y), (kind, rows)
+            for (x, f0, f1), (r0, r1, current) in zip(ours, ref):
+                assert _bits(f0) == _bits(r0) and _bits(f1) == _bits(r1), (kind, rows)
+                for select in (np.where(x, f1, f0), core._select(x, f0, f1)):
+                    assert _bits(select) == _bits(current), (kind, rows)
+
+
+def test_select_copies_the_bits_np_where_picks():
+    # Signed zeros included: 0.0 == -0.0, so only the bits tell them apart.
+    rng = np.random.default_rng(31)
+    values = np.array([0.0, -0.0, 1.0, 0.5, -2.5, 5e-324])
+    for shape in ((1,), (1, 7), (5, 1024), (3, 4099)):
+        x = rng.random(shape) < rng.uniform()
+        f0, f1 = (values[rng.integers(0, len(values), shape)] for _ in range(2))
+        assert _bits(core._select(x, f0, f1)) == _bits(np.where(x, f1, f0)), shape
 
 
 def test_regret_pure_matches_reference():
