@@ -309,12 +309,13 @@ def _profile(rng, n):
 # ---------------------------------------------------------------------------
 
 
-def test_kernel_matches_reference_kernel(monkeypatch):
-    # States built from chunks of 3 rows; both selects of the payoff a
-    # player receives.
+@pytest.mark.parametrize("chunk_rows", [1, 1024, 1 << 30])
+def test_kernel_matches_reference_kernel(monkeypatch, chunk_rows):
+    # States built from chunks of one row, of 1024 rows (1500 rows make two
+    # chunks) and of all rows; both selects of the payoff a player receives.
     rng = np.random.default_rng(3)
     for kind, game in _regret_games(3, (1, 4, 9)):
-        monkeypatch.setattr(core, "_CHUNK_CELLS", 3 * game.n)
+        monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
         for rows in (1, 5, 1500):
             bits = rng.random((rows, game.n)) < 0.5
             ours = [
