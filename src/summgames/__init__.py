@@ -56,7 +56,6 @@ from .solver import (
     EquilibriumCertificate,
     Horizontal,
     Learned,
-    BestResponses,
     VTable,
     Vertical,
     build_v_table,
@@ -69,7 +68,6 @@ __all__ = [
     "__version__",
     "Affine",
     "AlphaGrid",
-    "BestResponses",
     "BruteForceReport",
     "CapabilityError",
     "Constant",

@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .core import MixedProfile
+from .core import MC_SAMPLES, MixedProfile
 from .discretization import make_grid
 from .documents import (
     certificate_to_doc,
@@ -62,10 +62,12 @@ def _game_section(path: str, digest: str, game) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     game, digest = load_game(args.game)
-    certificate = summ_nash(game, args.epsilon)
     grid = make_grid(args.epsilon, game.rho)
-    if args.emit_vtable:
-        write_vtable(args.emit_vtable, build_v_table(game, grid))
+    # Built first, so a table over the grid-cell cap refuses before solving.
+    table = build_v_table(game, grid) if args.emit_vtable else None
+    certificate = summ_nash(game, args.epsilon)
+    if table is not None:
+        write_vtable(args.emit_vtable, table)
     doc = {
         "tool": _TOOL,
         "command": "solve",
@@ -84,6 +86,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.snapshot_probs and not args.trajectory:
+        raise InputError("--snapshot-probs needs --trajectory to write the probabilities")
     game, digest = load_game(args.game)
     config = LearnConfig(
         epsilon=args.epsilon,
@@ -238,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="seed for the Monte-Carlo regret certification of large games",
     )
-    learn.add_argument("--samples", type=int, default=20000)
+    learn.add_argument("--samples", type=int, default=MC_SAMPLES)
     learn.add_argument(
         "--initial-prob", type=_float_arg, default=0.5,
         help="initial probability of action 1 for every player",
@@ -255,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("game")
     verify.add_argument("certificate", help="certificate or solve/learn result document")
     verify.add_argument("--mode", choices=["auto", "exact", "mc"], default="auto")
-    verify.add_argument("--samples", type=int, default=20000)
+    verify.add_argument("--samples", type=int, default=MC_SAMPLES)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(handler=_cmd_verify)
 

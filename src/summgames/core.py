@@ -57,13 +57,16 @@ __all__ = [
 # Exact mixed-strategy regret enumerates all 2^n profiles.
 EXACT_REGRET_MAX_PLAYERS = 20
 
+# Profiles drawn by a Monte-Carlo regret when the caller names no count.
+MC_SAMPLES = 20000
+
 # Rows per block when enumerating or sampling profiles with numpy. Monte
 # Carlo sums its gains block by block, so this is also its summation unit.
 _BATCH_ROWS = 1 << 14
 
-# A block is a (rows, n) bool matrix; the summarization state is built from
-# float64 copies of at most this many cells at a time (2 MB), and Monte
-# Carlo draws its uniforms in chunks of the same size.
+# A block is a (rows, n) bool matrix; a weighted summarization builds its
+# state from float64 copies of at most this many cells at a time (2 MB),
+# and Monte Carlo draws its uniforms in chunks of the same size.
 _CHUNK_CELLS = 1 << 18
 
 # Under a count-based S, Monte Carlo needs only each block's count
@@ -138,8 +141,9 @@ def _profile_blocks(summ: "Summarization"):
     take the same values in every block: they are decoded once, and each
     block only refills the other, high columns with its constant bits. A
     count-based S's state is the low bits' count, summed once, plus the
-    high bits': exact integers, the floats ``_block_state`` sums, which
-    builds a weighted S's state from a (rows, n) copy of the block.
+    high bits': exact integers, the floats its ``batch_state`` sums. A
+    weighted S's state is its ``batch_state`` of a (rows, n) bool copy of
+    the block, which makes float64 copies of row chunks.
     """
     n = summ.n
     total = 1 << n
@@ -166,7 +170,7 @@ def _profile_blocks(summ: "Summarization"):
             state = low_ones + float(start.bit_count())
         else:
             bits[:, :high] = prefix
-            state = _block_state(summ, bits)
+            state = summ.batch_state(bits)
         yield start, columns, state
 
 
@@ -179,18 +183,18 @@ class Summarization:
     """Aggregates a joint pure play into a single value in [0, 1].
 
     Subclasses provide the influence bound tau, ``influence_bound()``, and
-    one arithmetic path, the batch protocol, over a (rows, n) 0/1 float
-    matrix of profiles:
-    ``batch_state`` builds a per-row intermediate, an array whose first
-    axis is the rows, ``batch_value`` maps it to summarization values, and
+    one arithmetic path, the batch protocol, over a (rows, n) bool block of
+    profiles: ``batch_state`` builds a per-row intermediate from the block,
+    an array whose first axis is the rows (only ``LinearWeighted`` copies
+    rows to float64, a row chunk at a time), ``batch_value`` maps it to
+    summarization values, and
     ``batch_deviation(state, x, players)``, given the 0/1 columns x (bool
     or float) of the players in the slice ``players``, one row per player,
     yields the values after forcing each of them alone to 0 and to 1,
     shaped like x; one player index with its 1-D column works too. A row's
     state must not depend on the other rows of the batch, so ``evaluate``
     -- that path on one row -- agrees bit for bit with every row-major
-    batch containing the same profile, and a block's state may be built
-    from row chunks and concatenated. A game accepts only the three kinds
+    batch containing the same profile. A game accepts only the three kinds
     below, ``Mean``, ``MajorityFraction`` and ``LinearWeighted``, not
     subclasses, so its tau is always computed.
     """
@@ -200,7 +204,7 @@ class Summarization:
 
     def evaluate(self, actions: Sequence[int]) -> float:
         self._check_arity(actions)
-        bits = np.asarray(actions, dtype=np.float64)[None, :]
+        bits = np.asarray(actions, dtype=bool)[None, :]
         return float(self.batch_value(self.batch_state(bits))[0])
 
     def influence_bound(self) -> float:
@@ -244,7 +248,7 @@ class _CountBase(Summarization):
         return float(np.abs(np.diff(values)).max())
 
     def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return bits.sum(axis=1)
+        return bits.sum(axis=1, dtype=np.float64)
 
     def batch_value(self, state: np.ndarray) -> np.ndarray:
         return self._of_count(state)
@@ -328,9 +332,16 @@ class LinearWeighted(Summarization):
 
     # einsum reduces each row on its own, so a row's sum does not depend on
     # the batch it sits in; a BLAS matrix-vector product does not promise
-    # that.
+    # that. It reads float64 copies: on bool rows einsum summed in another
+    # order once n > 8192, off in the last bit.
     def batch_state(self, bits: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,j->i", bits, self._w)
+        step = _chunk_rows(bits.shape[1])
+        return np.concatenate(
+            [
+                np.einsum("ij,j->i", bits[at : at + step].astype(np.float64), self._w)
+                for at in range(0, len(bits), step)
+            ]
+        )
 
     def batch_value(self, state: np.ndarray) -> np.ndarray:
         return np.clip(state, 0.0, 1.0)
@@ -709,19 +720,6 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_CELLS // n)
 
 
-def _block_state(summ: Summarization, bits: np.ndarray):
-    """S's batch state of the (rows, n) bool block ``bits``, built from
-    float64 copies of row chunks of ``_CHUNK_CELLS`` cells. A row's state
-    does not depend on its batch, so it is the state of that row alone."""
-    step = _chunk_rows(bits.shape[1])
-    return np.concatenate(
-        [
-            summ.batch_state(bits[start : start + step].astype(np.float64))
-            for start in range(0, len(bits), step)
-        ]
-    )
-
-
 def _select(x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """f1 where the bool x is set, f0 elsewhere, bit for bit.
 
@@ -765,14 +763,14 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     x is the chunk's columns of bits, and f0 and f1 its
     ``_deviation_values``, so the payoff i = players.start + j actually
     receives on row r is f_{x[j, r]}[j, r]: playing x_i is deviating to
-    it. The state comes from ``_block_state`` and the columns from the
-    C-contiguous (n, rows) transpose of bits. That holds
-    O(rows * n) bools plus float64 arrays of one chunk's size. Each row of
-    a yielded array is contiguous, so per-player reductions over it sum in
-    the same order as over a lone (rows,) array.
+    it. The state is S's ``batch_state`` of bits, the columns its
+    C-contiguous (n, rows) transpose. That holds O(rows * n) bools plus
+    float64 arrays of one chunk's size. Each row of a yielded array is
+    contiguous, so per-player reductions over it sum in the same order as
+    over a lone (rows,) array.
     """
     rows, n = bits.shape
-    state = _block_state(game.summarization, bits)
+    state = game.summarization.batch_state(bits)
     columns = np.ascontiguousarray(bits.T)
     width = _chunk_players(rows)
     for start in range(0, n, width):
@@ -915,8 +913,9 @@ def _add_count_gains(
     n = game.n
     values = np.array(sorted(hist), dtype=np.int32)
     sizes = np.array([hist[u][0] for u in values.tolist()], dtype=np.int64)
-    # ones[i, u]: rows of count values[u] in which player i plays 1.
-    ones = np.stack([hist[u][1] for u in values.tolist()], axis=1).astype(np.float64)
+    # ones[i, u]: rows of count values[u] in which player i plays 1, as
+    # int32; a chunk of players at a time is copied to float64.
+    ones = np.stack([hist[u][1] for u in values.tolist()], axis=1)
     # Rows of count u < n have a player at 0; rows of count u > 0 one at 1.
     zeros_at, ones_at = values < n, values > 0
     others = np.union1d(values[zeros_at], values[ones_at] - 1)
@@ -928,7 +927,7 @@ def _add_count_gains(
     for start in range(0, n, width):
         players = slice(start, min(start + width, n))
         f0, f1 = _deviation_values(game, state, x, players)
-        held = ones[players]
+        held = ones[players].astype(np.float64)
         plays1 = held.sum(axis=1)
         for b, weight, gain, idle in (
             (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0], plays1),
@@ -976,12 +975,12 @@ def _monte_carlo_mixed_regret(
     PCG64 stream through one float64 buffer of ``_CHUNK_CELLS`` cells. A
     count-based S reduces each block to its count histogram
     (``_add_count_gains``), drawing and counting it ``_COUNT_PART_CHUNKS``
-    draw chunks at a time: O(rows * n) bool work, and payoffs at about 2U
-    points per player, where U <= min(rows, n + 1) is the number of
-    distinct counts in the block. A weighted S holds each block as a
-    (rows, n) bool matrix and go through ``_deviation_payoffs``, which
-    also holds its (n, rows) transpose and evaluates both payoffs per
-    player and row.
+    draw chunks at a time: O(rows * n) bool work, an int32 (n, U) matrix
+    of per-count tallies, and payoffs at about 2U points per player, where
+    U <= min(rows, n + 1) is the number of distinct counts in the block.
+    A weighted S holds each block as a (rows, n) bool matrix and goes
+    through ``_deviation_payoffs``, which also holds its (n, rows)
+    transpose and evaluates both payoffs per player and row.
     """
     n = game.n
     probs = np.asarray(profile.probs)
@@ -1043,7 +1042,7 @@ def regret_mixed(
     game: SummGame,
     profile: MixedProfile,
     mode: str = "exact",
-    samples: int = 10000,
+    samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> MixedRegret:
     """Per-player regret of a mixed profile.
@@ -1054,17 +1053,18 @@ def regret_mixed(
     profiles where i takes their likelier action, and the regret
     p_i (d_0 - d_1)+ + (1 - p_i) (d_1 - d_0)+ is never negative. Monte-Carlo
     mode draws i.i.d. profiles from a seeded PCG64 generator, so results
-    are bit-identical for a fixed seed. Both reduce ``_deviation_values``
-    on blocks of up to 16384 profiles; float64 copies are made only of
-    2^18-cell chunks. Exact mode holds each block as an (n, rows) bool
-    matrix, plus its (rows, n) transpose under a weighted S. Monte Carlo
-    under a weighted S holds both, so its memory is O(rows * n) bools per
-    block, and evaluates both payoffs for every player and row. Monte
-    Carlo under ``Mean`` or ``MajorityFraction`` needs neither: a player's
-    gain depends only on their own action and the others' count, so a
-    block is drawn and counted 2^21 bool cells at a time into its count
-    histogram, and costs O(rows * n) bool work plus payoffs at about 2U
-    counts per player, U <= min(rows, n + 1) being the block's distinct
+    are bit-identical for a fixed seed (``MC_SAMPLES`` draws by default).
+    Both reduce ``_deviation_values`` on blocks of up to 16384 profiles;
+    only a weighted S copies profiles to float64, in 2^18-cell chunks.
+    Exact mode holds each block as an (n, rows) bool matrix, plus its
+    (rows, n) transpose under a weighted S. Monte Carlo under a weighted S
+    holds both, so its memory is O(rows * n) bools per block, and
+    evaluates both payoffs for every player and row. Monte Carlo under
+    ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
+    only on their own action and the others' count, so a block is drawn
+    and counted 2^21 bool cells at a time into its count histogram, and
+    costs O(rows * n) bool work, int32 (n, U) tallies and payoffs at about
+    2U counts per player, U <= min(rows, n + 1) being the block's distinct
     counts (about 100 at n = 1000). Its per-count sums differ from per-row
     sums only in rounding. Standard errors take the second moments of each
     gain about its value in the first sample, so a gain that is the same

@@ -347,8 +347,7 @@ def write_trajectory_csv(
     for step in trajectory.steps:
         row = f"{step.t},{step.mu!r},{step.max_delta!r}"
         if with_probs:
-            probs = step.probs if step.probs is not None else ()
-            row += "," + ",".join(repr(p) for p in probs)
+            row += "," + ",".join(repr(p) for p in step.probs)
         lines.append(row)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EXACT_REGRET_MAX_PLAYERS, MixedProfile, SummGame, regret_mixed
+from .core import EXACT_REGRET_MAX_PLAYERS, MC_SAMPLES, MixedProfile, SummGame, regret_mixed
 from .discretization import AlphaGrid, _probe, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
 from .solver import EquilibriumCertificate, Learned
@@ -263,7 +263,7 @@ def run_summ_learn(
     game: SummGame,
     config: LearnConfig,
     initial: MixedProfile | None = None,
-    mc_samples: int = 20000,
+    mc_samples: int = MC_SAMPLES,
     mc_seed: int = 0,
 ) -> tuple[Trajectory, EquilibriumCertificate, LearnDiagnostics]:
     """Run the dynamics to termination and certify the final profile.

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     EXACT_REGRET_MAX_PLAYERS,
+    MC_SAMPLES,
     PureProfile,
     SummGame,
     _chunk_players,
@@ -118,7 +119,7 @@ def validate_certificate(
     game: SummGame,
     certificate: EquilibriumCertificate,
     mode: str = "auto",
-    samples: int = 20000,
+    samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> ValidationReport:
     """Recompute a certificate's regrets and check its claims.

@@ -35,13 +35,12 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import MixedProfile, PureProfile, SummGame, _block_state, regret_pure
+from .core import MixedProfile, PureProfile, SummGame, regret_pure
 from .discretization import AlphaGrid, _probe, discretize_game, interval_of, make_grid
 from .errors import ContractError, InputError
 
 __all__ = [
     "VTable",
-    "BestResponses",
     "Horizontal",
     "Vertical",
     "Learned",
@@ -55,23 +54,17 @@ __all__ = [
 
 class BestResponses(Sequence):
     """BR(I_0), ..., BR(I_{K-1}) as a read-only sequence over a (K, n) 0/1
-    matrix. Row k becomes a validated ``PureProfile`` only when it is first
-    read, and the same object is returned on every later read."""
+    matrix. Reading row k builds a validated ``PureProfile`` of it; nothing
+    is kept between reads."""
 
     def __init__(self, bits: np.ndarray) -> None:
         self._bits = bits
-        self._rows: list[PureProfile | None] = [None] * bits.shape[0]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._bits)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[j] for j in range(*k.indices(len(self))))
-        row = self._rows[k]
-        if row is None:
-            row = self._rows[k] = PureProfile(tuple(self._bits[k].tolist()))
-        return row
+    def __getitem__(self, k: int) -> PureProfile:
+        return PureProfile(tuple(self._bits[k].tolist()))
 
 
 @dataclass(frozen=True)
@@ -80,8 +73,9 @@ class VTable:
 
     br[k] is the profile of per-player favorite actions when the
     summarization value sits in interval k; v[k] = S(br[k]) as a tuple of
-    floats. ``build_v_table`` fills br with a ``BestResponses`` that builds
-    each profile on first read; any sequence of profiles works.
+    floats. br may be any sequence of profiles; ``build_v_table`` fills it
+    with one that builds a profile from its best-response matrix on every
+    read.
     """
 
     grid: AlphaGrid
@@ -143,9 +137,8 @@ def build_v_table(
     BR(I_k) is row k of ``br``, the (K, n) best-response matrix that
     ``discretize_game(game, grid)`` returns (see there for the tie rule),
     computed here when not given. The matrix is shared, not copied,
-    behind a ``BestResponses`` sequence, and V is one batch evaluation of
-    it whose state ``_block_state`` builds from row chunks, so V(I_k)
-    equals ``evaluate(br[k])`` bit for bit.
+    behind a ``BestResponses`` sequence, and V is S's batch evaluation of
+    it, so V(I_k) equals ``evaluate(br[k])`` bit for bit.
     """
     if br is None:
         br = discretize_game(game, grid)
@@ -155,7 +148,7 @@ def build_v_table(
             f"(K, n) = ({grid.K}, {game.n})"
         )
     summ = game.summarization
-    values = summ.batch_value(_block_state(summ, br))
+    values = summ.batch_value(summ.batch_state(br))
     return VTable(grid, BestResponses(br), tuple(values.tolist()))
 
 

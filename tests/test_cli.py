@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from summgames import discretization
+from summgames import cli, discretization
 from summgames.cli import main
 
 SAMPLES = "samples"
@@ -44,6 +44,25 @@ def test_solve_bar4(capsys, tmp_path):
     assert lines[0].startswith("# alpha=")
     assert len(lines) == 1 + 4  # header + one row per interval
     assert [float(row.split("\t")[1]) for row in lines[1:]] == [1.0, 1.0, 0.0, 0.0]
+
+
+def test_solve_refuses_an_oversized_vtable_before_solving(capsys, tmp_path, monkeypatch):
+    # bar100 at epsilon 0.5 has K = 16 intervals: 1600 cells, over a cap of 1599.
+    monkeypatch.setattr(discretization, "MAX_GRID_CELLS", 1599)
+
+    def unreachable(*_):
+        raise AssertionError("solve ran before the V table was refused")
+
+    monkeypatch.setattr(cli, "summ_nash", unreachable)
+    vtable = tmp_path / "vtable.tsv"
+    code, out, err = _run(
+        capsys,
+        "solve", f"{SAMPLES}/bar100.json", "--epsilon", "0.5",
+        "--emit-vtable", str(vtable),
+    )
+    assert (code, out) == (3, "")
+    assert "over the cap of n*K <= 1599" in err
+    assert not vtable.exists()
 
 
 def test_solve_rejects_bad_epsilon(capsys):
@@ -246,6 +265,16 @@ def test_learn_trajectory_snapshot_probs(capsys, tmp_path):
     lines = trajectory.read_text().splitlines()
     assert lines[1] == "t,mu,max_delta,p_0,p_1,p_2,p_3"
     assert len(lines[2].split(",")) == 7
+
+
+def test_learn_snapshot_probs_needs_a_trajectory(capsys):
+    code, out, err = _run(
+        capsys,
+        "learn", f"{SAMPLES}/consensus4.json", "--epsilon", "1",
+        "--delta", "1e-3", "--snapshot-probs",
+    )
+    assert (code, out) == (2, "")
+    assert "--snapshot-probs" in err and "--trajectory" in err
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,19 @@ def test_evaluate_is_the_batch_path_on_one_row(data):
             assert hi[r] == summ.evaluate(tuple(row[:i]) + (1,) + tuple(row[i + 1 :]))
 
 
+@pytest.mark.parametrize("n", [3, 700, 10000])
+def test_batch_state_of_a_bool_block_is_that_of_its_float_copy(n):
+    # Blocks are bool; LinearWeighted copies them to float64 row chunks,
+    # since its einsum on bool rows summed in another order once n > 8192.
+    rng = np.random.default_rng(n)
+    bits = rng.random((2 * core._chunk_rows(n) + 3, n)) < 0.5  # three chunks
+    weights = tuple(rng.uniform(0.01, 1.0, n).tolist())
+    for summ in (Mean(n), MajorityFraction(n), LinearWeighted(weights, normalize=True)):
+        state = summ.batch_state(bits)
+        copied = summ.batch_state(bits.astype(np.float64))
+        assert state.tobytes() == copied.tobytes(), type(summ).__name__
+
+
 def test_linear_weighted_validation():
     with pytest.raises(InputError):
         LinearWeighted((0.8, 0.4))  # sums past 1
@@ -525,6 +538,21 @@ def test_monte_carlo_regret_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+def test_count_monte_carlo_keeps_its_tallies_as_int32():
+    # A block's per-count tallies are int32 (n, U); only a chunk of players
+    # at a time is copied to float64. With the whole (n, U) matrix copied,
+    # this call peaked at 56.4 MiB.
+    game = bar_game(10**4)
+    profile = MixedProfile((0.5,) * 10**4)
+    tracemalloc.start()
+    try:
+        regret_mixed(game, profile, mode="monte_carlo", samples=16384, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def test_payoffs_are_evaluated_only_through_the_two_kernels(monkeypatch):

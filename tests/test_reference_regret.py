@@ -398,13 +398,13 @@ def test_exact_regret_mixed_matches_reference(monkeypatch):
 @pytest.mark.parametrize("block_rows", [1, 4, 1 << 14])
 def test_count_block_state_is_the_summed_state(monkeypatch, block_rows):
     # A count-based S's block state is the low bits' count plus the high
-    # bits', the float64 row sum ``_block_state`` builds, bit for bit.
+    # bits', the float64 row sum its ``batch_state`` builds, bit for bit.
     monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
     for summ in (Mean(9), MajorityFraction(10), Mean(1)):
         codes = []
         for start, columns, state in core._profile_blocks(summ):
             bits = columns.T
-            assert _bits(state) == _bits(core._block_state(summ, bits))
+            assert _bits(state) == _bits(summ.batch_state(bits))
             expected = _ref_profile_bits(np.arange(start, start + len(bits)), summ.n)
             assert np.array_equal(bits, expected)
             codes.append(start)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import bar_game, consensus_game, constant_game, discretize, random_game
 from summgames import (
     AlphaGrid,
-    BestResponses,
     ContractError,
     Horizontal,
     InputError,
@@ -310,16 +309,17 @@ def test_find_horizontal_rejects_v_outside_unit_interval(bad):
 
 
 def test_best_responses_are_built_once_on_read():
-    game, grid, _, table = _bar_table(n=5, K=8)
-    assert isinstance(table.br, BestResponses)
+    # Each read builds its row anew from the best-response matrix.
+    game, grid, br, table = _bar_table(n=5, K=8)
+    assert isinstance(table.br, solver.BestResponses)
     assert len(table.br) == grid.K
     steps = [(discretize(f0, grid), discretize(f1, grid)) for f0, f1 in game.payoffs]
     for k in range(grid.K):
-        assert table.br[k] is table.br[k]
+        assert table.br[k] == table.br[k] == PureProfile(tuple(br[k].tolist()))
         assert table.br[k].actions == tuple(
             int(s1.at_index(k) > s0.at_index(k)) for s0, s1 in steps
         )
-    assert table.br[-1] is table.br[grid.K - 1]
+    assert table.br[-1] == table.br[grid.K - 1]
     assert list(table.br) == [table.br[k] for k in range(grid.K)]
     with pytest.raises(IndexError):
         table.br[grid.K]
