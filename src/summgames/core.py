@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -384,19 +385,59 @@ class Payoff:
     interval. ``derivative_bound`` returns a finite upper bound on |F'|
     over [0, 1].
 
-    Each catalog kind has one arithmetic path, its ``_formula``: a function
-    of the coefficients named in ``_coefficients`` that broadcasts them
-    against z. ``evaluate_array`` is that formula on one payoff's
-    coefficients, ``evaluate`` is ``evaluate_array`` on one point, and a
-    game's payoff bank is the same formula on the coefficient columns of
-    every player holding that kind, so all three agree bit for bit.
-    A game accepts only the four catalog kinds themselves, not subclasses.
+    Each catalog kind states each of its rules once, on columns with one
+    row per payoff, so one payoff and a game's whole payoff bank share
+    them bit for bit:
+
+    * ``_check(*fields)`` takes the document fields of m payoffs as columns
+      (a scalar kind's coefficients as (m,) arrays, a piecewise payoff's
+      breakpoint positions and values as (m, p) tables) and returns the
+      kind's coefficient columns, named by ``_coefficients``, with the
+      first faulty row and its message, or None when every row is valid.
+      Game banks run it on each group of rows under ``np.errstate``. A
+      constructor runs it on its own fields: a scalar kind's as Python
+      floats (``_row_fault``), so the check must not divide by zero, and a
+      piecewise payoff's as one-row tables.
+    * ``_formula(*columns, z)`` evaluates the payoffs, broadcasting the
+      columns against z; ``evaluate_array`` is the formula on one payoff's
+      coefficients and ``evaluate`` is ``evaluate_array`` on one point.
+    * ``_bound(*columns)`` is each row's derivative bound.
+
+    ``_row`` is a payoff's fields as one flat document row, ``_split``
+    cuts an (m, L) array of such rows into the fields, and
+    ``_of_columns`` builds a payoff from its row of the coefficient
+    columns. A game accepts only the four catalog kinds themselves, not
+    subclasses.
     """
 
     _coefficients: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        fault = _row_fault(type(self), self._row())
+        if fault is not None:
+            raise InputError(fault[1])
+
+    def _row(self) -> tuple[float, ...]:
+        raise NotImplementedError
+
+    @staticmethod
+    def _split(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(rows.T)
+
+    @classmethod
+    def _of_columns(cls, *values) -> "Payoff":
+        return cls(*values)
+
+    @staticmethod
+    def _check(*fields):
+        raise NotImplementedError
+
     @staticmethod
     def _formula(*coefficients_and_z):
+        raise NotImplementedError
+
+    @staticmethod
+    def _bound(*columns) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate(self, z: float) -> float:
@@ -406,12 +447,56 @@ class Payoff:
         return self._formula(*(getattr(self, c) for c in self._coefficients), z)
 
     def derivative_bound(self) -> float:
-        raise NotImplementedError
+        columns = (np.array([getattr(self, c)]) for c in self._coefficients)
+        return float(self._bound(*columns)[0])
 
 
-def _require_unit(value: float, what: str) -> None:
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise InputError(f"{what} must lie in [0, 1], got {value}")
+@lru_cache(maxsize=1024)
+def _row_fault(kind: type, row: tuple[float, ...]) -> tuple[int, str] | None:
+    """``kind._check`` of one scalar payoff's row of floats. A fault
+    depends only on the numbers, which a signed zero does not change, so a
+    row repeated across a game built in code (the bar game at n = 10^5
+    makes 2*10^5 payoffs of 2 rows) is checked once."""
+    return kind._check(*row)[1]
+
+
+def _first_fault(*stages) -> tuple[int, str] | None:
+    """The first row that any stage flags, with the message of the first
+    stage flagging it, or None.
+
+    Stages come in the order a payoff's checks run, each a tuple (bad,
+    text, *values): bad flags rows, as an (m,) bool array, an (m, p) one
+    to check each of a row's p entries, or one bool for a payoff given
+    as floats. The message is text formatted with the values at the
+    row and, for an (m, p) stage, at its first flagged entry k, given as
+    {k} with {k_next} = k + 1. A row is reported by the first check it
+    fails, so a later stage may flag anything on rows an earlier one flags.
+    """
+    if not isinstance(stages[0][0], np.ndarray):
+        for stage in stages:
+            if stage[0]:
+                return 0, stage[1].format(*map(float, stage[2:]))
+        return None
+    flagged = [bad if bad.ndim == 1 else bad.any(axis=1) for bad, *_ in stages]
+    anywhere = flagged[0]
+    for hit in flagged[1:]:
+        anywhere = anywhere | hit
+    rows = np.flatnonzero(anywhere)
+    if not len(rows):
+        return None
+    r = int(rows[0])
+    bad, text, *values = next(s for s, hit in zip(stages, flagged) if hit[r])
+    k = None if bad.ndim == 1 else int(np.argmax(bad[r]))
+    at = r if k is None else (r, k)
+    k_next = None if k is None else k + 1
+    return r, text.format(*(float(v[at]) for v in values), k=k, k_next=k_next)
+
+
+def _unit(values, what: str) -> tuple:
+    """The ``_first_fault`` stage that values lie in [0, 1], which NaN
+    does not; ``what`` names the value checked."""
+    outside = (values < 0.0) | (values > 1.0) | (values != values)
+    return outside, f"{what} must lie in [0, 1], got {{0}}", values
 
 
 @dataclass(frozen=True)
@@ -420,16 +505,21 @@ class Constant(Payoff):
 
     _coefficients = ("c",)
 
-    def __post_init__(self) -> None:
-        _require_unit(self.c, "constant payoff value")
+    def _row(self):
+        return (float(self.c),)
+
+    @staticmethod
+    def _check(c):
+        return (c,), _first_fault(_unit(c, "constant payoff value"))
 
     @staticmethod
     def _formula(c, z):
         # c * 1.0 is c bit for bit, -0.0 included.
         return c * np.ones(np.shape(z))
 
-    def derivative_bound(self) -> float:
-        return 0.0
+    @staticmethod
+    def _bound(c):
+        return np.zeros(np.shape(c))
 
 
 @dataclass(frozen=True)
@@ -441,16 +531,22 @@ class Affine(Payoff):
 
     _coefficients = ("a", "b")
 
-    def __post_init__(self) -> None:
-        _require_unit(self.a, "affine payoff at z=0")
-        _require_unit(self.a + self.b, "affine payoff at z=1")
+    def _row(self):
+        return float(self.a), float(self.b)
+
+    @staticmethod
+    def _check(a, b):
+        return (a, b), _first_fault(
+            _unit(a, "affine payoff at z=0"), _unit(a + b, "affine payoff at z=1")
+        )
 
     @staticmethod
     def _formula(a, b, z):
         return np.clip(a + b * z, 0.0, 1.0)
 
-    def derivative_bound(self) -> float:
-        return abs(self.b)
+    @staticmethod
+    def _bound(a, b):
+        return np.abs(b)
 
 
 @dataclass(frozen=True)
@@ -468,24 +564,32 @@ class Quadratic(Payoff):
 
     _coefficients = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        _require_unit(self.a, "quadratic payoff at z=0")
-        _require_unit(self.a + self.b + self.c, "quadratic payoff at z=1")
-        if self.c != 0.0:
-            # Halved last: 2c overflows once |c| > 8.99e307.
-            vertex = -self.b / self.c / 2.0
-            if 0.0 < vertex < 1.0:
-                _require_unit(
-                    self.a + vertex * (self.b + self.c * vertex),
-                    f"quadratic payoff at its extremum z={vertex}",
-                )
+    def _row(self):
+        return float(self.a), float(self.b), float(self.c)
+
+    @staticmethod
+    def _check(a, b, c):
+        # Only a nonzero c has a vertex; a zero c divides by 1 instead, as
+        # a Python float raises on division by zero. Halved last: 2c
+        # overflows once |c| > 8.99e307.
+        vertex = -b / (c + (c == 0.0)) / 2.0
+        inside = (c != 0.0) & (0.0 < vertex) & (vertex < 1.0)
+        outside, text, extremum = _unit(
+            a + vertex * (b + c * vertex), "quadratic payoff at its extremum z={1}"
+        )
+        return (a, b, c), _first_fault(
+            _unit(a, "quadratic payoff at z=0"),
+            _unit(a + b + c, "quadratic payoff at z=1"),
+            (inside & outside, text, extremum, vertex),
+        )
 
     @staticmethod
     def _formula(a, b, c, z):
         return np.clip(a + z * (b + c * z), 0.0, 1.0)
 
-    def derivative_bound(self) -> float:
-        return abs(self.b) + 2.0 * abs(self.c)
+    @staticmethod
+    def _bound(a, b, c):
+        return np.abs(b) + 2.0 * np.abs(c)
 
 
 @dataclass(frozen=True)
@@ -495,7 +599,8 @@ class PiecewiseLinear(Payoff):
     Breakpoints are (z, value) pairs with strictly increasing z, the first
     at z=0 and the last at z=1, so the function is total on [0, 1]. Its
     coefficients are the breakpoint positions, values and segment slopes as
-    read-only float64 arrays along a last axis.
+    read-only float64 arrays along a last axis; its document row is each
+    breakpoint's position and value in turn.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -507,33 +612,53 @@ class PiecewiseLinear(Payoff):
 
     def __post_init__(self) -> None:
         pts = tuple((float(z), float(v)) for z, v in self.points)
-        if len(pts) < 2:
-            raise InputError("piecewise-linear payoff needs at least 2 points")
-        zs = tuple(z for z, _ in pts)
-        ys = tuple(v for _, v in pts)
-        if zs[0] != 0.0 or zs[-1] != 1.0:
-            raise InputError("breakpoints must start at z=0 and end at z=1")
-        if any(z1 >= z2 for z1, z2 in zip(zs, zs[1:])):
-            raise InputError("breakpoint positions must be strictly increasing")
-        for k, v in enumerate(ys):
-            _require_unit(v, f"piecewise-linear payoff value at point {k}")
-        slopes = tuple(
-            (y2 - y1) / (z2 - z1)
-            for (z1, y1), (z2, y2) in zip(pts, pts[1:])
-        )
-        for k, slope in enumerate(slopes):
-            # Breakpoints a few subnormals apart overflow the slope, and a
-            # NaN position passes the ordering check but makes it NaN.
-            if not math.isfinite(slope):
-                raise InputError(
-                    f"piecewise-linear segment {k} (points {k} and {k + 1}) "
-                    f"has slope {slope}, which is not finite"
-                )
         object.__setattr__(self, "points", pts)
-        for name, values in (("_zs", zs), ("_ys", ys), ("_slopes", slopes)):
-            array = np.array(values)
+        with np.errstate(all="ignore"):
+            columns, fault = self._check(*self._split(np.array([self._row()])))
+        if fault is not None:
+            raise InputError(fault[1])
+        for name, column in zip(self._coefficients, columns):
+            array = column[0].copy()
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def _row(self) -> tuple[float, ...]:
+        return tuple(x for point in self.points for x in point)
+
+    @staticmethod
+    def _split(rows):
+        return rows[:, 0::2], rows[:, 1::2]
+
+    @classmethod
+    def _of_columns(cls, zs, ys, slopes) -> "PiecewiseLinear":
+        return cls(tuple(zip(zs, ys)))
+
+    @staticmethod
+    def _check(zs, ys):
+        if zs.shape[1] < 2:
+            return (zs, ys, ys[:, 1:]), (
+                0, "piecewise-linear payoff needs at least 2 points"
+            )
+        # Breakpoints a few subnormals apart overflow the slope, and a NaN
+        # position passes the ordering check but makes it NaN.
+        slopes = (ys[:, 1:] - ys[:, :-1]) / (zs[:, 1:] - zs[:, :-1])
+        return (zs, ys, slopes), _first_fault(
+            (
+                (zs[:, 0] != 0.0) | (zs[:, -1] != 1.0),
+                "breakpoints must start at z=0 and end at z=1",
+            ),
+            (
+                (zs[:, :-1] >= zs[:, 1:]).any(axis=1),
+                "breakpoint positions must be strictly increasing",
+            ),
+            _unit(ys, "piecewise-linear payoff value at point {k}"),
+            (
+                ~np.isfinite(slopes),
+                "piecewise-linear segment {k} (points {k} and {k_next}) has "
+                "slope {0}, which is not finite",
+                slopes,
+            ),
+        )
 
     @staticmethod
     def _formula(zs, ys, slopes, z):
@@ -552,8 +677,9 @@ class PiecewiseLinear(Payoff):
             ys.take(at) + slopes.take(at - row) * (z - zs.take(at)), 0.0, 1.0
         )
 
-    def derivative_bound(self) -> float:
-        return float(np.abs(self._slopes).max())
+    @staticmethod
+    def _bound(zs, ys, slopes):
+        return np.abs(slopes).max(axis=-1)
 
 
 _CATALOG = frozenset((Constant, Affine, Quadratic, PiecewiseLinear))
@@ -566,16 +692,67 @@ class _PayoffGroup:
     """The players of one action whose payoffs share one formula.
 
     ``members`` lists them in ascending order (``index`` as an array), and
-    each coefficient column holds one row per member: (m, 1) for a scalar
-    coefficient, (m, 1, p) for a breakpoint table. ``formula(*columns, z)``
-    takes z with one row per member, or one row that all of them share,
-    and returns an array that broadcasts to (m, points).
+    each coefficient column of their ``kind`` holds one row per member:
+    (m, 1) for a scalar coefficient, (m, 1, p) for a breakpoint table.
+    ``formula(*columns, z)`` takes z with one row per member, or one row
+    that all of them share, and returns an array that broadcasts to (m,
+    points).
     """
 
+    kind: type
     formula: Callable
     members: list[int]
     index: np.ndarray
     columns: tuple[np.ndarray, ...]
+
+
+class _PayoffRows:
+    """Catalog payoffs gathered in (player, action) order, one at a time
+    or a group at a time, as document rows grouped by action, kind and row
+    length: the length tells a piecewise payoff's breakpoint count.
+
+    ``groups`` turns each group into the coefficient columns of a
+    ``_PayoffGroup`` through its kind's ``_check``, one array call per
+    group, and reports the earliest faulty payoff.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict = {}
+
+    def add(self, i: int, b: int, kind: type, row) -> None:
+        """Gather player i's payoff for action b: its kind and document row."""
+        key = (b, kind, len(row))
+        gathered = self._rows.get(key)
+        if gathered is None:
+            gathered = self._rows[key] = ([], [])
+        gathered[0].append(i)
+        gathered[1].append(row)
+
+    def add_group(
+        self, b: int, kind: type, members: list[int], rows: np.ndarray
+    ) -> None:
+        """Gather the payoffs for action b of the ascending players
+        ``members``, all of one kind and row length, none gathered yet:
+        their document rows as an (m, L) array."""
+        self._rows[b, kind, rows.shape[1]] = (members, rows)
+
+    def groups(self):
+        """Each action's list of payoff groups, and the earliest faulty
+        payoff gathered as (player, action, message), or None."""
+        groups: tuple[list, list] = ([], [])
+        first = None
+        for (b, kind, _), (members, rows) in self._rows.items():
+            with np.errstate(all="ignore"):
+                fields = kind._split(np.array(rows, dtype=np.float64))
+                columns, fault = kind._check(*fields)
+            if fault is not None:
+                found = (members[fault[0]], b, fault[1])
+                first = found if first is None else min(first, found)
+            columns = tuple(np.ascontiguousarray(c)[:, None] for c in columns)
+            groups[b].append(
+                _PayoffGroup(kind, kind._formula, members, np.array(members), columns)
+            )
+        return groups, first
 
 
 class _PayoffBank:
@@ -588,23 +765,8 @@ class _PayoffBank:
     only catalog payoffs, so every payoff belongs to such a group.
     """
 
-    def __init__(self, payoffs: Sequence[Payoff]) -> None:
-        found: dict = {}
-        for i, fn in enumerate(payoffs):
-            kind = type(fn)
-            key = (kind, len(fn.points)) if kind is PiecewiseLinear else kind
-            found.setdefault(key, []).append(i)
-        self.groups: list[_PayoffGroup] = []
-        for members in found.values():
-            fns = [payoffs[i] for i in members]
-            kind = type(fns[0])
-            columns = tuple(
-                np.array([getattr(fn, name) for fn in fns], dtype=np.float64)[:, None]
-                for name in kind._coefficients
-            )
-            self.groups.append(
-                _PayoffGroup(kind._formula, members, np.array(members), columns)
-            )
+    def __init__(self, groups: list[_PayoffGroup]) -> None:
+        self.groups = groups
 
     def evaluate(self, players: slice, z: np.ndarray) -> np.ndarray:
         """The payoffs of a consecutive slice of players at z, an array that
@@ -634,7 +796,7 @@ class _PayoffBank:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SummGame:
     """An n-player game: one summarization plus n pairs of payoff functions.
 
@@ -642,52 +804,100 @@ class SummGame:
     ``LinearWeighted`` (not a subclass), and ``payoffs[i]`` is the pair (F
     for action 0, F for action 1) of player i, each an instance of one of
     the catalog kinds ``Constant``, ``Affine``, ``Quadratic`` and
-    ``PiecewiseLinear`` (not of a subclass). The influence bound ``tau``
-    and derivative bound ``rho`` are derived at construction: tau from the
-    summarization, rho as the exact maximum derivative bound over all 2n
-    payoffs, which must be finite.
+    ``PiecewiseLinear`` (not of a subclass). The game holds its payoffs as
+    two payoff banks, one per action, which every payoff evaluation reads;
+    a parsed game builds its ``payoffs`` objects from them on first read.
+    The influence bound ``tau`` and derivative bound ``rho`` are derived
+    at construction: tau from the summarization, rho as the exact maximum
+    derivative bound over all 2n payoffs, which must be finite.
 
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads; threads
+    that race on the first read of a parsed game's ``payoffs`` each build
+    equal objects.
     """
 
     summarization: Summarization
-    payoffs: tuple[tuple[Payoff, Payoff], ...]
-    tau: float = field(init=False)
-    rho: float = field(init=False)
-    _banks: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    tau: float
+    rho: float
+    _banks: tuple[_PayoffBank, _PayoffBank] = field(repr=False)
+    _pairs: tuple | None = field(repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, summarization: Summarization, payoffs: Sequence[tuple[Payoff, Payoff]]
+    ) -> None:
         # The three kinds themselves: a subclass could take any tau.
-        if type(self.summarization) not in _SUMMARIZATIONS:
+        if type(summarization) not in _SUMMARIZATIONS:
             raise InputError(
-                f"summarization is a {type(self.summarization).__name__}, not "
+                f"summarization is a {type(summarization).__name__}, not "
                 "a Mean, MajorityFraction or LinearWeighted summarization"
             )
-        pairs = tuple((p[0], p[1]) for p in self.payoffs)
-        if len(pairs) != self.summarization.n:
+        pairs = tuple((p[0], p[1]) for p in payoffs)
+        if len(pairs) != summarization.n:
             raise InputError(
-                f"{len(pairs)} payoff pairs for {self.summarization.n} players"
+                f"{len(pairs)} payoff pairs for {summarization.n} players"
             )
-        fns = [fn for pair in pairs for fn in pair]
-        # The catalog's own kinds only: a subclass could evaluate outside
-        # [0, 1] or declare any derivative bound.
-        if not {type(fn) for fn in fns} <= _CATALOG:
-            k = next(k for k, fn in enumerate(fns) if type(fn) not in _CATALOG)
-            raise InputError(
-                f"payoffs[{k // 2}][{k % 2}] is a {type(fns[k]).__name__}, not "
-                "a Constant, Affine, Quadratic or PiecewiseLinear payoff"
-            )
-        bounds = [fn.derivative_bound() for fn in fns]
+        rows = _PayoffRows()
+        for i, pair in enumerate(pairs):
+            for b, fn in enumerate(pair):
+                # The catalog's own kinds only: a subclass could evaluate
+                # outside [0, 1] or declare any derivative bound.
+                if type(fn) not in _CATALOG:
+                    raise InputError(
+                        f"payoffs[{i}][{b}] is a {type(fn).__name__}, not a "
+                        "Constant, Affine, Quadratic or PiecewiseLinear payoff"
+                    )
+                rows.add(i, b, type(fn), fn._row())
+        groups, fault = rows.groups()
+        if fault is not None:
+            i, b, message = fault
+            raise InputError(f"payoffs[{i}][{b}]: {message}")
+        self._set(summarization, groups, pairs)
+
+    @classmethod
+    def _of_groups(cls, summarization: Summarization, groups) -> "SummGame":
+        """A game of the summarization and each action's checked payoff
+        groups (``_PayoffRows.groups``), as a game file is parsed."""
+        game = cls.__new__(cls)
+        game._set(summarization, groups, None)
+        return game
+
+    def _set(self, summarization: Summarization, groups, pairs) -> None:
+        rho, worst = 0.0, None
+        for b, action in enumerate(groups):
+            for group in action:
+                bounds = group.kind._bound(*group.columns).ravel()
+                bad = np.flatnonzero(~np.isfinite(bounds))
+                if len(bad):
+                    found = (group.members[bad[0]], b, float(bounds[bad[0]]))
+                    worst = found if worst is None else min(worst, found)
+                else:
+                    rho = max(rho, float(bounds.max()))
         # Every guarantee scales with rho, so it must be a number.
-        if not all(map(math.isfinite, bounds)):
-            k = next(k for k, bound in enumerate(bounds) if not math.isfinite(bound))
+        if worst is not None:
+            i, b, bound = worst
             raise InputError(
-                f"payoffs[{k // 2}][{k % 2}] has derivative bound {bounds[k]}, "
-                "which is not finite"
+                f"payoffs[{i}][{b}] has derivative bound {bound}, which is not "
+                "finite"
             )
-        object.__setattr__(self, "payoffs", pairs)
-        object.__setattr__(self, "tau", self.summarization.influence_bound())
-        object.__setattr__(self, "rho", max(bounds))
+        object.__setattr__(self, "summarization", summarization)
+        object.__setattr__(self, "tau", summarization.influence_bound())
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_banks", tuple(map(_PayoffBank, groups)))
+        object.__setattr__(self, "_pairs", pairs)
+
+    @property
+    def payoffs(self) -> tuple[tuple[Payoff, Payoff], ...]:
+        """Each player's (F_0, F_1): the objects the game was built from,
+        or for a parsed game, objects built from its banks on first read."""
+        if self._pairs is None:
+            pairs = [[None, None] for _ in range(self.n)]
+            for b, bank in enumerate(self._banks):
+                for group in bank.groups:
+                    values = [column[:, 0].tolist() for column in group.columns]
+                    for i, *row in zip(group.members, *values):
+                        pairs[i][b] = group.kind._of_columns(*row)
+            object.__setattr__(self, "_pairs", tuple(map(tuple, pairs)))
+        return self._pairs
 
     @property
     def n(self) -> int:
@@ -696,18 +906,6 @@ class SummGame:
     def _check_profile(self, n: int) -> None:
         if n != self.n:
             raise InputError(f"profile has {n} players, game has {self.n}")
-
-    def _payoff_banks(self) -> tuple[_PayoffBank, _PayoffBank]:
-        """The payoff banks of F_0 and F_1, built on first use and kept.
-
-        Threads that race on the first use each build equal banks, and
-        one of them is kept."""
-        if self._banks is None:
-            banks = tuple(
-                _PayoffBank([pair[b] for pair in self.payoffs]) for b in (0, 1)
-            )
-            object.__setattr__(self, "_banks", banks)
-        return self._banks
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +949,7 @@ def _deviation_values(game: SummGame, state, x: np.ndarray, players: slice):
     playing b)) for i = players.start + j, one call per payoff kind in the
     game's payoff banks. Every regret is a reduction of this kernel."""
     lo, hi = game.summarization.batch_deviation(state, x, players)
-    bank0, bank1 = game._payoff_banks()
+    bank0, bank1 = game._banks
     return bank0.evaluate(players, lo), bank1.evaluate(players, hi)
 
 

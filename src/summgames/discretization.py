@@ -124,7 +124,7 @@ def _best_responses(game: SummGame, points) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)[None, :]
     n, count = game.n, points.shape[1]
-    bank0, bank1 = game._payoff_banks()
+    bank0, bank1 = game._banks
     bits = np.empty((n, count), dtype=bool)
     width = _chunk_players(count)
     for start in range(0, n, width):

@@ -20,23 +20,28 @@ Payoff specs: {"type": "constant", "c": ...}, {"type": "affine", "a": ...,
 "b": ...}, {"type": "quadratic", "a": ..., "b": ..., "c": ...}, or
 {"type": "piecewise_linear", "points": [[z, value], ...]}.
 
-Parse errors name the offending field path and the reason.
+Payoffs are read into per-kind coefficient columns and range-checked as
+arrays. Parse errors name the offending field path and the reason; a game
+file reports its first fault in document order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from typing import Any
 
+import numpy as np
+
 from .core import (
+    _PayoffRows,
     Affine,
     Constant,
     LinearWeighted,
     MajorityFraction,
     Mean,
     MixedProfile,
-    Payoff,
     PiecewiseLinear,
     PureProfile,
     Quadratic,
@@ -105,48 +110,87 @@ def _number_field(obj: dict, key: str, path: str) -> float:
     return _expect_number(value, f"{path}.{key}")
 
 
-def _parse_payoff(spec: Any, path: str) -> Payoff:
+_ACTIONS = ("action0", "action1")
+
+_KINDS = {
+    "constant": Constant,
+    "affine": Affine,
+    "quadratic": Quadratic,
+    "piecewise_linear": PiecewiseLinear,
+}
+
+
+def _plain_rows(raw_payoffs: list) -> _PayoffRows | None:
+    """The payoffs gathered by kind when every spec is an object of a known
+    kind whose numbers are all JSON floats, as json.dumps writes floats;
+    None for any other document, which the ordered walk then reads or
+    refuses. Such a document passes every structural check, so only the
+    range checks of its kinds remain. The specs are bucketed in one pass
+    and each bucket's fields are read and type-checked a column at a time.
+    """
+    specs: dict = {}
+    rows = _PayoffRows()
+    try:
+        for i, entry in enumerate(raw_payoffs):
+            for b, action in enumerate(_ACTIONS):
+                spec = entry[action]
+                kind = spec["type"]
+                count = len(spec["points"]) if kind == "piecewise_linear" else 0
+                bucket = specs.get((b, kind, count))
+                if bucket is None:
+                    bucket = specs[b, kind, count] = ([], [])
+                bucket[0].append(i)
+                bucket[1].append(spec)
+        for (b, kind, _), (members, bucket) in specs.items():
+            cls = _KINDS.get(kind)
+            if cls is None:
+                return None
+            if cls is PiecewiseLinear:
+                points = [spec["points"] for spec in bucket]
+                if set(map(type, points)) != {list}:
+                    return None
+                pairs = list(chain.from_iterable(points))
+                if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+                    return None
+                values = list(chain.from_iterable(pairs))
+                if set(map(type, values)) != {float}:
+                    return None
+                table = np.array(values).reshape(len(members), -1)
+            else:
+                columns = [[spec[key] for spec in bucket] for key in cls._coefficients]
+                if any(set(map(type, column)) != {float} for column in columns):
+                    return None
+                table = np.array(columns).T
+            rows.add_group(b, cls, members, table)
+    except (KeyError, TypeError):
+        return None
+    return rows
+
+
+def _payoff_row(spec: Any, path: str) -> tuple[type, list[float]]:
+    """The catalog kind of the payoff spec at path and its document row:
+    a scalar kind's coefficients in field order, a piecewise payoff's
+    breakpoints' positions and values in turn, each a float. Structural
+    faults raise here; the kind's range checks run later, on its group."""
     obj = _expect_object(spec, path)
     kind = _get(obj, "type", path)
-    scalar = (
-        Constant if kind == "constant"
-        else Affine if kind == "affine"
-        else Quadratic if kind == "quadratic"
-        else None
-    )
-    try:
-        if scalar is not None:
-            # The fields are the kind's coefficients, read in their order.
-            values = []
-            for key in scalar._coefficients:
-                values.append(_number_field(obj, key, path))
-            return scalar(*values)
-        if kind == "piecewise_linear":
-            raw = _expect_list(_get(obj, "points", path), f"{path}.points")
-            points = []
-            for j, pair in enumerate(raw):
-                lst = _expect_list(pair, f"{path}.points[{j}]")
-                if len(lst) != 2:
-                    raise InputError(
-                        f"{path}.points[{j}]: expected a [z, value] pair"
-                    )
-                points.append(
-                    (
-                        _expect_number(lst[0], f"{path}.points[{j}][0]"),
-                        _expect_number(lst[1], f"{path}.points[{j}][1]"),
-                    )
-                )
-            return PiecewiseLinear(tuple(points))
-    except InputError as err:
-        # Constructor rejections get the field path prepended once.
-        message = str(err)
-        if not message.startswith(path):
-            raise InputError(f"{path}: {message}") from err
-        raise
-    raise InputError(
-        f"{path}.type: unknown payoff type {kind!r}; expected constant, "
-        "affine, quadratic, or piecewise_linear"
-    )
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(
+            f"{path}.type: unknown payoff type {kind!r}; expected constant, "
+            "affine, quadratic, or piecewise_linear"
+        )
+    if cls is not PiecewiseLinear:
+        return cls, [_number_field(obj, key, path) for key in cls._coefficients]
+    raw = _expect_list(_get(obj, "points", path), f"{path}.points")
+    row = []
+    for j, pair in enumerate(raw):
+        lst = _expect_list(pair, f"{path}.points[{j}]")
+        if len(lst) != 2:
+            raise InputError(f"{path}.points[{j}]: expected a [z, value] pair")
+        row.append(_expect_number(lst[0], f"{path}.points[{j}][0]"))
+        row.append(_expect_number(lst[1], f"{path}.points[{j}][1]"))
+    return cls, row
 
 
 def _parse_summarization(spec: Any, n: int, path: str) -> Summarization:
@@ -180,7 +224,16 @@ def _parse_summarization(spec: Any, n: int, path: str) -> Summarization:
 
 
 def parse_game(doc: Any) -> SummGame:
-    """Build a game from a parsed game-file document."""
+    """Build a game from a parsed game-file document.
+
+    The payoffs' numbers are gathered into per-kind column groups, whose
+    range checks then run once per group as array operations. Payoffs
+    that are all plain (``_plain_rows``) are gathered a column at a time;
+    any others are walked once, in document order, through the structural
+    checks, which name their field paths. The first fault in document
+    order is reported: a structural fault first checks the rows gathered
+    before it.
+    """
     root = _expect_object(doc, "$")
     n = _expect_int(_get(root, "players", "$"), "$.players")
     if n < 1:
@@ -194,17 +247,28 @@ def parse_game(doc: Any) -> SummGame:
             f"$.payoffs: expected {n} entries (one per player), got "
             f"{len(raw_payoffs)}"
         )
-    pairs = []
-    for i, entry in enumerate(raw_payoffs):
-        obj = _expect_object(entry, f"$.payoffs[{i}]")
-        f0 = _parse_payoff(
-            _get(obj, "action0", f"$.payoffs[{i}]"), f"$.payoffs[{i}].action0"
-        )
-        f1 = _parse_payoff(
-            _get(obj, "action1", f"$.payoffs[{i}]"), f"$.payoffs[{i}].action1"
-        )
-        pairs.append((f0, f1))
-    return SummGame(summarization, tuple(pairs))
+    rows = _plain_rows(raw_payoffs)
+    if rows is None:
+        rows = _PayoffRows()
+        try:
+            for i, entry in enumerate(raw_payoffs):
+                obj = _expect_object(entry, f"$.payoffs[{i}]")
+                for b, action in enumerate(_ACTIONS):
+                    spec = _get(obj, action, f"$.payoffs[{i}]")
+                    rows.add(i, b, *_payoff_row(spec, f"$.payoffs[{i}].{action}"))
+        except InputError:
+            # A range fault gathered before the structural one comes first.
+            _raise_fault(rows.groups()[1])
+            raise
+    groups, fault = rows.groups()
+    _raise_fault(fault)
+    return SummGame._of_groups(summarization, groups)
+
+
+def _raise_fault(fault: tuple[int, int, str] | None) -> None:
+    if fault is not None:
+        i, b, message = fault
+        raise InputError(f"$.payoffs[{i}].action{b}: {message}")
 
 
 def _read_json(path: str, what: str) -> tuple[bytes, Any]:
@@ -214,9 +278,11 @@ def _read_json(path: str, what: str) -> tuple[bytes, Any]:
             raw = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {what} {path}: {err}") from err
+    # Undecodable bytes raise a UnicodeDecodeError, a ValueError as
+    # JSONDecodeError is, and deep nesting a RecursionError.
     try:
         return raw, json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 

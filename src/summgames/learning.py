@@ -290,7 +290,8 @@ def run_summ_learn(
     ``MAX_RECORDED_STEPS`` trajectory steps, each counted n + 1 times with
     probability snapshots, raises CapabilityError before its first step,
     and ``mc_samples`` < 1, ``mc_seed`` < 0 or delta >= beta raises
-    InputError there, whichever regret mode certifies the run.
+    InputError there, whichever regret mode certifies the run, as does
+    ``mc_samples`` < 2 when Monte Carlo certifies it (n > 20).
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -303,8 +304,10 @@ def run_summ_learn(
     beta = config.beta if config.beta is not None else alpha / 2.0
     if math.isnan(beta) or not 0.0 < beta < alpha:
         raise InputError(f"beta must lie in (0, alpha={alpha}), got {beta}")
-    if mc_samples < 1:
-        raise InputError(f"mc_samples must be >= 1, got {mc_samples}")
+    # A Monte-Carlo certificate's standard errors need two samples.
+    least = 2 if game.n > EXACT_REGRET_MAX_PLAYERS else 1
+    if mc_samples < least:
+        raise InputError(f"mc_samples must be >= {least}, got {mc_samples}")
     if mc_seed < 0:
         raise InputError(f"mc_seed must be >= 0, got {mc_seed}")
     if config.max_steps is not None:

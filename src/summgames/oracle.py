@@ -132,6 +132,8 @@ def validate_certificate(
     recomputation each contribute 0. A pure profile's regrets are exact,
     so its certificate's ``stderrs``, if any, are not used. The maximum
     must not exceed the claimed epsilon by more than the same allowance.
+    Claimed stderrs must be finite and nonnegative, and Monte Carlo needs
+    samples >= 2: an infinite standard error would allow any regret.
     Violations are report content, not exceptions.
     """
     profile = certificate.profile
@@ -150,9 +152,12 @@ def validate_certificate(
             raise InputError(
                 f"certificate has {len(claimed_se)} stderrs for n={game.n}"
             )
-        # NaN fails this too; it would otherwise pass every comparison.
-        if not all(se >= 0.0 for se in claimed_se):
-            raise InputError("certificate stderrs must be nonnegative numbers")
+        # NaN fails this too; it would otherwise pass every comparison, and
+        # an infinite stderr would allow any regret.
+        if not all(0.0 <= se < math.inf for se in claimed_se):
+            raise InputError(
+                "certificate stderrs must be finite nonnegative numbers"
+            )
 
     violations: list[str] = []
     stderrs: tuple[float, ...] | None = None
@@ -162,6 +167,11 @@ def validate_certificate(
     else:
         if mode == "auto":
             mode = "exact" if game.n <= EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+        # One sample has an infinite standard error, which allows any regret.
+        if mode == "monte_carlo" and samples < 2:
+            raise InputError(
+                f"Monte-Carlo validation needs samples >= 2, got {samples}"
+            )
         result = regret_mixed(game, profile, mode=mode, samples=samples, seed=seed)
         recomputed = result.regrets
         stderrs = result.stderrs

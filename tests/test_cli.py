@@ -107,6 +107,24 @@ def test_infinite_slope_game_exits_2_naming_the_field(capsys, tmp_path):
             assert "$.payoffs[0].action1" in err and reason in err, argv
 
 
+@pytest.mark.parametrize(
+    "raw", [b'{"players": "\xff"}', b"[" * 10**5], ids=["not-utf8", "too-deep"]
+)
+def test_undecodable_files_exit_2(capsys, tmp_path, raw):
+    # Bytes that are not UTF-8 and nesting past the recursion limit used to
+    # end in a traceback with exit 1, which verify reserves for a
+    # certificate that fails validation.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    for argv in (
+        ("solve", str(bad), "--epsilon", "0.5"),
+        ("verify", f"{SAMPLES}/bar4.json", str(bad)),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {bad} is not valid JSON: "), argv
+
+
 @pytest.mark.parametrize("normalize", [True, False])
 def test_infinite_weight_game_exits_2_naming_the_weight(capsys, tmp_path, normalize):
     # Python's JSON reader accepts Infinity; normalized, the weights would
@@ -194,7 +212,12 @@ def test_learn_rejects_nonlinear_game(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "sample, flag, value",
-    [("bar4", "--seed", "-1"), ("bar100", "--seed", "-1"), ("bar100", "--samples", "0")],
+    [
+        ("bar4", "--seed", "-1"),
+        ("bar100", "--seed", "-1"),
+        ("bar100", "--samples", "0"),
+        ("bar100", "--samples", "1"),
+    ],
 )
 def test_learn_rejects_bad_certification_flags_before_the_loop(
     capsys, monkeypatch, sample, flag, value

@@ -312,8 +312,10 @@ def test_game_rejects_payoffs_outside_the_catalog(monkeypatch):
             with pytest.raises(InputError, match=rf"payoffs\[1\]\[{b}\] is a "):
                 SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), tuple(pair)))
     # Every guarantee scales with rho, so the game refuses an infinite one.
-    # No valid catalog coefficients give one, so a kind's bound is patched.
-    monkeypatch.setattr(Affine, "derivative_bound", lambda self: math.inf)
+    # No valid catalog coefficients give one, so a kind's bound rule, which
+    # the game applies to its coefficient columns, is patched.
+    infinite = staticmethod(lambda a, b: np.full(a.shape, math.inf))
+    monkeypatch.setattr(Affine, "_bound", infinite)
     with pytest.raises(InputError, match=r"payoffs\[1\]\[0\] has derivative bound inf"):
         SummGame(Mean(2), ((Constant(0.5), Constant(0.5)), (Affine(0.0, 1.0), Constant(0.5))))
 

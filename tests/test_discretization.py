@@ -295,7 +295,7 @@ def test_random_game_makes_one_bank_call_per_group_and_action(monkeypatch):
         game = random_game(rng, n)
         calls.clear()
         discretization._probe(game, AlphaGrid(K), K // 2)
-        groups = sum(len(bank.groups) for bank in game._payoff_banks())
+        groups = sum(len(bank.groups) for bank in game._banks)
         assert all(z == (1, 1) for _, z in calls)
         assert sum(m for m, _ in calls) == 2 * n
         assert len(calls) == groups < 2 * 8 + 1

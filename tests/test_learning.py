@@ -454,7 +454,7 @@ def test_learner_sums_over_classes_not_players(monkeypatch):
     n = 10_000
     config = LearnConfig(epsilon=0.5, delta=1e-4)
     trajectory, _, diagnostics = run_summ_learn(
-        bar_game(n), config, MixedProfile((0.0,) * n), mc_samples=1
+        bar_game(n), config, MixedProfile((0.0,) * n), mc_samples=2
     )
     steps = trajectory.terminated.step
     assert steps == 4732

@@ -261,9 +261,26 @@ def test_validate_monte_carlo_allowance_counts_both_errors():
         f"recomputed {fresh.regrets[i]} by more than {4.0 * fresh.stderrs[i]}"
         for i in expected
     ]
-    for bad in ((0.01,) * 24, (float("nan"),) * 25, (-0.01,) * 25):
+    # An infinite stderr would allow any regret.
+    for bad in ((0.01,) * 24, (float("nan"),) * 25, (-0.01,) * 25, (math.inf,) * 25):
         with pytest.raises(InputError, match="stderrs"):
             check(honest.regrets, bad)
+
+
+def test_validate_monte_carlo_needs_two_samples():
+    # One sample's stderr is infinite, so a certificate forged to regrets
+    # 0.9 and epsilon 0 passed; two samples catch it.
+    game = bar_game(100)
+    profile = MixedProfile((0.5,) * 100)
+    forged = EquilibriumCertificate(profile, 0.0, (0.9,) * 100, Learned())
+    for mode in ("auto", "monte_carlo"):
+        with pytest.raises(InputError, match="needs samples >= 2, got 1"):
+            validate_certificate(game, forged, mode=mode, samples=1)
+    assert not validate_certificate(game, forged, samples=2).valid
+    # Exact validation draws nothing, so its sample count is not read.
+    small = bar_game(3)
+    exact = EquilibriumCertificate(MixedProfile((0.5,) * 3), 0.0, (0.9,) * 3, Learned())
+    assert not validate_certificate(small, exact, samples=1).valid
 
 
 def test_validate_learner_certificate_monte_carlo_reproducible():

@@ -138,6 +138,11 @@ def _game(kind, n, rng):
     return SummGame(_summarization(kind, n, rng), pairs)
 
 
+def _bank(fns):
+    """The action-0 payoff bank of a game whose players hold fns, in order."""
+    return SummGame(Mean(len(fns)), tuple((fn, fn) for fn in fns))._banks[0]
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -166,7 +171,7 @@ def test_formulas_match_reference_arithmetic():
         Constant(-0.0),
         Affine(-0.0, -0.0),
     ]
-    bank = core._PayoffBank(extreme)
+    bank = _bank(extreme)
     for K in (1, 7, 4 * 10**4):
         points = AlphaGrid(K).grid_points()
         values = bank.evaluate(slice(0, len(extreme)), points[None, :])
@@ -184,7 +189,7 @@ def test_bank_matches_reference_arithmetic():
     fns = [fns[int(j)] for j in rng.permutation(len(fns))]
     z = _probe_points(fns, rng)
     rows = np.stack([rng.permutation(z) for _ in fns])
-    bank = core._PayoffBank(fns)
+    bank = _bank(fns)
     expected = np.stack([_ref_evaluate_array(fn, row) for fn, row in zip(fns, rows)])
     # The same chunks on one row of z that every player shares.
     shared = np.stack([_ref_evaluate_array(fn, z) for fn in fns])
