@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -396,8 +395,8 @@ class Payoff:
       first faulty row and its message, or None when every row is valid.
       Game banks run it on each group of rows under ``np.errstate``. A
       constructor runs it on its own fields: a scalar kind's as Python
-      floats (``_row_fault``), so the check must not divide by zero, and a
-      piecewise payoff's as one-row tables.
+      floats, so the check must not divide by zero, and a piecewise
+      payoff's as one-row tables.
     * ``_formula(*columns, z)`` evaluates the payoffs, broadcasting the
       columns against z; ``evaluate_array`` is the formula on one payoff's
       coefficients and ``evaluate`` is ``evaluate_array`` on one point.
@@ -413,7 +412,7 @@ class Payoff:
     _coefficients: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        fault = _row_fault(type(self), self._row())
+        fault = self._check(*self._row())[1]
         if fault is not None:
             raise InputError(fault[1])
 
@@ -449,15 +448,6 @@ class Payoff:
     def derivative_bound(self) -> float:
         columns = (np.array([getattr(self, c)]) for c in self._coefficients)
         return float(self._bound(*columns)[0])
-
-
-@lru_cache(maxsize=1024)
-def _row_fault(kind: type, row: tuple[float, ...]) -> tuple[int, str] | None:
-    """``kind._check`` of one scalar payoff's row of floats. A fault
-    depends only on the numbers, which a signed zero does not change, so a
-    row repeated across a game built in code (the bar game at n = 10^5
-    makes 2*10^5 payoffs of 2 rows) is checked once."""
-    return kind._check(*row)[1]
 
 
 def _first_fault(*stages) -> tuple[int, str] | None:
