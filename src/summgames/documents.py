@@ -87,7 +87,13 @@ def _expect_number(value: Any, path: str) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise InputError(
+            f"{path}: a {digits}-digit integer is beyond the float range"
+        ) from None
 
 
 def _expect_int(value: Any, path: str) -> int:

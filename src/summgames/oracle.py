@@ -17,6 +17,7 @@ from .core import (
     MC_SAMPLES,
     PureProfile,
     SummGame,
+    _CountBase,
     _chunk_players,
     _deviation_values,
     _profile_blocks,
@@ -34,10 +35,12 @@ __all__ = [
     "validate_certificate",
 ]
 
-# 2^22 profiles keeps full enumeration at desk scale (seconds, not hours):
-# at n = 22 the pruned search took 0.4-0.8 s on random, bar and weighted-
-# voting games (one core of a 2-CPU container), against 2.4-3.1 s when every
-# player was evaluated on every profile.
+# 2^22 profiles keeps the enumeration of a weighted game at desk scale
+# (seconds, not hours): at n = 22 the pruned search takes 0.2-0.6 s on
+# random, equal-weight bar and weighted-voting games (one core of a 2-CPU
+# container), against 2.4-3.1 s when every player was evaluated on every
+# profile. Count-based games search counts, not profiles, in under 1 ms at
+# n = 22; the cap holds for them too, as their report still counts 2^n.
 BRUTE_FORCE_MAX_PLAYERS = 22
 
 # Agreement tolerance for exactly recomputed regrets.
@@ -56,17 +59,18 @@ class BruteForceReport:
 def brute_min_epsilon(game: SummGame) -> BruteForceReport:
     """Minimize max-regret over all 2^n pure profiles.
 
-    Ties break to the lexicographically smallest action tuple. Profiles are
-    enumerated in that order, in fixed-size blocks, and each block is
-    bounded player by player: a row's running max regret over the players
-    seen so far is a lower bound on its max regret, so once it reaches the
-    best value of the earlier blocks the row is dropped -- it is worse, or
-    ties at a larger code and loses -- and later players are evaluated only
-    on the rows still alive. A block's winner is the first minimum among
-    its survivors. Every surviving row's regrets are the floats an
-    unpruned search computes, so the result does not depend on the pruning
-    or on the evaluation order; ``profiles_examined`` counts all 2^n
-    profiles, each of which is bounded.
+    Ties break to the lexicographically smallest action tuple, and
+    epsilon* is that profile's regrets folded with ``np.maximum`` in player
+    order from +0.0, so a zero epsilon* carries the sign that fold gives.
+    Under ``Mean`` and ``MajorityFraction`` a player's regret depends only
+    on the count of ones and their own action, and the search runs over
+    counts (``_count_search``): 4n^2 payoff evaluations and O(n^2 log n)
+    array work. A ``LinearWeighted`` game enumerates the 2^n profiles with
+    pruning (``_pruned_enumeration``): 2n to 2n * 2^n payoff evaluations.
+    Both reduce the deviation kernel ``regret_pure`` reads, on the same
+    floats, so the result is the one evaluating every player on every
+    profile gives; ``profiles_examined`` counts all 2^n profiles, each of
+    which is bounded.
     """
     n = game.n
     if n > BRUTE_FORCE_MAX_PLAYERS:
@@ -74,6 +78,89 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             f"exhaustive search is capped at n <= {BRUTE_FORCE_MAX_PLAYERS} "
             f"(got n={n})"
         )
+    if isinstance(game.summarization, _CountBase):
+        actions, best_value = _count_search(game)
+    else:
+        actions, best_value = _pruned_enumeration(game)
+    return BruteForceReport(PureProfile(actions), best_value, 1 << n)
+
+
+def _count_search(game: SummGame) -> tuple[tuple[int, ...], float]:
+    """The lexicographically smallest min-max-regret profile of a game
+    under a count-based S, and its max regret, over counts.
+
+    One ``_deviation_values`` call per action b gives r_b[i, c], player
+    i's regret playing b when c players play 1, at each count where
+    someone can (state = the count, one x row of b shared by all players):
+    the floats the enumeration computes on every profile of that count.
+    An assignment with c ones keeps every regret within T exactly when
+    each player has an action within T, at least c players may play 1
+    and at least n - c may play 0, so the bottleneck of count c is the
+    largest of max_i min_b r_b[i, c], the c-th smallest r_1[:, c] and the
+    (n - c)-th smallest r_0[:, c]. epsilon* is the least bottleneck. A
+    greedy pass over the players then sets each to 0 whenever some
+    optimal count can still be completed, which gives the smallest
+    minimizer over all of them.
+    """
+    n = game.n
+    counts = np.arange(n + 1)
+    # regret[b, i, c], inf where nobody plays b: c = n for 0, c = 0 for 1.
+    regret = np.full((2, n, n + 1), np.inf)
+    for b in (0, 1):
+        x = np.full((1, n), b == 1)
+        state = np.arange(b, n + b, dtype=np.float64)
+        f0, f1 = _deviation_values(game, state, x, slice(0, n))
+        regret[b, :, b : n + b] = np.maximum(f0, f1) - np.where(x, f1, f0)
+    # ranked[b, k, c] is the k-th smallest r_b[:, c], ranked[b, 0] = -inf.
+    ranked = np.concatenate(
+        (np.full((2, 1, n + 1), -np.inf), np.sort(regret, axis=1)), axis=1
+    )
+    bottleneck = np.maximum.reduce(
+        (regret.min(axis=0).max(axis=0), ranked[1, counts, counts],
+         ranked[0, n - counts, counts])
+    )
+    epsilon = bottleneck.min()
+    # after[b, i, c]: players i.. that may play 1 (b = 1) or must (b = 0).
+    allowed = regret <= epsilon
+    after = np.zeros((2, n + 1, n + 1), dtype=np.int64)
+    after[:, :n] = np.cumsum(
+        np.stack((allowed[1] & ~allowed[0], allowed[1]))[:, ::-1], axis=1
+    )[:, ::-1]
+    alive = bottleneck <= epsilon
+    actions, ones = [], 0
+    for i in range(n):
+        # Ones the players after i must place if i plays 0.
+        left = counts - ones
+        rest = (after[0, i + 1] <= left) & (left <= after[1, i + 1])
+        zero = alive & allowed[0, i] & rest
+        if zero.any():
+            alive = zero
+            actions.append(0)
+        else:
+            # Every completion of every live count has i playing 1.
+            actions.append(1)
+            ones += 1
+    worst = np.zeros(1)
+    for r in regret[actions, np.arange(n), ones]:
+        np.maximum(worst, r, out=worst)
+    return tuple(actions), float(worst[0])
+
+
+def _pruned_enumeration(game: SummGame) -> tuple[tuple[int, ...], float]:
+    """The lexicographically smallest min-max-regret profile and its max
+    regret, by enumerating the 2^n profiles.
+
+    Profiles are enumerated in lexicographic order, in fixed-size blocks,
+    and each block is bounded player by player: a row's running max regret
+    over the players seen so far is a lower bound on its max regret, so
+    once it reaches the best value of the earlier blocks the row is
+    dropped -- it is worse, or ties at a larger code and loses -- and
+    later players are evaluated only on the rows still alive. A block's
+    winner is the first minimum among its survivors. Every surviving row's
+    regrets are the floats an unpruned search computes, so the result does
+    not depend on the pruning or on the evaluation order.
+    """
+    n = game.n
     # Code 0 is the first profile, so it wins every tie, and its max regret,
     # folded as a row's running max is below, bounds the first block too.
     best_value, best_code = 0.0, 0
@@ -101,7 +188,7 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
             best_value = float(worst[idx])
             best_code = start + int(alive[idx])
     actions = tuple(int((best_code >> (n - 1 - i)) & 1) for i in range(n))
-    return BruteForceReport(PureProfile(actions), best_value, 1 << n)
+    return actions, best_value
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,24 @@ def test_infinite_weight_game_exits_2_naming_the_weight(capsys, tmp_path, normal
         assert "$.summarization.weights[0]: " in err and "finite" in err, argv
 
 
+def test_integer_beyond_the_float_range_exits_2_naming_the_field(capsys, tmp_path):
+    # A one-player game whose constant payoff is a 400-digit integer used
+    # to end in an OverflowError traceback with exit 1.
+    bad = tmp_path / "huge.json"
+    bad.write_text(
+        '{"players": 1, "summarization": {"type": "mean"}, "payoffs": [{'
+        f'"action0": {{"type": "constant", "c": {10**400}}}, '
+        '"action1": {"type": "constant", "c": 0.5}}]}'
+    )
+    for argv in (("solve", str(bad), "--epsilon", "0.5"), ("brute", str(bad))):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            "error: $.payoffs[0].action0.c: a 401-digit integer is beyond the "
+            "float range\n"
+        ), argv
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------

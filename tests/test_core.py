@@ -128,7 +128,8 @@ def test_batch_state_of_a_bool_block_is_that_of_its_float_copy(n):
     # Blocks are bool; LinearWeighted copies them to float64 row chunks,
     # since its einsum on bool rows summed in another order once n > 8192.
     rng = np.random.default_rng(n)
-    bits = rng.random((2 * core._chunk_rows(n) + 3, n)) < 0.5  # three chunks
+    step = max(1, core._STATE_CHUNK_CELLS // n)
+    bits = rng.random((2 * step + 3, n)) < 0.5  # three chunks
     weights = tuple(rng.uniform(0.01, 1.0, n).tolist())
     for summ in (Mean(n), MajorityFraction(n), LinearWeighted(weights, normalize=True)):
         state = summ.batch_state(bits)

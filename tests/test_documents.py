@@ -137,6 +137,39 @@ def test_parse_errors_name_the_field(mutate, fragment):
     assert fragment in str(err.value)
 
 
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (
+            lambda d: d["payoffs"][1].update(action0={"type": "constant", "c": _HUGE}),
+            "$.payoffs[1].action0.c",
+        ),
+        (
+            lambda d: d["payoffs"][2].update(
+                action1={"type": "piecewise_linear", "points": [[0, 0], [-_HUGE, 1]]}
+            ),
+            "$.payoffs[2].action1.points[1][0]",
+        ),
+        (
+            lambda d: d.update(
+                summarization={"type": "linear_weighted", "weights": [1, 1, _HUGE, 1]}
+            ),
+            "$.summarization.weights[2]",
+        ),
+    ],
+)
+def test_integers_beyond_the_float_range_name_the_field(mutate, path):
+    # float() of such an integer raises OverflowError, not InputError.
+    doc = _bar_doc()
+    mutate(doc)
+    with pytest.raises(InputError) as err:
+        parse_game(doc)
+    assert str(err.value) == f"{path}: a 401-digit integer is beyond the float range"
+
+
 def test_load_game_reports_digest_and_json_errors(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(_bar_doc()))
@@ -199,6 +232,15 @@ def test_certificate_from_result_document():
     )
     wrapper = {"command": "solve", "certificate": certificate_to_doc(cert)}
     assert certificate_from_doc(wrapper) == cert
+
+
+def test_certificate_integer_beyond_the_float_range_names_the_field():
+    doc = certificate_to_doc(
+        EquilibriumCertificate(PureProfile((1, 0)), 0.5, (0.0, 0.0), Learned())
+    )
+    doc["regrets"][1] = 10**400
+    with pytest.raises(InputError, match=r"^\$\.regrets\[1\]: a 401-digit integer"):
+        certificate_from_doc(doc)
 
 
 def test_certificate_doc_validation():

@@ -18,6 +18,8 @@ from summgames import (
     EquilibriumCertificate,
     InputError,
     Learned,
+    LinearWeighted,
+    MajorityFraction,
     MixedProfile,
     PureProfile,
     brute_min_epsilon,
@@ -26,6 +28,7 @@ from summgames import (
     run_summ_learn,
     LearnConfig,
     summ_nash,
+    SummGame,
     validate_certificate,
 )
 from summgames import core
@@ -122,33 +125,59 @@ def _count_cells(monkeypatch):
     return cells
 
 
+def _equal_weights(game):
+    """The game's payoffs under a weighted vote with equal weights, which
+    the pruned enumeration searches; S takes the mean's values k/n exactly
+    for n a power of two."""
+    return SummGame(LinearWeighted((1.0,) * game.n, normalize=True), game.payoffs)
+
+
 def test_brute_drops_profiles_once_they_have_lost(monkeypatch):
-    # bar_game(16) enumerates four blocks. Evaluating every player on every
-    # profile hands the payoff banks 2 * n * 2^n cells; once the first block
-    # holds an equilibrium, a row of a later block is dropped at its first
-    # player with positive regret.
+    # bar_game(16)'s payoffs under equal weights enumerate four blocks.
+    # Evaluating every player on every profile hands the payoff banks
+    # 2 * n * 2^n cells; once the first block holds an equilibrium, a row
+    # of a later block is dropped at its first player with positive regret.
     cells = _count_cells(monkeypatch)
     n = 16
-    report = brute_min_epsilon(bar_game(n))
+    report = brute_min_epsilon(_equal_weights(bar_game(n)))
     assert report.epsilon_star == 0.0
     assert report.profiles_examined == 1 << n
     assert sum(cells) < 2 * n * (1 << n) // 3
 
 
 def test_brute_bounds_the_first_block_by_the_first_profile(monkeypatch):
-    # The all-zeros profile of consensus_game(16) is an equilibrium. Its
-    # regrets (2 * n cells) bound every block, the first one included, so
-    # each profile is dropped after its first player (2 cells each).
+    # The all-zeros profile of consensus_game(16)'s payoffs under equal
+    # weights is an equilibrium. Its regrets (2 * n cells) bound every
+    # block, the first one included, so each profile is dropped after its
+    # first player (2 cells each).
     cells = _count_cells(monkeypatch)
     n = 16
-    report = brute_min_epsilon(consensus_game(n))
+    report = brute_min_epsilon(_equal_weights(consensus_game(n)))
     assert report.epsilon_star == 0.0
     assert report.best_profile.actions == (0,) * n
     assert sum(cells) == 2 * n + 2 * (1 << n)
 
 
+@pytest.mark.parametrize("n", [1, 16, 22])
+def test_brute_searches_counts_of_count_based_games(monkeypatch, n):
+    # Under the mean and the majority fraction a regret depends only on the
+    # count and the player's own action: one kernel call per action, each
+    # evaluating both banks for n players at n counts, 4 * n^2 cells
+    # whatever the game, not a number that grows with 2^n.
+    cells = _count_cells(monkeypatch)
+    rng = np.random.default_rng(n)
+    games = [bar_game(n), consensus_game(n), random_game(rng, n, "mean")]
+    games.append(SummGame(MajorityFraction(n), games[-1].payoffs))
+    for game in games:
+        cells.clear()
+        report = brute_min_epsilon(game)
+        assert report.profiles_examined == 1 << n
+        assert sum(cells) == 4 * n * n
+        assert report.epsilon_star == max(regret_pure(game, report.best_profile))
+
+
 def test_brute_majority_summarization():
-    from summgames import Affine, MajorityFraction, SummGame
+    from summgames import Affine
 
     game = SummGame(
         MajorityFraction(4),

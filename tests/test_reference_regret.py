@@ -25,6 +25,7 @@ from conftest import (
     adoption_game,
     bar_game,
     consensus_game,
+    constant_game,
     random_game,
     random_payoff,
     threshold_game,
@@ -37,6 +38,7 @@ from summgames import (
     MajorityFraction,
     Mean,
     MixedProfile,
+    PiecewiseLinear,
     PureProfile,
     SummGame,
     broadcast_mean,
@@ -315,7 +317,7 @@ def test_kernel_matches_reference_kernel(monkeypatch, chunk_rows):
     # chunks) and of all rows; both selects of the payoff a player receives.
     rng = np.random.default_rng(3)
     for kind, game in _regret_games(3, (1, 4, 9)):
-        monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
+        monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", chunk_rows * game.n)
         for rows in (1, 5, 1500):
             bits = rng.random((rows, game.n)) < 0.5
             ours = [
@@ -381,7 +383,7 @@ def test_exact_regret_mixed_matches_reference(monkeypatch):
         ):
             _check_exact(kind, game, MixedProfile(probs))
     # Two enumeration blocks, split into state chunks of 7 rows.
-    monkeypatch.setattr(core, "_CHUNK_CELLS", 7 * 15)
+    monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", 7 * 15)
     for kind in ("mean", "linear"):
         _check_exact(kind, random_game(rng, 15, kind), _exact_profile(rng, 15))
     monkeypatch.undo()
@@ -438,10 +440,11 @@ def _signed_zero_game(n):
 
 @pytest.mark.parametrize("block_rows", [1, 4, 16, 256])
 def test_brute_matches_reference(monkeypatch, block_rows):
-    # Many blocks per game, so rows are dropped across blocks and the high
-    # columns are refilled per block; at most 1024 blocks per game. As at
-    # the default sizes, a full block is bounded one player at a time and
-    # its survivors several players at a time.
+    # Many blocks per weighted game, so rows are dropped across blocks and
+    # the high columns are refilled per block; at most 1024 blocks per
+    # game. As at the default sizes, a full block is bounded one player at
+    # a time and its survivors several players at a time. The count-based
+    # games here search counts whatever the block size.
     monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
     monkeypatch.setattr(core, "_CHUNK_PLAYER_CELLS", block_rows)
     sizes = [n for n in (1, 2, 3, 5, 8, 10, 12, 14) if 1 << n <= 1024 * block_rows]
@@ -472,6 +475,66 @@ def test_brute_matches_reference(monkeypatch, block_rows):
     assert positive >= len(sizes)
 
 
+def _tied_counts_game():
+    """Three players under the mean whose equilibria have one and two ones:
+    player 0 prefers action 1 while the others' count is below 2, and
+    players 1 and 2 are indifferent. (1, 0, 0) is the only equilibrium
+    with one 1, and (0, 1, 1), with two, is the smallest of all."""
+    eager = (Constant(0.5), PiecewiseLinear(((0.0, 1.0), (0.7, 1.0), (1.0, 0.0))))
+    indifferent = (Constant(0.5), Constant(0.5))
+    return SummGame(Mean(3), (eager, indifferent, indifferent))
+
+
+def _zigzag_payoff(rng, n):
+    """A piecewise payoff with random values at the midpoints between the
+    n + 1 count values of S, so every count draws its own payoff."""
+    zs = [0.0] + [(k + 0.5) / n for k in range(n)] + [1.0]
+    return PiecewiseLinear(tuple(zip(zs, rng.uniform(size=len(zs)).tolist())))
+
+
+def test_brute_count_search_matches_reference():
+    # Games under the mean and the majority fraction search counts, not
+    # profiles; their epsilon* and profile must be the unpruned
+    # enumeration's, signed zeros included. Taking epsilon* from the
+    # bottleneck values, not from the winner's regrets folded in player
+    # order, flips the sign of a zero epsilon* at several n here.
+    rng = np.random.default_rng(41)
+    cases = [("tied-counts", _tied_counts_game())]
+    for n in (1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16):
+        payoffs = [
+            ("random", random_game(rng, n).payoffs),
+            ("edge", _with_edge_payoffs(random_game(rng, n), rng).payoffs),
+            ("consensus", consensus_game(n).payoffs),
+            ("adoption", adoption_game(n).payoffs),
+            ("constant", constant_game(n).payoffs),
+            ("bar", bar_game(n).payoffs),
+            ("threshold", threshold_game(rng.uniform(size=n)).payoffs),
+            ("signed-zero", _signed_zero_game(n).payoffs),
+            # Followers and contrarians, which often have no equilibrium.
+            ("crowd", _weighted_voting_game(np.ones(n), rng.random(n) < 0.5).payoffs),
+            (
+                "zigzag",
+                tuple((_zigzag_payoff(rng, n), _zigzag_payoff(rng, n)) for _ in range(n)),
+            ),
+        ]
+        for summ in (Mean(n), MajorityFraction(n)):
+            cases += [(kind, SummGame(summ, pairs)) for kind, pairs in payoffs]
+    positive = zeros = 0
+    for kind, game in cases:
+        report = brute_min_epsilon(game)
+        value, actions = _ref_brute(game)
+        assert _bits(report.epsilon_star) == _bits(value), (kind, game.n)
+        assert report.best_profile.actions == actions, (kind, game.n)
+        assert report.profiles_examined == 1 << game.n
+        positive += value > 0.0
+        zeros += _bits(value) == _bits(-0.0)
+    assert positive >= 5 and zeros >= 5
+    # Counts 1 and 2 tie at epsilon* = 0; the smaller profile has more ones.
+    game = _tied_counts_game()
+    assert brute_min_epsilon(game).best_profile.actions == (0, 1, 1)
+    assert max(regret_pure(game, PureProfile((1, 0, 0)))) == 0.0
+
+
 def _check_monte_carlo(kind, game, profile, samples, seed):
     """Count-based S is byte-equal to the per-count reference and agrees
     with the per-row one within 1e-14 (means, and variances samples *
@@ -495,6 +558,7 @@ def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
     for kind, game in _regret_games(6, (1, 3, 12)):
         if chunk_rows is not None:
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
+            monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", chunk_rows * game.n)
         profile = _profile(rng, game.n)
         # Below the bitwise select, above it, and two blocks; none a
         # multiple of the 7-row draw chunk.
@@ -503,7 +567,7 @@ def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
 
 
 def test_monte_carlo_at_scale_matches_reference():
-    # n = 1000 makes 262-row draw and state chunks inside each block.
+    # n = 1000 makes 262-row draw and 65-row state chunks inside each block.
     rng = np.random.default_rng(7)
     for kind, game in (
         ("mean", bar_game(1000)),
