@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,15 +99,17 @@ _CHUNK_PLAYER_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class PureProfile:
-    """A joint pure action: one 0/1 entry per player."""
+    """A joint pure action: one 0/1 entry per player. Rejections name the
+    field, ``actions`` or ``actions[j]``, as in "actions[j]: reason"."""
 
     actions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.actions) < 1:
-            raise InputError("a profile needs at least one player")
-        if any(a not in (0, 1) for a in self.actions):
-            raise InputError("pure actions must be exactly 0 or 1")
+            raise InputError("actions: a profile needs at least one player")
+        j = next((j for j, a in enumerate(self.actions) if a not in (0, 1)), None)
+        if j is not None:
+            raise InputError(f"actions[{j}]: pure actions must be exactly 0 or 1")
         object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
 
     @property
@@ -117,17 +119,24 @@ class PureProfile:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """A joint mixed strategy: probs[i] = P(player i plays action 1)."""
+    """A joint mixed strategy: probs[i] = P(player i plays action 1).
+
+    The probabilities are read as one float64 column and checked by
+    ``_check_entries``; NaN fails the check. Rejections name the field,
+    ``probs`` or ``probs[j]``, as in "probs[j]: reason".
+    """
 
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.probs) < 1:
-            raise InputError("a profile needs at least one player")
-        probs = tuple(float(p) for p in self.probs)
-        if any(math.isnan(p) or p < 0.0 or p > 1.0 for p in probs):
-            raise InputError("mixed-strategy probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", probs)
+            raise InputError("probs: a profile needs at least one player")
+        probs = np.array(self.probs, dtype=np.float64)
+        outside = ~((0.0 <= probs) & (probs <= 1.0))
+        _check_entries(
+            "probs", (outside, "mixed-strategy probabilities must lie in [0, 1]")
+        )
+        object.__setattr__(self, "probs", tuple(probs.tolist()))
 
     @property
     def n(self) -> int:
@@ -241,8 +250,12 @@ class _CountBase(Summarization):
 
     The state is that count, an exact integer in float64, so a deviation's
     count is exact and its value is the float that evaluating the deviated
-    profile gives.
+    profile gives. n is the player count, at least 1.
     """
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InputError("player count must be >= 1")
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -271,10 +284,6 @@ class Mean(_CountBase):
     n: int
     is_linear = True
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("player count must be >= 1")
-
     @property
     def weights(self) -> tuple[float, ...]:
         return (1.0 / self.n,) * self.n
@@ -289,9 +298,11 @@ class LinearWeighted(Summarization):
 
     With ``normalize=True`` the weights are rescaled to sum to exactly 1;
     otherwise a weight vector whose sum exceeds 1 is rejected, since the
-    summarization value must stay in [0, 1]. Every weight and their sum
-    must be finite. Rejections name the field, ``weights`` or
-    ``weights[j]``, as in "weights[j]: reason".
+    summarization value must stay in [0, 1]. The weights are read as one
+    float64 column and checked by ``_check_entries``, as payoff columns are:
+    every weight and their sum must be finite. Normalizing divides the
+    column by the exactly rounded sum. Rejections name the field,
+    ``weights`` or ``weights[j]``, as in "weights[j]: reason".
     """
 
     weights: tuple[float, ...]
@@ -300,17 +311,16 @@ class LinearWeighted(Summarization):
     is_linear = True
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
-        if len(ws) < 1:
+        w = np.array(self.weights, dtype=np.float64)
+        if len(w) < 1:
             raise InputError("weights: at least one weight is required")
-        for j, w in enumerate(ws):
-            # An infinite weight would normalize to NaN.
-            if not (math.isfinite(w) and w >= 0.0):
-                raise InputError(
-                    f"weights[{j}]: expected a finite nonnegative number, got {w}"
-                )
+        # An infinite weight would normalize to NaN.
+        bad = ~(np.isfinite(w) & (w >= 0.0))
+        _check_entries(
+            "weights", (bad, "expected a finite nonnegative number, got {0}", w)
+        )
         try:
-            total = math.fsum(ws)
+            total = math.fsum(w.tolist())
         except OverflowError as err:
             raise InputError("weights: their sum overflows") from err
         if self.normalize:
@@ -318,15 +328,14 @@ class LinearWeighted(Summarization):
                 raise InputError(
                     "weights: cannot normalize an all-zero weight vector"
                 )
-            ws = tuple(w / total for w in ws)
+            w = w / total
         elif total > 1.0 + 1e-12:
             raise InputError(
                 f"weights: their sum {total} exceeds 1; pass normalize=True "
                 "to rescale"
             )
-        w = np.array(ws)
         w.setflags(write=False)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "_w", w)
 
     @property
@@ -368,10 +377,6 @@ class MajorityFraction(_CountBase):
     """
 
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("player count must be >= 1")
 
     def _of_count(self, ones: np.ndarray) -> np.ndarray:
         return np.maximum(ones, self.n - ones) / self.n
@@ -486,6 +491,14 @@ def _first_fault(*stages) -> tuple[int, str] | None:
     at = r if k is None else (r, k)
     k_next = None if k is None else k + 1
     return r, text.format(*(float(v[at]) for v in values), k=k, k_next=k_next)
+
+
+def _check_entries(name: str, *stages) -> None:
+    """Raise the first fault ``_first_fault`` finds in the stages of one
+    field's column of entries as an InputError "name[j]: message"."""
+    fault = _first_fault(*stages)
+    if fault is not None:
+        raise InputError(f"{name}[{fault[0]}]: {fault[1]}")
 
 
 def _unit(values, what: str) -> tuple:
@@ -690,13 +703,12 @@ class _PayoffGroup:
     ``members`` lists them in ascending order (``index`` as an array), and
     each coefficient column of their ``kind`` holds one row per member:
     (m, 1) for a scalar coefficient, (m, 1, p) for a breakpoint table.
-    ``formula(*columns, z)`` takes z with one row per member, or one row
-    that all of them share, and returns an array that broadcasts to (m,
-    points).
+    The kind's ``_formula(*columns, z)`` takes z with one row per member,
+    or one row that all of them share, and returns an array that
+    broadcasts to (m, points).
     """
 
     kind: type
-    formula: Callable
     members: list[int]
     index: np.ndarray
     columns: tuple[np.ndarray, ...]
@@ -746,7 +758,7 @@ class _PayoffRows:
                 first = found if first is None else min(first, found)
             columns = tuple(np.ascontiguousarray(c)[:, None] for c in columns)
             groups[b].append(
-                _PayoffGroup(kind, kind._formula, members, np.array(members), columns)
+                _PayoffGroup(kind, members, np.array(members), columns)
             )
         return groups, first
 
@@ -779,11 +791,11 @@ class _PayoffBank:
                 continue
             columns = [column[lo:hi] for column in group.columns]
             if hi - lo == stop - start:
-                return group.formula(*columns, z)
+                return group.kind._formula(*columns, z)
             if out is None:
                 out = np.empty((stop - start, z.shape[1]))
             at = group.index[lo:hi] - start
-            out[at] = group.formula(*columns, z if shared else z[at])
+            out[at] = group.kind._formula(*columns, z if shared else z[at])
         return out
 
 
@@ -938,6 +950,15 @@ def _chunk_players(rows: int) -> int:
     return max(1, _CHUNK_PLAYER_CELLS // rows)
 
 
+def _player_slices(n: int, rows: int):
+    """Yield the consecutive slices of n players evaluated together on
+    rows-long arrays of z, ``_chunk_players(rows)`` players each (the last
+    one fewer)."""
+    width = _chunk_players(rows)
+    for start in range(0, n, width):
+        yield slice(start, min(start + width, n))
+
+
 def _deviation_values(game: SummGame, state, x: np.ndarray, players: slice):
     """(f0, f1) for the consecutive players ``players`` on the rows whose
     batch state is ``state``, x being their 0/1 columns of the rows, one
@@ -966,9 +987,7 @@ def _deviation_payoffs(game: SummGame, bits: np.ndarray):
     rows, n = bits.shape
     state = game.summarization.batch_state(bits)
     columns = np.ascontiguousarray(bits.T)
-    width = _chunk_players(rows)
-    for start in range(0, n, width):
-        players = slice(start, min(start + width, n))
+    for players in _player_slices(n, rows):
         x = columns[players]
         yield (players, x, *_deviation_values(game, state, x, players))
 
@@ -1117,9 +1136,7 @@ def _add_count_gains(
     x = np.zeros((1, len(others)))
     at0 = np.searchsorted(others, values[zeros_at])
     at1 = np.searchsorted(others, values[ones_at] - 1)
-    width = _chunk_players(len(others))
-    for start in range(0, n, width):
-        players = slice(start, min(start + width, n))
+    for players in _player_slices(n, len(others)):
         f0, f1 = _deviation_values(game, state, x, players)
         held = ones[players].astype(np.float64)
         plays1 = held.sum(axis=1)
@@ -1232,6 +1249,15 @@ def _monte_carlo_mixed_regret(
     return MixedRegret(tuple(regrets), tuple(stderrs), "monte_carlo")
 
 
+def _mixed_mode(n: int, mode: str) -> str:
+    """The regret mode that ``mode`` stands for on an n-player game: auto
+    is exact up to ``EXACT_REGRET_MAX_PLAYERS`` players and Monte Carlo
+    above; any other mode is itself."""
+    if mode != "auto":
+        return mode
+    return "exact" if n <= EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+
+
 def regret_mixed(
     game: SummGame,
     profile: MixedProfile,
@@ -1241,10 +1267,14 @@ def regret_mixed(
 ) -> MixedRegret:
     """Per-player regret of a mixed profile.
 
-    Exact mode is capped at n <= 20. It evaluates each unilateral
-    deviation once: player i's expected payoff of forcing action b is
-    summed, weighted by product probabilities, over the half of the 2^n
-    profiles where i takes their likelier action, and the regret
+    ``mode`` is "exact", "monte_carlo" or "auto", which is exact mode for
+    n <= ``EXACT_REGRET_MAX_PLAYERS`` (20) and Monte Carlo above; the
+    result's ``mode`` names the mode that ran. ``run_summ_learn``
+    certifies in auto mode, and ``validate_certificate`` recomputes in it
+    by default. Exact mode is capped at n <= 20. It evaluates each
+    unilateral deviation once: player i's expected payoff of forcing
+    action b is summed, weighted by product probabilities, over the half
+    of the 2^n profiles where i takes their likelier action, and the regret
     p_i (d_0 - d_1)+ + (1 - p_i) (d_1 - d_0)+ is never negative. Monte-Carlo
     mode draws i.i.d. profiles from a seeded PCG64 generator, so results
     are bit-identical for a fixed seed (``MC_SAMPLES`` draws by default).
@@ -1268,6 +1298,7 @@ def regret_mixed(
     game._check_profile(profile.n)
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    mode = _mixed_mode(game.n, mode)
     if mode == "exact":
         if game.n > EXACT_REGRET_MAX_PLAYERS:
             raise CapabilityError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SummGame, _chunk_players
+from .core import SummGame, _player_slices
 from .errors import CapabilityError, InputError
 
 __all__ = [
@@ -117,7 +117,7 @@ def _best_responses(game: SummGame, points) -> np.ndarray:
     F_0^i(z): action 1 only where it pays strictly more, ties to action 0.
     The payoff values are neither kept nor range-checked: on validated
     coefficients every catalog formula lies in [0, 1] (a constant by its
-    check, the others clip). Players go in chunks of ``_chunk_players``, as
+    check, the others clip). Players go in the chunks of ``_player_slices``, as
     in every payoff-kernel call, with the points shared as one row: a probe
     (one point) is one chunk, so one call per payoff kind and action, up to
     16384 players.
@@ -126,9 +126,7 @@ def _best_responses(game: SummGame, points) -> np.ndarray:
     n, count = game.n, points.shape[1]
     bank0, bank1 = game._banks
     bits = np.empty((n, count), dtype=bool)
-    width = _chunk_players(count)
-    for start in range(0, n, width):
-        players = slice(start, min(start + width, n))
+    for players in _player_slices(n, count):
         f0 = bank0.evaluate(players, points)
         bits[players] = bank1.evaluate(players, points) > f0
     return bits

@@ -21,8 +21,10 @@ Payoff specs: {"type": "constant", "c": ...}, {"type": "affine", "a": ...,
 {"type": "piecewise_linear", "points": [[z, value], ...]}.
 
 Payoffs are read into per-kind coefficient columns and range-checked as
-arrays. Parse errors name the offending field path and the reason; a game
-file reports its first fault in document order.
+arrays. Number lists (weights, and a certificate's probabilities, regrets
+and stderrs) are read by one reader, ``_number_list``, and checked as
+columns by their constructors. Parse errors name the offending field path
+and the reason; a game file reports its first fault in document order.
 """
 
 from __future__ import annotations
@@ -96,6 +98,16 @@ def _expect_number(value: Any, path: str) -> float:
         ) from None
 
 
+def _number_list(value: Any, path: str) -> list[float]:
+    """The JSON array at path as floats: a JSON float as it is, any other
+    entry through ``_expect_number``, its path ``path[j]`` spelled out only
+    then."""
+    return [
+        v if type(v) is float else _expect_number(v, f"{path}[{j}]")
+        for j, v in enumerate(_expect_list(value, path))
+    ]
+
+
 def _expect_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{path}: expected an integer, got {type(value).__name__}")
@@ -114,6 +126,11 @@ def _number_field(obj: dict, key: str, path: str) -> float:
     if type(value) is float:
         return value
     return _expect_number(value, f"{path}.{key}")
+
+
+def _int_field(obj: dict, key: str, path: str) -> int:
+    """``obj[key]`` as an int."""
+    return _expect_int(_get(obj, key, path), f"{path}.{key}")
 
 
 _ACTIONS = ("action0", "action1")
@@ -207,10 +224,7 @@ def _parse_summarization(spec: Any, n: int, path: str) -> Summarization:
     if kind == "majority_fraction":
         return MajorityFraction(n)
     if kind == "linear_weighted":
-        raw = _expect_list(_get(obj, "weights", path), f"{path}.weights")
-        weights = tuple(
-            _expect_number(w, f"{path}.weights[{j}]") for j, w in enumerate(raw)
-        )
+        weights = _number_list(_get(obj, "weights", path), f"{path}.weights")
         if len(weights) != n:
             raise InputError(
                 f"{path}.weights: {len(weights)} weights for {n} players"
@@ -241,7 +255,7 @@ def parse_game(doc: Any) -> SummGame:
     before it.
     """
     root = _expect_object(doc, "$")
-    n = _expect_int(_get(root, "players", "$"), "$.players")
+    n = _int_field(root, "players", "$")
     if n < 1:
         raise InputError("$.players: must be >= 1")
     summarization = _parse_summarization(
@@ -345,47 +359,39 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
     kind = _get(prof, "kind", "$.profile")
     if kind == "pure":
         raw = _expect_list(_get(prof, "actions", "$.profile"), "$.profile.actions")
-        actions = tuple(
+        values = [
             _expect_int(a, f"$.profile.actions[{j}]") for j, a in enumerate(raw)
-        )
-        profile: PureProfile | MixedProfile = PureProfile(actions)
+        ]
+        cls = PureProfile
     elif kind == "mixed":
-        raw = _expect_list(_get(prof, "probs", "$.profile"), "$.profile.probs")
-        probs = tuple(
-            _expect_number(p, f"$.profile.probs[{j}]") for j, p in enumerate(raw)
-        )
-        profile = MixedProfile(probs)
+        values = _number_list(_get(prof, "probs", "$.profile"), "$.profile.probs")
+        cls = MixedProfile
     else:
         raise InputError(f"$.profile.kind: expected 'pure' or 'mixed', got {kind!r}")
-    epsilon = _expect_number(
-        _get(root, "epsilon_claimed", "$"), "$.epsilon_claimed"
-    )
-    raw_regrets = _expect_list(_get(root, "regrets", "$"), "$.regrets")
-    regrets = tuple(
-        _expect_number(r, f"$.regrets[{j}]") for j, r in enumerate(raw_regrets)
-    )
+    try:
+        profile = cls(values)
+    except InputError as err:
+        # The constructor names the field: "actions" or "probs", with [j]
+        # for one entry.
+        raise InputError(f"$.profile.{err}") from err
+    epsilon = _number_field(root, "epsilon_claimed", "$")
+    regrets = tuple(_number_list(_get(root, "regrets", "$"), "$.regrets"))
     crossing_doc = _expect_object(_get(root, "crossing", "$"), "$.crossing")
     ckind = _get(crossing_doc, "type", "$.crossing")
     if ckind == "horizontal":
-        crossing = Horizontal(_expect_int(_get(crossing_doc, "k", "$.crossing"), "$.crossing.k"))
+        crossing = Horizontal(_int_field(crossing_doc, "k", "$.crossing"))
     elif ckind == "vertical":
         crossing = Vertical(
-            _expect_int(_get(crossing_doc, "k", "$.crossing"), "$.crossing.k"),
-            _expect_int(
-                _get(crossing_doc, "walk_position", "$.crossing"),
-                "$.crossing.walk_position",
-            ),
+            _int_field(crossing_doc, "k", "$.crossing"),
+            _int_field(crossing_doc, "walk_position", "$.crossing"),
         )
     elif ckind == "learned":
         crossing = Learned()
     else:
         raise InputError(f"$.crossing.type: unknown crossing type {ckind!r}")
     stderrs = None
-    if "stderrs" in root and root["stderrs"] is not None:
-        raw_se = _expect_list(root["stderrs"], "$.stderrs")
-        stderrs = tuple(
-            _expect_number(s, f"$.stderrs[{j}]") for j, s in enumerate(raw_se)
-        )
+    if root.get("stderrs") is not None:
+        stderrs = tuple(_number_list(root["stderrs"], "$.stderrs"))
     if len(regrets) != profile.n:
         raise InputError(
             f"$.regrets: {len(regrets)} entries for a {profile.n}-player profile"

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EXACT_REGRET_MAX_PLAYERS, MC_SAMPLES, MixedProfile, SummGame, regret_mixed
+from .core import MC_SAMPLES, MixedProfile, SummGame, _mixed_mode, regret_mixed
 from .discretization import AlphaGrid, _probe, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
 from .solver import EquilibriumCertificate, Learned
@@ -269,10 +269,11 @@ def run_summ_learn(
     """Run the dynamics to termination and certify the final profile.
 
     The initial profile defaults to all probabilities 0.5. The final
-    profile's regrets are computed exactly for n <= 20 and by seeded Monte
-    Carlo above that; the certificate's claimed epsilon is the measured
-    regret (plus a 3-standard-error margin in the Monte-Carlo case), not
-    an analytic promise.
+    profile's regrets come from ``regret_mixed`` in auto mode: exact for
+    n <= ``EXACT_REGRET_MAX_PLAYERS`` (20) and seeded Monte Carlo above
+    that. The certificate's claimed epsilon is the measured regret (plus
+    a 3-standard-error margin in the Monte-Carlo case), not an analytic
+    promise.
 
     The loop runs on player classes (see the module docstring): a step
     costs O(C) for C classes. O(n) work is left only where the run reads
@@ -291,7 +292,7 @@ def run_summ_learn(
     probability snapshots, raises CapabilityError before its first step,
     and ``mc_samples`` < 1, ``mc_seed`` < 0 or delta >= beta raises
     InputError there, whichever regret mode certifies the run, as does
-    ``mc_samples`` < 2 when Monte Carlo certifies it (n > 20).
+    ``mc_samples`` < 2 when Monte Carlo certifies it.
     """
     summ = game.summarization
     if not summ.is_linear:
@@ -305,7 +306,7 @@ def run_summ_learn(
     if math.isnan(beta) or not 0.0 < beta < alpha:
         raise InputError(f"beta must lie in (0, alpha={alpha}), got {beta}")
     # A Monte-Carlo certificate's standard errors need two samples.
-    least = 2 if game.n > EXACT_REGRET_MAX_PLAYERS else 1
+    least = 2 if _mixed_mode(game.n, "auto") == "monte_carlo" else 1
     if mc_samples < least:
         raise InputError(f"mc_samples must be >= {least}, got {mc_samples}")
     if mc_seed < 0:
@@ -417,13 +418,10 @@ def run_summ_learn(
     final = MixedProfile(tuple(p[class_of].tolist()))
     trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)
 
-    if game.n <= EXACT_REGRET_MAX_PLAYERS:
-        result = regret_mixed(game, final, mode="exact")
+    result = regret_mixed(game, final, mode="auto", samples=mc_samples, seed=mc_seed)
+    if result.stderrs is None:
         claimed = result.max_regret
     else:
-        result = regret_mixed(
-            game, final, mode="monte_carlo", samples=mc_samples, seed=mc_seed
-        )
         claimed = max(
             r + 3.0 * se for r, se in zip(result.regrets, result.stderrs)
         )

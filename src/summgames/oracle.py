@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EXACT_REGRET_MAX_PLAYERS,
     MC_SAMPLES,
     PureProfile,
     SummGame,
     _CountBase,
+    _check_entries,
     _chunk_players,
     _deviation_values,
+    _mixed_mode,
     _profile_blocks,
     regret_mixed,
     regret_pure,
@@ -212,16 +213,18 @@ def validate_certificate(
     """Recompute a certificate's regrets and check its claims.
 
     Pure profiles are recomputed with the pure regret oracle, mixed ones
-    exactly (n <= 20) or by seeded Monte Carlo. Recomputed values must
-    match the certificate within 1e-9 when both are exact, and otherwise
-    within 4 standard errors of their difference: 4 * sqrt(se_cert^2 +
-    se_fresh^2), where a certificate without ``stderrs`` and an exact
-    recomputation each contribute 0. A pure profile's regrets are exact,
+    by ``regret_mixed`` in ``mode``: exact, seeded Monte Carlo, or auto,
+    which is exact for n <= 20 and Monte Carlo above, as the learner
+    certifies. Recomputed values must match the certificate within 1e-9
+    when both are exact, and otherwise within 4 standard errors of their
+    difference: 4 * sqrt(se_cert^2 + se_fresh^2), where a certificate
+    without ``stderrs`` and an exact recomputation each contribute 0. A pure profile's regrets are exact,
     so its certificate's ``stderrs``, if any, are not used. The maximum
     must not exceed the claimed epsilon by more than the same allowance.
-    Claimed stderrs must be finite and nonnegative, and Monte Carlo needs
-    samples >= 2: an infinite standard error would allow any regret.
-    Violations are report content, not exceptions.
+    Claimed stderrs must be finite and nonnegative, or the first that is
+    not is named as ``stderrs[j]``, and Monte Carlo needs samples >= 2: an
+    infinite standard error would allow any regret. Violations are report
+    content, not exceptions.
     """
     profile = certificate.profile
     arity = profile.n
@@ -241,10 +244,10 @@ def validate_certificate(
             )
         # NaN fails this too; it would otherwise pass every comparison, and
         # an infinite stderr would allow any regret.
-        if not all(0.0 <= se < math.inf for se in claimed_se):
-            raise InputError(
-                "certificate stderrs must be finite nonnegative numbers"
-            )
+        se = np.array(claimed_se, dtype=np.float64)
+        bad = ~((0.0 <= se) & (se < np.inf))
+        text = "certificate stderrs must be finite nonnegative numbers"
+        _check_entries("stderrs", (bad, text))
 
     violations: list[str] = []
     stderrs: tuple[float, ...] | None = None
@@ -252,8 +255,7 @@ def validate_certificate(
         recomputed = regret_pure(game, profile)
         used_mode = "pure"
     else:
-        if mode == "auto":
-            mode = "exact" if game.n <= EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+        mode = _mixed_mode(game.n, mode)
         # One sample has an infinite standard error, which allows any regret.
         if mode == "monte_carlo" and samples < 2:
             raise InputError(

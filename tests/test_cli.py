@@ -427,6 +427,46 @@ def test_verify_nan_certificate_exits_1(capsys, tmp_path):
     assert max(report["recomputed_regrets"]) == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        (
+            "learn",
+            lambda c: c["profile"]["probs"].__setitem__(2, 1.5),
+            "$.profile.probs[2]: mixed-strategy probabilities must lie in [0, 1]",
+        ),
+        (
+            "solve",
+            lambda c: c["profile"].__setitem__("actions", [0, 1, 2, 0]),
+            "$.profile.actions[2]: pure actions must be exactly 0 or 1",
+        ),
+        (
+            "learn",
+            lambda c: c.__setitem__("stderrs", [0.0, 0.0, -1.0, 0.0]),
+            "stderrs[2]: certificate stderrs must be finite nonnegative numbers",
+        ),
+        (
+            "learn",
+            lambda c: c["regrets"].__setitem__(3, "0.1"),
+            "$.regrets[3]: expected a number, got str",
+        ),
+    ],
+)
+def test_verify_names_the_faulty_certificate_entry(
+    capsys, tmp_path, command, edit, message
+):
+    game = f"{SAMPLES}/bar4.json"
+    argv = ["--epsilon", "0.5"] + (["--delta", "1e-3"] if command == "learn" else [])
+    code, out, _ = _run(capsys, command, game, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    edit(doc["certificate"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "verify", game, str(forged))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_wrong_game_arity_exits_2(capsys, tmp_path):
     code, out, _ = _run(capsys, "solve", f"{SAMPLES}/bar4.json", "--epsilon", "1")
     result = tmp_path / "bar4-cert.json"

@@ -53,6 +53,11 @@ def test_pure_profile_validation():
         PureProfile(())
     with pytest.raises(InputError):
         PureProfile((0, 2))
+    # The first bad action is named.
+    with pytest.raises(
+        InputError, match=r"^actions\[2\]: pure actions must be exactly 0 or 1$"
+    ):
+        PureProfile((0, 1, 2, 0, -1))
     p = PureProfile((True, 0, 1.0))
     assert p.actions == (1, 0, 1) and p.n == 3
     assert all(type(a) is int for a in p.actions)
@@ -63,6 +68,13 @@ def test_mixed_profile_validation():
         MixedProfile((0.5, 1.2))
     with pytest.raises(InputError):
         MixedProfile((float("nan"),))
+    # The first bad probability is named, NaN and -inf included.
+    for bad in (1.5, -0.1, math.nan, -math.inf):
+        with pytest.raises(
+            InputError,
+            match=r"^probs\[2\]: mixed-strategy probabilities must lie in \[0, 1\]$",
+        ):
+            MixedProfile((0.5, -0.0, bad, 2.0, math.nan))
     p = MixedProfile((0, 1))
     assert p.probs == (0.0, 1.0) and p.n == 2
     assert all(type(q) is float for q in p.probs)
@@ -151,6 +163,35 @@ def test_linear_weighted_validation():
                 LinearWeighted((1.0, bad), normalize=normalize)
     with pytest.raises(InputError, match="^weights: their sum overflows"):
         LinearWeighted((1e308, 1e308), normalize=True)
+    # Of several bad weights, the first is named.
+    for weights, j, shown in (
+        ((0.1, -1.0, math.nan, -2.0), 1, "-1.0"),
+        ((0.1, 0.2, math.nan, -2.0), 2, "nan"),
+        ((math.inf, -1.0), 0, "inf"),
+        ((0.0, -math.inf), 1, "-inf"),
+    ):
+        for normalize in (True, False):
+            with pytest.raises(InputError) as err:
+                LinearWeighted(weights, normalize=normalize)
+            assert str(err.value) == (
+                f"weights[{j}]: expected a finite nonnegative number, got {shown}"
+            )
+
+
+def test_linear_weighted_reads_its_weights_as_one_column():
+    ints = LinearWeighted((1, 2, 1), normalize=True)
+    assert ints.weights == (0.25, 0.5, 0.25)
+    assert LinearWeighted((1, 0, 0)).weights == (1.0, 0.0, 0.0)
+    assert all(type(w) is float for w in ints.weights)
+    # Normalizing is one array division by the exactly rounded sum, each
+    # quotient the float that dividing the weight alone gives.
+    ws = np.random.default_rng(10).uniform(0.0, 1.0, 10**4).tolist()
+    total = math.fsum(ws)
+    summ = LinearWeighted(ws, normalize=True)
+    expected = np.array([w / total for w in ws])
+    assert np.array(summ.weights).tobytes() == expected.tobytes()
+    assert summ._w.tobytes() == expected.tobytes()
+    assert not summ._w.flags.writeable
 
 
 def test_influence_mean():
@@ -512,6 +553,19 @@ def test_regret_mixed_monte_carlo_deterministic():
     assert a.stderrs == b.stderrs
     c = regret_mixed(g, p, mode="monte_carlo", samples=5000, seed=100)
     assert c.regrets != a.regrets
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_regret_mixed_auto_is_exact_up_to_the_cap(n):
+    game = random_game(np.random.default_rng(n), n)
+    profile = MixedProfile(tuple(np.linspace(0.05, 0.95, n).tolist()))
+    auto = regret_mixed(game, profile, mode="auto", samples=300, seed=4)
+    mode = "exact" if n <= core.EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+    alone = regret_mixed(game, profile, mode=mode, samples=300, seed=4)
+    assert auto.mode == mode
+    assert auto == alone
+    assert np.array(auto.regrets).tobytes() == np.array(alone.regrets).tobytes()
+    assert (auto.stderrs is None) == (mode == "exact")
 
 
 def test_regret_mixed_bad_mode_and_samples():

@@ -255,3 +255,76 @@ def test_certificate_doc_validation():
                 "crossing": {"type": "learned"},
             }
         )
+
+
+def _mixed_doc():
+    return certificate_to_doc(
+        EquilibriumCertificate(
+            MixedProfile((0.25, 0.5, 0.75)), 0.3, (0.01, 0.02, 0.03), Learned(),
+            stderrs=(0.001, 0.002, 0.003),
+        )
+    )
+
+
+def test_certificate_number_lists_accept_integers():
+    doc = _mixed_doc()
+    doc["profile"]["probs"] = [0, 1, 0.5]
+    doc["regrets"] = [0, 0.02, 1]
+    doc["stderrs"] = [0, 0, 0.003]
+    cert = certificate_from_doc(doc)
+    assert cert.profile.probs == (0.0, 1.0, 0.5)
+    assert cert.regrets == (0.0, 0.02, 1.0)
+    assert cert.stderrs == (0.0, 0.0, 0.003)
+    for values in (cert.profile.probs, cert.regrets, cert.stderrs):
+        assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        (lambda d: d["profile"]["probs"], "$.profile.probs"),
+        (lambda d: d["regrets"], "$.regrets"),
+        (lambda d: d["stderrs"], "$.stderrs"),
+    ],
+)
+def test_certificate_number_lists_name_a_non_number(field, path):
+    for j, bad in ((1, "0.5"), (2, None), (0, True), (2, [0.5])):
+        doc = _mixed_doc()
+        field(doc)[j] = bad
+        with pytest.raises(InputError) as err:
+            certificate_from_doc(doc)
+        assert str(err.value) == (
+            f"{path}[{j}]: expected a number, got {type(bad).__name__}"
+        )
+
+
+@pytest.mark.parametrize(
+    "kind, values, message",
+    [
+        (
+            "probs",
+            [0.25, 0.5, 1.5],
+            "$.profile.probs[2]: mixed-strategy probabilities must lie in [0, 1]",
+        ),
+        (
+            "probs",
+            [0.25, -1, 2],
+            "$.profile.probs[1]: mixed-strategy probabilities must lie in [0, 1]",
+        ),
+        (
+            "actions",
+            [0, 1, 2],
+            "$.profile.actions[2]: pure actions must be exactly 0 or 1",
+        ),
+        ("actions", [], "$.profile.actions: a profile needs at least one player"),
+        ("probs", [], "$.profile.probs: a profile needs at least one player"),
+    ],
+)
+def test_certificate_profile_faults_name_the_entry(kind, values, message):
+    doc = _mixed_doc()
+    doc["profile"] = {
+        "kind": "mixed" if kind == "probs" else "pure", kind: values
+    }
+    with pytest.raises(InputError) as err:
+        certificate_from_doc(doc)
+    assert str(err.value) == message

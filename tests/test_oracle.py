@@ -294,6 +294,15 @@ def test_validate_monte_carlo_allowance_counts_both_errors():
     for bad in ((0.01,) * 24, (float("nan"),) * 25, (-0.01,) * 25, (math.inf,) * 25):
         with pytest.raises(InputError, match="stderrs"):
             check(honest.regrets, bad)
+    # The first bad stderr is named.
+    for bad in (-1.0, math.nan, math.inf):
+        stderrs = list(honest.stderrs)
+        stderrs[7], stderrs[11] = bad, -1.0
+        with pytest.raises(InputError) as err:
+            check(honest.regrets, tuple(stderrs))
+        assert str(err.value) == (
+            "stderrs[7]: certificate stderrs must be finite nonnegative numbers"
+        )
 
 
 def test_validate_monte_carlo_needs_two_samples():
@@ -321,6 +330,27 @@ def test_validate_learner_certificate_monte_carlo_reproducible():
     assert first == second
     assert first.valid
     assert first.mode == "monte_carlo"
+
+
+def test_learner_and_validator_take_the_mode_from_core(monkeypatch):
+    # Both ask core's auto rule: with the exact cap lowered to 3 players,
+    # bar4 is certified and recomputed by Monte Carlo.
+    game = bar_game(4)
+    config = LearnConfig(epsilon=0.5, delta=1e-3)
+    _, exact, _ = run_summ_learn(game, config, mc_samples=500)
+    assert exact.stderrs is None
+    assert validate_certificate(game, exact, samples=500).mode == "exact"
+    monkeypatch.setattr(core, "EXACT_REGRET_MAX_PLAYERS", 3)
+    _, cert, _ = run_summ_learn(game, config, mc_samples=500)
+    assert cert.stderrs is not None and len(cert.stderrs) == 4
+    assert cert.profile == exact.profile
+    sampled = regret_mixed(game, cert.profile, "monte_carlo", samples=500)
+    assert cert.regrets == sampled.regrets
+    report = validate_certificate(game, cert, mode="auto", samples=500)
+    assert report.mode == "monte_carlo"
+    assert report.valid
+    with pytest.raises(InputError, match="mc_samples must be >= 2, got 1"):
+        run_summ_learn(game, config, mc_samples=1)
 
 
 def test_validate_mixed_exact_path():
