@@ -64,8 +64,9 @@ MC_SAMPLES = 20000
 # Carlo sums its gains block by block, so this is also its summation unit.
 _BATCH_ROWS = 1 << 14
 
-# A block is a (rows, n) bool matrix; Monte Carlo draws its uniforms in
-# chunks of at most this many cells (2 MB of float64).
+# Monte Carlo draws its uniforms in chunks of at most this many cells (2 MB
+# of float64). A weighted S fills a (rows, n) bool block with them; a
+# count-based S tallies its samples in blocks of as many bytes.
 _CHUNK_CELLS = 1 << 18
 
 # A weighted summarization builds a block's state from float64 copies of at
@@ -74,13 +75,6 @@ _CHUNK_CELLS = 1 << 18
 # left the process's peak resident memory about 1.7 MB higher (perfbench
 # solve-fine, 10 runs each), at the same speed within 3 %.
 _STATE_CHUNK_CELLS = 1 << 16
-
-# Under a count-based S, Monte Carlo needs only each block's count
-# histogram, so it draws and counts a block this many draw chunks at a time
-# (2 MB of bools) and never holds it whole. A held 16 MB block at n = 1000
-# moved the process's peak resident memory by about 12 MB from one run to
-# the next, as the allocator kept or returned the heap around it.
-_COUNT_PART_CHUNKS = 8
 
 # Payoffs are evaluated for chunks of players of at most this many
 # player-row cells, so a chunk's float64 temporaries (128 KB) stay in cache:
@@ -1079,80 +1073,172 @@ def _exact_mixed_regret(game: SummGame, profile: MixedProfile) -> MixedRegret:
     return MixedRegret(tuple(regrets.tolist()), None, "exact")
 
 
-def _count_histogram(bits: np.ndarray, hist: dict) -> None:
-    """Add the rows of the (rows, n) bool array ``bits`` to ``hist``, a
-    histogram of row counts: ``hist[c]`` is [the rows of count c, the int32
-    (n,) number of them in which each player plays 1].
+def _count_tallies(seed, solo_probs, sizes, probs, base, samples):
+    """Draw ``samples`` samples of class counts and tally them by their
+    total count c.
 
-    The rows of each count are gathered in bool chunks of at most
-    ``_CHUNK_CELLS`` cells and summed as int32, so every entry is an exact
-    integer and ``bits`` is never copied whole; a block's histogram is the
-    same however its rows are split between calls.
+    A sample compares one uniform with each entry of ``solo_probs`` (a
+    one-player class), x being the 0/1 outcomes, and draws K ~ Binomial(m,
+    p) for each class of ``sizes[k]`` players at ``probs[k]``; c is
+    ``base`` plus the ones and the K's. Uniforms come from the seed's
+    PCG64 stream, as weighted Monte Carlo's do, and counts from its first
+    spawned child; each stream is read in sample order, so no draw depends
+    on how the samples are split into blocks. The uniforms pass through a
+    float64 buffer of ``_CHUNK_CELLS`` cells, and samples are tallied in
+    blocks that take as many bytes as that buffer, one per uniform and
+    eight per K. Returns the dict from every count drawn to [its samples,
+    the (solo,) samples at it in which each one-player class plays 1, the
+    int64 (classes,) sums of K and of K^2], all exact integers, and the
+    first sample's (c, x, K).
     """
-    # int32 sums of bools run about twice as fast as the default int64.
-    counts = bits.sum(axis=1, dtype=np.int32)
-    order = np.argsort(counts, kind="stable")
-    values, starts, sizes = np.unique(
-        counts[order], return_index=True, return_counts=True
+    uniform_rng = np.random.default_rng(seed)
+    count_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    width = len(solo_probs) + 8 * len(sizes)
+    step = min(max(1, _CHUNK_CELLS * 8 // max(width, 1)), samples)
+    uniforms = np.empty(
+        (min(_chunk_rows(max(len(solo_probs), 1)), step), len(solo_probs))
     )
-    step = _chunk_rows(bits.shape[1])
-    for value, start, size in zip(values.tolist(), starts.tolist(), sizes.tolist()):
-        entry = hist.setdefault(value, [0, np.zeros(bits.shape[1], dtype=np.int32)])
-        entry[0] += size
-        for at in range(start, start + size, step):
-            chunk = bits[order[at : min(at + step, start + size)]]
-            entry[1] += chunk.sum(axis=0, dtype=np.int32)
+    bits = np.empty((step, len(solo_probs)), dtype=bool)
+    # No tally exceeds ``samples``.
+    ones_type = np.promote_types(np.int32, np.min_scalar_type(samples))
+    tallies: dict = {}
+    first = None
+    for start in range(0, samples, step):
+        rows = min(step, samples - start)
+        x = bits[:rows]
+        _draw_profiles(uniform_rng, solo_probs, uniforms, x)
+        k = count_rng.binomial(sizes, probs, size=(rows, len(sizes)))
+        # int32 sums of bools run about twice as fast as int64 ones.
+        counts = base + x.sum(axis=1, dtype=np.int32) + k.sum(axis=1)
+        if first is None:
+            first = int(counts[0]), x[0].copy(), k[0]
+        # Sorted by count, a count's rows are one run of ``order``; each
+        # run of x is gathered on its own, so x is never copied whole.
+        order = np.argsort(counts, kind="stable")
+        counts, k = counts[order], k[order]
+        starts = np.flatnonzero(counts[1:] != counts[:-1]) + 1
+        k_sum = np.add.reduceat(k, [0, *starts], axis=0)
+        k_squares = np.add.reduceat(k * k, [0, *starts], axis=0)
+        starts = [0, *starts.tolist()]
+        bounds = zip(counts[starts].tolist(), starts, [*starts[1:], rows])
+        for j, (c, s, e) in enumerate(bounds):
+            entry = tallies.get(c)
+            if entry is None:
+                entry = tallies[c] = [
+                    0,
+                    np.zeros(len(solo_probs), dtype=ones_type),
+                    np.zeros(len(sizes), dtype=np.int64),
+                    np.zeros(len(sizes), dtype=np.int64),
+                ]
+            entry[0] += e - s
+            entry[1] += x[order[s:e]].sum(axis=0, dtype=ones_type)
+            if len(sizes):
+                entry[2] += k_sum[j]
+                entry[3] += k_squares[j]
+    return tallies, first
 
 
-def _add_count_gains(
-    game: SummGame, hist: dict, shift: np.ndarray, moments: np.ndarray
-) -> None:
-    """Add a block's deviation gains to ``moments``, the plain and the
-    ``shift``-ed sums ``_monte_carlo_mixed_regret`` keeps, for a
-    count-based S, from the block's count histogram ``hist``
-    (``_count_histogram``).
+def _cell_weights(sum_k, sum_k2, m, held):
+    """The weights of (class, count) cells, from the rows R = ``held`` of
+    each count and, per class of m players (rows of ``sum_k``), the sums
+    of K and K^2 over the samples at each count: the (2, classes, counts)
+    mean weights sum(J)/(Rm) of deviating to 0 and to 1, J being K and
+    m - K, and the (classes, counts) spread term V/(R m^2), V being
+    R sum(K^2) - (sum K)^2. Every input is an integer, exact in float64
+    below 2^53, and so is each product here; so V is 0.0 exactly where K
+    is the same in every sample of a cell."""
+    cells = m[:, None] * held
+    weights = np.stack((sum_k, cells - sum_k)) / cells
+    return weights, (held * sum_k2 - sum_k * sum_k) / (m[:, None] * cells)
 
-    Under such an S a row's gain for player i depends only on x_ri and the
-    others' count c' = c_r - x_ri: a row where i plays 0 gains D_i(c') =
-    F_1^i(S(c' + 1)) - F_0^i(S(c')) by switching to 1, and a row where i
-    plays 1 gains F_0^i(S(c')) - F_1^i(S(c' + 1)) by switching to 0. Both
-    are evaluated once per lattice point c' in {u, u - 1 : u a row count},
-    by ``_deviation_values`` on one row of count c' where i plays 0, and
-    weighted by the number of rows that share them: at count u, the rows
-    where i plays 0 count at c' = u, those where i plays 1 at c' = u - 1.
-    Each player's per-count terms are summed in ascending count order. The
-    rows where i already plays b gain 0 and add only to the shifted moments.
+
+def _count_moments(
+    game: SummGame, probs: np.ndarray, samples: int, seed: int
+) -> np.ndarray:
+    """Monte Carlo's (3, n, 2) moments for a count-based S, from class
+    counts.
+
+    A class is the players that share one probability. A one-player class
+    strictly between 0 and 1 draws a uniform, a class at 0 or 1 draws
+    nothing, and every other class draws its count K (``_count_tallies``);
+    c is the sample's total count. Given the counts, a player of a class
+    of m plays 1 with probability q = K/m, so their gain is the expected
+    one given the counts: (1 - q)(F_1(S(c + 1)) - F_0(S(c))) for deviating
+    to 1 and q (F_0(S(c - 1)) - F_1(S(c))) for deviating to 0, that is
+    J/m times a payoff difference D_b(c), J being m - K or K. In a (class,
+    count) cell of R samples the gains sum to R g_c, g_c = D sum(J)/(Rm)
+    being the cell's mean gain (``_cell_weights``). About the first
+    sample's gain s, they sum to R (g_c - s), and their squares to
+    R (g_c - s)^2 + D^2 V/(R m^2), V = R sum(K^2) - (sum K)^2 being R^2
+    times the spread of K in the cell. A gain the same in every sample has
+    g_c = s bit for bit and V = 0 in every cell, so it adds exact zeros.
+    Payoffs are evaluated once per player at each count drawn and the
+    count below it, by ``_deviation_values``, and every sum over counts
+    runs along a contiguous row in ascending count order.
     """
     n = game.n
-    values = np.array(sorted(hist), dtype=np.int32)
-    sizes = np.array([hist[u][0] for u in values.tolist()], dtype=np.int64)
-    # ones[i, u]: rows of count values[u] in which player i plays 1, as
-    # int32; a chunk of players at a time is copied to float64.
-    ones = np.stack([hist[u][1] for u in values.tolist()], axis=1)
-    # Rows of count u < n have a player at 0; rows of count u > 0 one at 1.
-    zeros_at, ones_at = values < n, values > 0
-    others = np.union1d(values[zeros_at], values[ones_at] - 1)
-    state = others.astype(np.float64)
-    x = np.zeros((1, len(others)))
-    at0 = np.searchsorted(others, values[zeros_at])
-    at1 = np.searchsorted(others, values[ones_at] - 1)
+    values, inverse, sizes = np.unique(probs, return_inverse=True, return_counts=True)
+    size = sizes[inverse]
+    solo = np.flatnonzero((size == 1) & (probs > 0.0) & (probs < 1.0))
+    classes = np.setdiff1d(np.arange(len(values)), inverse[solo])
+    m, p = sizes[classes], values[classes]
+    drawn = np.flatnonzero((0.0 < p) & (p < 1.0))
+    # K of a class at probability 0 or 1, in every sample.
+    fixed = np.where(p == 1.0, m, 0)
+    tallies, (first_count, first_x, first_k) = _count_tallies(
+        seed, probs[solo], m[drawn], p[drawn], int(fixed.sum()), samples
+    )
+    counts = np.array(sorted(tallies))
+    entries = [tallies[c] for c in counts.tolist()]
+    held = np.array([entry[0] for entry in entries], dtype=np.float64)
+    ones = [entry[1] for entry in entries]
+    # Each player's row in the class tables, whose last row stands for the
+    # one-player classes, and column in ``ones``.
+    row = np.searchsorted(classes, inverse)
+    row[solo] = len(classes)
+    col = np.zeros(n, dtype=np.int64)
+    col[solo] = np.arange(len(solo))
+    m = np.append(m, 1)
+    sum_k = np.zeros((len(m), len(counts)))
+    sum_k2 = np.zeros_like(sum_k)
+    sum_k[:-1] = fixed[:, None] * held
+    sum_k2[:-1] = (fixed * fixed)[:, None] * held
+    sum_k[drawn] = np.stack([entry[2] for entry in entries], axis=1)
+    sum_k2[drawn] = np.stack([entry[3] for entry in entries], axis=1)
+    weights, spread = _cell_weights(sum_k, sum_k2, m, held)
+    # The first sample's J/m, for the shift s.
+    k0 = np.append(fixed, 0)
+    k0[drawn] = first_k
+    first = np.stack((k0, m - k0)) / m
+    below, above = counts < n, counts > 0
+    others = np.union1d(counts[below], counts[above] - 1)
+    state, x = others.astype(np.float64), np.zeros((1, len(others)))
+    at0 = np.searchsorted(others, counts[below])
+    at1 = np.searchsorted(others, counts[above] - 1)
+    at_first = int(np.searchsorted(counts, first_count))
+    moments = np.empty((3, n, 2))
     for players in _player_slices(n, len(others)):
         f0, f1 = _deviation_values(game, state, x, players)
-        held = ones[players].astype(np.float64)
-        plays1 = held.sum(axis=1)
-        for b, weight, gain, idle in (
-            (1, sizes[zeros_at] - held[:, zeros_at], (f1 - f0)[:, at0], plays1),
-            (0, held[:, ones_at], (f0 - f1)[:, at1], sizes.sum() - plays1),
-        ):
-            k = shift[players, b]
-            dev = gain - k[:, None]
-            # Gathered columns come out column-major; C-ordered terms make
-            # each player's row contiguous, so it sums like a lone array.
-            moments[:, players, b] += (
-                np.multiply(weight, gain, order="C").sum(axis=1),
-                np.multiply(weight, dev, order="C").sum(axis=1) - idle * k,
-                np.multiply(weight, dev * dev, order="C").sum(axis=1) + idle * k * k,
-            )
+        gain = np.zeros((2, len(f0), len(counts)))
+        gain[0][:, above] = (f0 - f1)[:, at1]
+        gain[1][:, below] = (f1 - f0)[:, at0]
+        r = row[players]
+        w, t, w0 = weights[:, r], spread[r], first[:, r]
+        alone = np.flatnonzero(r == len(classes))
+        if len(alone):
+            at = col[players][alone]
+            # K is 0 or 1 in a one-player class, so sum K^2 = sum K.
+            plays1 = np.stack([v[at] for v in ones], axis=1).astype(np.float64)
+            m1 = np.ones(len(at))
+            w[:, alone], t[alone] = _cell_weights(plays1, plays1, m1, held)
+            w0[:, alone] = np.stack((first_x[at], ~first_x[at]))
+        mean = w * gain
+        dev = mean - (w0 * gain[:, :, at_first])[:, :, None]
+        moments[0, players] = (held * mean).sum(axis=2).T
+        dev_held = held * dev
+        moments[1, players] = dev_held.sum(axis=2).T
+        moments[2, players] = (dev_held * dev + gain * gain * t).sum(axis=2).T
+    return moments
 
 
 def _sample_gains(game: SummGame, row: np.ndarray) -> np.ndarray:
@@ -1177,68 +1263,64 @@ def _draw_profiles(
         np.less(rng.random(out=draws[: len(chunk)]), probs, out=chunk)
 
 
+def _weighted_moments(
+    game: SummGame, probs: np.ndarray, samples: int, seed: int
+) -> np.ndarray:
+    """Monte Carlo's (3, n, 2) moments for a weighted S, from profiles.
+
+    Profiles are drawn in blocks of up to ``_BATCH_ROWS`` rows, from one
+    PCG64 stream through one float64 buffer of ``_CHUNK_CELLS`` cells, and
+    each block goes through ``_deviation_payoffs``: it holds the block as
+    a (rows, n) bool matrix and its (n, rows) transpose, and evaluates
+    both payoffs per player and row. The gain of deviating to b in a
+    sample is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x)); the shift s is the
+    gain in the first sample (a fresh stream's first row).
+    """
+    n = len(probs)
+    rng = np.random.default_rng(seed)
+    moments = np.zeros((3, n, 2))
+    shift = _sample_gains(game, np.random.default_rng(seed).random(n) < probs)
+    draws = np.empty((min(_chunk_rows(n), samples), n))
+    # One bool buffer serves every block, so the short last block is not
+    # allocated while a full one is still held.
+    buffer = np.empty((min(_BATCH_ROWS, samples), n), dtype=bool)
+    for drawn in range(0, samples, _BATCH_ROWS):
+        bits = buffer[: min(_BATCH_ROWS, samples - drawn)]
+        _draw_profiles(rng, probs, draws, bits)
+        for players, x, f0, f1 in _deviation_payoffs(game, bits):
+            current = _select(x, f0, f1)
+            for b, fb in ((0, f0), (1, f1)):
+                # Each row of g is contiguous, so its sum is the one that
+                # row alone gives; g then becomes g - s in place.
+                g = fb - current
+                plain = g.sum(axis=1)
+                g -= shift[players, b, None]
+                moments[:, players, b] += plain, g.sum(axis=1), (g * g).sum(axis=1)
+    return moments
+
+
 def _monte_carlo_mixed_regret(
     game: SummGame, profile: MixedProfile, samples: int, seed: int
 ) -> MixedRegret:
     """Seeded Monte-Carlo regrets and standard errors.
 
-    Profiles are drawn in blocks of up to ``_BATCH_ROWS`` rows, from one
-    PCG64 stream through one float64 buffer of ``_CHUNK_CELLS`` cells. A
-    count-based S reduces each block to its count histogram
-    (``_add_count_gains``), drawing and counting it ``_COUNT_PART_CHUNKS``
-    draw chunks at a time: O(rows * n) bool work, an int32 (n, U) matrix
-    of per-count tallies, and payoffs at about 2U points per player, where
-    U <= min(rows, n + 1) is the number of distinct counts in the block.
-    A weighted S holds each block as a (rows, n) bool matrix and goes
-    through ``_deviation_payoffs``, which also holds its (n, rows)
-    transpose and evaluates both payoffs per player and row.
+    ``_count_moments`` (a count-based S) or ``_weighted_moments`` gives,
+    for each player i and deviation b, the sum of the sampled gains g_b,
+    for the mean, and the first two moments of g_b - s, s being the gain
+    in the first sample, for the standard error. The regret estimate is
+    max_b mean(g_b), with the standard error of that b's mean; about s, a
+    gain the same in every sample has stderr exactly 0.
     """
-    n = game.n
     probs = np.asarray(profile.probs)
-    rng = np.random.default_rng(seed)
-    # Per-sample gain of deviating to b is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x));
-    # the regret estimate is max_b mean(g_b). moments[:, i, b] holds the sum
-    # of g_b, for the mean, and the first two moments of g_b - K, K being
-    # the gain in the first sample (a fresh stream's first row), for the
-    # standard error of the chosen deviation: about K, a gain the same in
-    # every sample adds exact zeros.
-    moments = np.zeros((3, n, 2))
-    shift = _sample_gains(game, np.random.default_rng(seed).random(n) < probs)
-    counted = isinstance(game.summarization, _CountBase)
-    step = _chunk_rows(n)
-    draws = np.empty((min(step, samples), n))
-    # One bool buffer serves every block (or every part of one), so the
-    # short last block is not allocated while a full one is still held.
-    held = step * _COUNT_PART_CHUNKS if counted else _BATCH_ROWS
-    buffer = np.empty((min(held, _BATCH_ROWS, samples), n), dtype=bool)
-    drawn = 0
-    while drawn < samples:
-        rows = min(_BATCH_ROWS, samples - drawn)
-        if counted:
-            hist: dict = {}
-            for start in range(0, rows, len(buffer)):
-                part = buffer[: min(len(buffer), rows - start)]
-                _draw_profiles(rng, probs, draws, part)
-                _count_histogram(part, hist)
-            _add_count_gains(game, hist, shift, moments)
-        else:
-            bits = buffer[:rows]
-            _draw_profiles(rng, probs, draws, bits)
-            for players, x, f0, f1 in _deviation_payoffs(game, bits):
-                current = _select(x, f0, f1)
-                for b, fb in ((0, f0), (1, f1)):
-                    # Each row of g is contiguous, so its sum is the one
-                    # that row alone gives; g then becomes g - K in place.
-                    g = fb - current
-                    plain = g.sum(axis=1)
-                    g -= shift[players, b, None]
-                    moments[:, players, b] += plain, g.sum(axis=1), (g * g).sum(axis=1)
-        drawn += rows
+    if isinstance(game.summarization, _CountBase):
+        moments = _count_moments(game, probs, samples, seed)
+    else:
+        moments = _weighted_moments(game, probs, samples, seed)
     total, dev_sum, dev_sq = moments
     means = total / samples
     regrets = []
     stderrs = []
-    for i in range(n):
+    for i in range(game.n):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))
         if samples >= 2:
@@ -1276,24 +1358,27 @@ def regret_mixed(
     action b is summed, weighted by product probabilities, over the half
     of the 2^n profiles where i takes their likelier action, and the regret
     p_i (d_0 - d_1)+ + (1 - p_i) (d_1 - d_0)+ is never negative. Monte-Carlo
-    mode draws i.i.d. profiles from a seeded PCG64 generator, so results
-    are bit-identical for a fixed seed (``MC_SAMPLES`` draws by default).
-    Both reduce ``_deviation_values`` on blocks of up to 16384 profiles;
-    only a weighted S copies profiles to float64, in 2^16-cell chunks.
-    Exact mode holds each block as an (n, rows) bool matrix, plus its
-    (rows, n) transpose under a weighted S. Monte Carlo under a weighted S
-    holds both, so its memory is O(rows * n) bools per block, and
-    evaluates both payoffs for every player and row. Monte Carlo under
-    ``Mean`` or ``MajorityFraction`` needs neither: a player's gain depends
-    only on their own action and the others' count, so a block is drawn
-    and counted 2^21 bool cells at a time into its count histogram, and
-    costs O(rows * n) bool work, int32 (n, U) tallies and payoffs at about
-    2U counts per player, U <= min(rows, n + 1) being the block's distinct
-    counts (about 100 at n = 1000). Its per-count sums differ from per-row
-    sums only in rounding. Standard errors take the second moments of each
-    gain about its value in the first sample, so a gain that is the same
-    in every sample has stderr exactly 0. The seed must be >= 0 in either
-    mode.
+    mode draws i.i.d. samples from seeded PCG64 generators, so results are
+    bit-identical for a fixed seed (``MC_SAMPLES`` samples by default).
+    Exact mode reduces ``_deviation_values`` on blocks of up to 16384
+    profiles, each held as an (n, rows) bool matrix, plus its (rows, n)
+    transpose under a weighted S; only a weighted S copies profiles to
+    float64, in 2^16-cell chunks. Monte Carlo under a weighted S draws
+    such blocks of profiles, so its memory is O(rows * n) bools per block,
+    and evaluates both payoffs for every player and row. Under ``Mean`` or
+    ``MajorityFraction`` it draws class counts instead: the players that
+    share one probability form a class, and a sample draws one count per
+    class, Binomial(m, p) for a class of m >= 2 players and one uniform
+    for a class of one, so a sample costs O(classes) draws. Each player's
+    gain is then its expectation given those counts (Rao-Blackwellized),
+    evaluated once per player at each count drawn and the one below it,
+    and its mean and standard error come from three exact integer tallies
+    per (class, count): the samples, sum K and sum K^2. Tables cover only
+    the counts drawn, U of them (about 100 at n = 1000): int32 (n, U)
+    tallies when every probability is distinct, much less with few
+    classes. Standard errors take the second moments of each gain about
+    its value in the first sample, so a gain that is the same in every
+    sample has stderr exactly 0. The seed must be >= 0 in either mode.
     """
     game._check_profile(profile.n)
     if seed < 0:

@@ -396,7 +396,9 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
         raise InputError(
             f"$.regrets: {len(regrets)} entries for a {profile.n}-player profile"
         )
-    return EquilibriumCertificate(profile, epsilon, regrets, crossing, stderrs)
+    certificate = EquilibriumCertificate(profile, epsilon, regrets, crossing, stderrs)
+    certificate.check_stderrs("$.stderrs")
+    return certificate
 
 
 def load_certificate(path: str) -> EquilibriumCertificate:

@@ -17,7 +17,6 @@ from .core import (
     PureProfile,
     SummGame,
     _CountBase,
-    _check_entries,
     _chunk_players,
     _deviation_values,
     _mixed_mode,
@@ -218,11 +217,12 @@ def validate_certificate(
     certifies. Recomputed values must match the certificate within 1e-9
     when both are exact, and otherwise within 4 standard errors of their
     difference: 4 * sqrt(se_cert^2 + se_fresh^2), where a certificate
-    without ``stderrs`` and an exact recomputation each contribute 0. A pure profile's regrets are exact,
-    so its certificate's ``stderrs``, if any, are not used. The maximum
-    must not exceed the claimed epsilon by more than the same allowance.
-    Claimed stderrs must be finite and nonnegative, or the first that is
-    not is named as ``stderrs[j]``, and Monte Carlo needs samples >= 2: an
+    without ``stderrs`` and an exact recomputation each contribute 0. A
+    pure profile's regrets are exact, so its certificate's ``stderrs``, if
+    any, are not used. The maximum must not exceed the claimed epsilon by
+    more than the same allowance. Claimed stderrs must pass
+    ``EquilibriumCertificate.check_stderrs``, whose faults name
+    ``stderrs`` or ``stderrs[j]``, and Monte Carlo needs samples >= 2: an
     infinite standard error would allow any regret. Violations are report
     content, not exceptions.
     """
@@ -236,18 +236,8 @@ def validate_certificate(
         raise InputError(
             f"certificate has {len(certificate.regrets)} regrets for n={game.n}"
         )
+    certificate.check_stderrs()
     claimed_se = None if isinstance(profile, PureProfile) else certificate.stderrs
-    if claimed_se is not None:
-        if len(claimed_se) != game.n:
-            raise InputError(
-                f"certificate has {len(claimed_se)} stderrs for n={game.n}"
-            )
-        # NaN fails this too; it would otherwise pass every comparison, and
-        # an infinite stderr would allow any regret.
-        se = np.array(claimed_se, dtype=np.float64)
-        bad = ~((0.0 <= se) & (se < np.inf))
-        text = "certificate stderrs must be finite nonnegative numbers"
-        _check_entries("stderrs", (bad, text))
 
     violations: list[str] = []
     stderrs: tuple[float, ...] | None = None

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import MixedProfile, PureProfile, SummGame, regret_pure
+from .core import MixedProfile, PureProfile, SummGame, _check_entries, regret_pure
 from .discretization import AlphaGrid, _probe, discretize_game, interval_of, make_grid
 from .errors import ContractError, InputError
 
@@ -127,6 +127,24 @@ class EquilibriumCertificate:
     @property
     def max_regret(self) -> float:
         return max(self.regrets)
+
+    def check_stderrs(self, field: str = "stderrs") -> None:
+        """Refuse ``stderrs`` unless it is absent or holds one finite
+        nonnegative number per player, naming ``field`` or ``field[j]``:
+        NaN would pass every comparison, and an infinite stderr would allow
+        any regret. Certificates read from documents and certificates
+        handed to the validation oracle are checked by this one rule."""
+        if self.stderrs is None:
+            return
+        n = self.profile.n
+        if len(self.stderrs) != n:
+            raise InputError(
+                f"{field}: {len(self.stderrs)} entries for a {n}-player profile"
+            )
+        se = np.array(self.stderrs, dtype=np.float64)
+        bad = ~((0.0 <= se) & (se < np.inf))
+        text = "certificate stderrs must be finite nonnegative numbers"
+        _check_entries(field, (bad, text))
 
 
 def build_v_table(

@@ -443,7 +443,12 @@ def test_verify_nan_certificate_exits_1(capsys, tmp_path):
         (
             "learn",
             lambda c: c.__setitem__("stderrs", [0.0, 0.0, -1.0, 0.0]),
-            "stderrs[2]: certificate stderrs must be finite nonnegative numbers",
+            "$.stderrs[2]: certificate stderrs must be finite nonnegative numbers",
+        ),
+        (
+            "learn",
+            lambda c: c.__setitem__("stderrs", [0.0, 0.0, 0.0]),
+            "$.stderrs: 3 entries for a 4-player profile",
         ),
         (
             "learn",

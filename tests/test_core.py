@@ -597,12 +597,14 @@ def test_monte_carlo_regret_memory_is_bounded():
     assert peak <= 10 * 2**20
 
 
-def test_count_monte_carlo_keeps_its_tallies_as_int32():
-    # A block's per-count tallies are int32 (n, U); only a chunk of players
-    # at a time is copied to float64. With the whole (n, U) matrix copied,
-    # this call peaked at 56.4 MiB.
-    game = bar_game(10**4)
-    profile = MixedProfile((0.5,) * 10**4)
+def test_count_monte_carlo_memory_with_every_probability_distinct():
+    # With every probability distinct each player is a class of one, whose
+    # tallies are int32 per count drawn: about 14 MiB here, held once. The
+    # earlier per-block tallies, stacked beside the histogram they came
+    # from, peaked at 26.7 MiB on this call.
+    n = 10**4
+    game = bar_game(n)
+    profile = MixedProfile(tuple((i + 1) / (n + 1) for i in range(n)))
     tracemalloc.start()
     try:
         regret_mixed(game, profile, mode="monte_carlo", samples=16384, seed=0)

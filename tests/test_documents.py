@@ -298,6 +298,36 @@ def test_certificate_number_lists_name_a_non_number(field, path):
         )
 
 
+_BAD_STDERR = "certificate stderrs must be finite nonnegative numbers"
+
+
+@pytest.mark.parametrize(
+    "stderrs, message",
+    [
+        ([0.001, -1.0, -2.0], f"$.stderrs[1]: {_BAD_STDERR}"),
+        ([float("nan"), 0.0, 0.0], f"$.stderrs[0]: {_BAD_STDERR}"),
+        ([0.0, 0.0, float("inf")], f"$.stderrs[2]: {_BAD_STDERR}"),
+        ([0.001, 0.002], "$.stderrs: 2 entries for a 3-player profile"),
+        ([0.001] * 4, "$.stderrs: 4 entries for a 3-player profile"),
+    ],
+)
+def test_certificate_stderr_faults_name_the_field(stderrs, message):
+    # The document boundary checks stderrs as it checks regrets, by the
+    # rule the validation oracle applies to a certificate built in code.
+    doc = _mixed_doc()
+    doc["stderrs"] = stderrs
+    with pytest.raises(InputError) as err:
+        certificate_from_doc(doc)
+    assert str(err.value) == message
+    cert = EquilibriumCertificate(
+        MixedProfile((0.25, 0.5, 0.75)), 0.3, (0.01, 0.02, 0.03), Learned(),
+        stderrs=tuple(stderrs),
+    )
+    with pytest.raises(InputError) as err:
+        cert.check_stderrs()
+    assert str(err.value) == message.removeprefix("$.")
+
+
 @pytest.mark.parametrize(
     "kind, values, message",
     [

@@ -257,7 +257,9 @@ def test_validate_tampered_regrets():
 
 def test_validate_monte_carlo_allowance_counts_both_errors():
     game = bar_game(25)
-    profile = MixedProfile((0.3,) * 25)
+    # Distinct probabilities: one-player classes, so every player's
+    # estimate carries its own sampling error.
+    profile = MixedProfile(tuple(0.3 + 0.001 * i for i in range(25)))
     honest = regret_mixed(game, profile, "monte_carlo", samples=500, seed=1)
     fresh = regret_mixed(game, profile, "monte_carlo", samples=4000, seed=2)
     epsilon = max(r + 3.0 * se for r, se in zip(honest.regrets, honest.stderrs))
@@ -294,6 +296,9 @@ def test_validate_monte_carlo_allowance_counts_both_errors():
     for bad in ((0.01,) * 24, (float("nan"),) * 25, (-0.01,) * 25, (math.inf,) * 25):
         with pytest.raises(InputError, match="stderrs"):
             check(honest.regrets, bad)
+    with pytest.raises(InputError) as err:
+        check(honest.regrets, (0.01,) * 24)
+    assert str(err.value) == "stderrs: 24 entries for a 25-player profile"
     # The first bad stderr is named.
     for bad in (-1.0, math.nan, math.inf):
         stderrs = list(honest.stderrs)

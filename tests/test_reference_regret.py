@@ -7,13 +7,15 @@ before the learner moved to numpy arrays and the kernel to bool blocks
 built in chunks, and the exhaustive search that evaluates every player on
 every profile, as it was before it pruned. Comparisons are bit for bit
 unless stated: floats are compared by their IEEE bytes, so a 0.0 standing
-in for -0.0 fails. Monte Carlo under a count-based summarization sums per
-row count, not per row; it is compared bit for bit with a per-count
-reference, and with the per-row one within 1e-14. Exact ``regret_mixed``
-evaluates each deviation once, over half the profiles, and is compared
-within 1e-14 with the full enumeration it replaced. Both Monte-Carlo
-references take their second moments about the first sample's gains, as
-the library does; a two-pass ``math.fsum`` variance checks that choice.
+in for -0.0 fails. Monte Carlo under a count-based summarization draws one
+count per class of players sharing a probability and takes each player's
+gain given the counts; it is compared bit for bit with a reference that
+tallies the class counts row by row, and within 4 standard errors with
+exact ``regret_mixed``. Exact ``regret_mixed`` evaluates each deviation
+once, over half the profiles, and is compared within 1e-14 with the full
+enumeration it replaced. Both Monte-Carlo references take their second
+moments about the first sample's gains, as the library does; a two-pass
+``math.fsum`` variance checks that choice.
 """
 
 import math
@@ -181,55 +183,84 @@ def _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples):
     return tuple(regrets), tuple(stderrs)
 
 
-def _ref_monte_carlo_counts(game, probs, samples, seed):
-    """Monte Carlo for count-based S on the same draws, summed per count.
+def _ref_monte_carlo_classes(game, probs, samples, seed):
+    """Monte Carlo over class counts for count-based S, tallied row by row.
 
-    Each block's histogram is built by a loop over its rows; then, for every
-    player and both deviations, the gain at each row count is evaluated on
-    its own and weighted by the number of rows holding it, and those terms
-    are summed in ascending count order. The rows where a player already
-    plays b gain 0, which counts only in the shifted moments."""
+    A class is the players sharing one probability. One-player classes
+    strictly between 0 and 1 compare uniforms from the seed's stream, the
+    other classes strictly between 0 and 1 draw Binomial(m, p) counts from
+    its first spawned child, and classes at 0 or 1 draw nothing; both
+    streams are read in row order, here 1000 rows at a time. Each row's
+    counts K are added, one row at a time, to int64 tallies per total
+    count c: the rows, sum K and sum K^2 of every class. Then, player by
+    player and in ascending count order, J = K or m - K per deviation
+    weighs the payoff difference D_b(c), with the cell's mean gain
+    D sum(J)/(Rm), its spread V = R sum(K^2) - (sum K)^2, and the shift s
+    taken from the first row."""
     n = game.n
     summ = game.summarization
-    probs = np.asarray(probs)
-    rng = np.random.default_rng(seed)
-    shift = _ref_first_gains(game, probs, seed)
+    probs = np.asarray(probs, dtype=np.float64)
+    values, inverse, sizes = np.unique(probs, return_inverse=True, return_counts=True)
+    solo = [i for i in range(n) if sizes[inverse[i]] == 1 and 0.0 < probs[i] < 1.0]
+    classes = sorted(set(range(len(values))) - {int(inverse[i]) for i in solo})
+    drawn = [c for c in classes if 0.0 < values[c] < 1.0]
+    # A row of K lists the one-player classes, the drawn classes, then the
+    # classes at 0 or 1, whose K is fixed.
+    fixed = [c for c in classes if c not in drawn]
+    keys = [("solo", i) for i in solo] + [("class", c) for c in drawn + fixed]
+    column = {key: j for j, key in enumerate(keys)}
+    of_player = [
+        column.get(("solo", i), column.get(("class", int(inverse[i]))))
+        for i in range(n)
+    ]
+    fixed_k = np.array([sizes[c] * (values[c] == 1.0) for c in fixed], dtype=np.int64)
+    uniform_rng = np.random.default_rng(seed)
+    count_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    tallies, first = {}, None
+    for start in range(0, samples, 1000):
+        rows = min(1000, samples - start)
+        x = uniform_rng.random((rows, len(solo))) < probs[solo]
+        k = count_rng.binomial(sizes[drawn], values[drawn], size=(rows, len(drawn)))
+        for r in range(rows):
+            ks = np.concatenate([x[r].astype(np.int64), k[r], fixed_k])
+            c = int(ks.sum())
+            if first is None:
+                first = (c, ks)
+            entry = tallies.setdefault(c, [0, 0, 0])
+            entry[0] += 1
+            entry[1] = entry[1] + ks
+            entry[2] = entry[2] + ks * ks
+    counts = sorted(tallies)
+    held = np.array([tallies[c][0] for c in counts], dtype=np.float64)
+    # (counts, classes) tables of sum K and sum K^2.
+    sum_k = np.array([tallies[c][1] for c in counts], dtype=np.float64)
+    sum_k2 = np.array([tallies[c][2] for c in counts], dtype=np.float64)
+    others = np.array(counts, dtype=np.float64)
     g_sum = np.zeros((n, 2))
     d_sum = np.zeros((n, 2))
     d_sumsq = np.zeros((n, 2))
-    drawn = 0
-    while drawn < samples:
-        rows = min(_REF_BATCH_ROWS, samples - drawn)
-        bits = rng.random((rows, n)) < probs[None, :]
-        rows_of, ones = {}, {}
-        for row in bits:
-            c = int(row.sum())
-            rows_of[c] = rows_of.get(c, 0) + 1
-            ones[c] = ones.get(c, 0) + row.astype(np.int64)
-        counts = sorted(rows_of)
-        for i, (pay0, pay1) in enumerate(game.payoffs):
-            # b = 1: rows of count c where i plays 0, the others counting c;
-            # b = 0: rows of count c where i plays 1, the others counting c - 1.
-            for b, held in (
-                (1, [c for c in counts if c < n]),
-                (0, [c for c in counts if c > 0]),
-            ):
-                weight = np.array(
-                    [rows_of[c] - ones[c][i] if b else ones[c][i] for c in held],
-                    dtype=np.float64,
-                )
-                others = np.array([c if b else c - 1 for c in held], dtype=np.float64)
-                f0 = pay0.evaluate_array(summ._of_count(others))
-                f1 = pay1.evaluate_array(summ._of_count(others + 1.0))
-                gain = f1 - f0 if b else f0 - f1
-                plays1 = float(sum(ones[c][i] for c in counts))
-                idle = plays1 if b else rows - plays1
-                k = shift[i, b]
-                d = gain - k
-                g_sum[i, b] += (weight * gain).sum()
-                d_sum[i, b] += (weight * d).sum() - idle * k
-                d_sumsq[i, b] += (weight * (d * d)).sum() + idle * k * k
-        drawn += rows
+    for i, (pay0, pay1) in enumerate(game.payoffs):
+        col = of_player[i]
+        m = float(sizes[inverse[i]])
+        k1, k2 = sum_k[:, col], sum_k2[:, col]
+        cells = m * held
+        spread = held * k2 - k1 * k1
+        k0 = float(first[1][col])
+        # D_1(c) = F_1(S(c + 1)) - F_0(S(c)) below n; D_0(c) = F_0(S(c - 1))
+        # - F_1(S(c)) above 0; 0.0 where no sample deviates.
+        f0 = pay0.evaluate_array(summ._of_count(others))
+        f1 = pay1.evaluate_array(summ._of_count(others + 1.0))
+        d1 = np.where(others < n, f1 - f0, 0.0)
+        f0 = pay0.evaluate_array(summ._of_count(others - 1.0))
+        f1 = pay1.evaluate_array(summ._of_count(others))
+        d0 = np.where(others > 0, f0 - f1, 0.0)
+        at_first = counts.index(first[0])
+        for b, j, d, j0 in ((0, k1, d0, k0), (1, cells - k1, d1, m - k0)):
+            shift = j0 / m * d[at_first]
+            dev = j / cells * d - shift
+            g_sum[i, b] = (held * (j / cells * d)).sum()
+            d_sum[i, b] = (held * dev).sum()
+            d_sumsq[i, b] = (held * dev * dev + d * d * (spread / (m * cells))).sum()
     return _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples)
 
 
@@ -536,18 +567,13 @@ def test_brute_count_search_matches_reference():
 
 
 def _check_monte_carlo(kind, game, profile, samples, seed):
-    """Count-based S is byte-equal to the per-count reference and agrees
-    with the per-row one within 1e-14 (means, and variances samples *
-    stderr^2, as a square root magnifies rounding near a zero variance);
-    the others are byte-equal to the per-row reference."""
+    """Count-based S is byte-equal to the per-row class-count reference;
+    the others are byte-equal to the per-row profile reference."""
     result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
-    regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, seed)
     if kind in ("mean", "majority"):
-        assert np.allclose(result.regrets, regrets, rtol=0.0, atol=1e-14), kind
-        if samples >= 2:
-            ours, ref = (samples * np.square(x) for x in (result.stderrs, stderrs))
-            assert np.allclose(ours, ref, rtol=0.0, atol=1e-14), kind
-        regrets, stderrs = _ref_monte_carlo_counts(game, profile.probs, samples, seed)
+        regrets, stderrs = _ref_monte_carlo_classes(game, profile.probs, samples, seed)
+    else:
+        regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, seed)
     assert _bits(result.regrets) == _bits(regrets), (kind, samples)
     assert _bits(result.stderrs) == _bits(stderrs), (kind, samples)
 
@@ -610,6 +636,54 @@ def test_monte_carlo_counts_edge_cases(monkeypatch, player_cells):
         game = SummGame(summ, tuple(pairs))
         profile = MixedProfile((0.0, 1.0, 0.5, 0.25))
         _check_monte_carlo("mean", game, profile, 1000, 3)
+
+
+def _class_profile(rng, n):
+    """Probabilities drawn from three shared values, a third of them
+    replaced by distinct ones and some by exactly 0 and 1: classes of many
+    players, of one player and at 0 or 1 in one profile."""
+    probs = rng.choice(rng.uniform(size=3), size=n)
+    distinct = rng.random(n) < 0.3
+    probs[distinct] = rng.uniform(size=int(distinct.sum()))
+    probs[rng.random(n) < 0.15] = 0.0
+    probs[rng.random(n) < 0.15] = 1.0
+    return MixedProfile(tuple(probs.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 1000])
+def test_count_monte_carlo_matches_per_row_reference(n):
+    # Every class kind, under the mean and the majority fraction, with
+    # signed-zero and constant payoffs mixed in: all-0, all-1, pure and
+    # mixed profiles; one sample, two, and more than one draw block.
+    rng = np.random.default_rng(60 + n)
+    payoffs = _with_edge_payoffs(random_game(rng, n), rng).payoffs
+    for kind, summ in (("mean", Mean(n)), ("majority", MajorityFraction(n))):
+        game = SummGame(summ, payoffs)
+        pure = tuple(float(a) for a in rng.integers(0, 2, n))
+        for probs in ((0.0,) * n, (1.0,) * n, pure, _class_profile(rng, n).probs):
+            for samples in (1, 2, 999, 17389):
+                _check_monte_carlo(kind, game, MixedProfile(probs), samples, samples)
+
+
+def test_count_monte_carlo_agrees_with_exact_regrets():
+    # 36 seeded games of 2 to 14 players with 1 to 3 distinct
+    # probabilities: each Monte-Carlo regret lies within 4 of its standard
+    # errors of the exact one (plus rounding, where a gain is constant).
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for case in range(36):
+        n = int(rng.integers(2, 15))
+        summ = Mean(n) if case % 2 else MajorityFraction(n)
+        game = SummGame(summ, random_game(rng, n).payoffs)
+        shared = rng.uniform(0.05, 0.95, size=1 + case % 3)
+        profile = MixedProfile(tuple(rng.choice(shared, size=n).tolist()))
+        exact = regret_mixed(game, profile, "exact").regrets
+        result = regret_mixed(game, profile, "monte_carlo", 50000, seed=case)
+        for mc, se, ex in zip(result.regrets, result.stderrs, exact):
+            assert abs(mc - ex) <= 4.0 * se + 1e-12, (case, mc, ex, se)
+            if se > 0.0:
+                worst = max(worst, abs(mc - ex) / se)
+    assert worst > 1.0
 
 
 def test_monte_carlo_stderr_of_a_constant_gain_is_zero():
