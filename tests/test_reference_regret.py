@@ -731,6 +731,49 @@ def test_monte_carlo_stderrs_match_two_pass_fsum():
             assert math.isclose(result.stderrs[i], expected, rel_tol=1e-12), (kind, i)
 
 
+def test_count_monte_carlo_stderrs_match_two_pass_fsum():
+    # Classes of several players, of one and at 0 or 1: every sample's
+    # gain given its class counts is formed on its own, from the same two
+    # streams, and the exactly rounded mean and two-pass variance of those
+    # gains check the per-cell sums the library takes instead.
+    rng = np.random.default_rng(13)
+    n, samples, seed = 25, 17389, 4
+    for summ in (Mean(n), MajorityFraction(n)):
+        game = SummGame(summ, random_game(rng, n).payoffs)
+        probs = rng.choice(rng.uniform(0.05, 0.95, size=3), size=n)
+        probs[:4] = rng.uniform(size=4)
+        probs[4:7] = (0.0, 1.0, 1.0)
+        profile = MixedProfile(tuple(probs.tolist()))
+        result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
+        values, inverse, sizes = np.unique(probs, return_inverse=True, return_counts=True)
+        solo = [i for i in range(n) if sizes[inverse[i]] == 1 and 0.0 < probs[i] < 1.0]
+        drawn = [
+            c for c in range(len(values))
+            if 0.0 < values[c] < 1.0 and c not in inverse[solo]
+        ]
+        # counts[r, c]: class c's count K in sample r.
+        counts = np.zeros((samples, len(values)))
+        counts[:, values == 1.0] = sizes[values == 1.0]
+        uniforms = np.random.default_rng(seed).random((samples, len(solo)))
+        counts[:, inverse[solo]] = uniforms < probs[solo]
+        child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        shape = (samples, len(drawn))
+        counts[:, drawn] = child.binomial(sizes[drawn], values[drawn], size=shape)
+        total = counts.sum(axis=1)
+        for i, (pay0, pay1) in enumerate(game.payoffs):
+            q = counts[:, inverse[i]] / sizes[inverse[i]]
+            z = [summ._of_count(np.clip(total + d, 0, n)) for d in (-1.0, 0.0, 1.0)]
+            down = pay0.evaluate_array(z[0]) - pay1.evaluate_array(z[1])
+            up = pay1.evaluate_array(z[2]) - pay0.evaluate_array(z[1])
+            gains = [(q * down).tolist(), ((1.0 - q) * up).tolist()]
+            means = [math.fsum(g) / samples for g in gains]
+            b = 1 if means[1] > means[0] else 0
+            var = math.fsum((g - means[b]) ** 2 for g in gains[b]) / (samples - 1)
+            assert math.isclose(result.regrets[i], means[b], rel_tol=0.0, abs_tol=1e-13)
+            expected = math.sqrt(var / samples)
+            assert math.isclose(result.stderrs[i], expected, rel_tol=1e-12), (summ, i)
+
+
 def _learn_cases():
     """(game, epsilon, delta, initial, step cap, snapshot_every) per run."""
     rng = np.random.default_rng(8)
