@@ -11,11 +11,11 @@ in for -0.0 fails. Monte Carlo under a count-based summarization draws one
 count per class of players sharing a probability and takes each player's
 gain given the counts; it is compared bit for bit with a reference that
 tallies the class counts row by row, and within 4 standard errors with
-exact ``regret_mixed``. Exact ``regret_mixed`` evaluates each deviation
-once, over half the profiles, and is compared within 1e-14 with the full
-enumeration it replaced. Both Monte-Carlo references take their second
-moments about the first sample's gains, as the library does; a two-pass
-``math.fsum`` variance checks that choice.
+exact ``regret_mixed``. Exact ``regret_mixed`` works from the law of the
+summarization over the other players' actions and is compared within 1e-14
+with the full enumeration it replaced. Both Monte-Carlo references take
+their second moments about the first sample's gains, as the library does;
+a two-pass ``math.fsum`` variance checks that choice.
 """
 
 import math
@@ -42,6 +42,7 @@ from summgames import (
     MixedProfile,
     PiecewiseLinear,
     PureProfile,
+    Quadratic,
     SummGame,
     broadcast_mean,
     brute_min_epsilon,
@@ -403,7 +404,7 @@ def _exact_profile(rng, n):
     return MixedProfile(tuple(float(p) for p in probs))
 
 
-def test_exact_regret_mixed_matches_reference(monkeypatch):
+def test_exact_regret_mixed_matches_reference():
     rng = np.random.default_rng(5)
     for kind, game in _regret_games(5, (1, 2, 6, 11)):
         for probs in (
@@ -413,25 +414,81 @@ def test_exact_regret_mixed_matches_reference(monkeypatch):
             (0.5,) * game.n,
         ):
             _check_exact(kind, game, MixedProfile(probs))
-    # Two enumeration blocks, split into state chunks of 7 rows.
-    monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", 7 * 15)
+    # Halves of 7 and 8 players under a weighted S.
     for kind in ("mean", "linear"):
         _check_exact(kind, random_game(rng, 15, kind), _exact_profile(rng, 15))
-    monkeypatch.undo()
-    # Many blocks: the players of a block's constant high bits skip the
-    # blocks off their likelier action, those of its low bits read half of
-    # every block, and n = 1 and 2 fit one block.
-    for block_rows in (1, 4, 16):
-        monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
-        sizes = [n for n in (1, 2, 6, 11) if 1 << n <= 256 * block_rows]
-        for kind, game in _regret_games(50 + block_rows, sizes):
+    # More seeded games; at n = 1 and 2 a weighted S's halves hold at most
+    # one other player.
+    for seed, sizes in ((51, (1, 2, 6)), (54, (1, 2, 6)), (66, (1, 2, 6, 11))):
+        for kind, game in _regret_games(seed, sizes):
             _check_exact(kind, game, _exact_profile(rng, game.n))
+
+
+def _halves_profile(rng, n):
+    """Probabilities drawn from 0, 1/2 and 1 only."""
+    return MixedProfile(tuple(rng.choice([0.0, 0.5, 1.0], size=n).tolist()))
+
+
+def _weights_past_one(rng, n):
+    """Normalized weights whose float sum, summed as S sums a profile of
+    all ones, rounds past 1."""
+    while True:
+        weights = tuple(rng.uniform(0.2, 1.0, n).tolist())
+        summ = LinearWeighted(weights, normalize=True)
+        if np.einsum("ij,j->i", np.ones((1, n)), summ._w)[0] > 1.0:
+            return summ
+
+
+def test_exact_law_paths_match_reference_at_edges():
+    # The law of the others' count (mean, majority fraction) and the
+    # meet-in-the-middle law of their weighted sum, against the full
+    # enumeration on every payoff kind: mixed and pure entries, S's clip
+    # at 1, breakpoints on partial sums, and a segment 1e-9 wide that no
+    # partial sum falls in: on its slope of -5e8, an ulp of z moves the
+    # payoff by 1e-7.
+    rng = np.random.default_rng(71)
+    narrow = PiecewiseLinear(
+        ((0.0, 0.3), (0.37, 0.8), (0.37 + 1e-9, 0.3), (1.0, 0.6))
+    )
+    on_sums = PiecewiseLinear(((0.0, 0.2), (0.25, 0.9), (0.5, 0.1), (1.0, 0.6)))
+    # Both rise to their top value at z = 1, where S clips.
+    to_one = (Affine(0.0, 1.0), Quadratic(0.0, 2.0, -1.0))
+    cases = []
+    for n in (1, 2, 4, 5, 8):
+        payoffs = tuple(
+            (random_payoff(rng), random_payoff(rng)) for _ in range(n - 2)
+        ) + ((narrow, on_sums), to_one)
+        payoffs = payoffs[-n:]
+        summs = [
+            Mean(n),
+            MajorityFraction(n),
+            # Partial sums on multiples of 1/4 (of 1/8 at n = 8).
+            LinearWeighted((0.25,) * n, normalize=n > 4),
+            LinearWeighted(((1.0 + 5e-13) / n,) * n),
+        ]
+        if n > 1:
+            summs.append(_weights_past_one(rng, n))
+        for summ in summs:
+            game = SummGame(summ, payoffs)
+            edge = _with_edge_payoffs(game, rng)
+            cases += [(type(summ).__name__, g) for g in (game, edge)]
+    for kind, game in cases:
+        for profile in (
+            _halves_profile(rng, game.n),
+            MixedProfile((0.5,) * game.n),
+            _exact_profile(rng, game.n),
+        ):
+            _check_exact(kind, game, profile)
+    # n = 20, at the cap: every summarization kind on random payoffs with
+    # edge pairs swapped in.
+    for kind, game in list(_regret_games(72, (20,)))[1::2]:
+        _check_exact(kind, game, _exact_profile(rng, 20))
 
 
 @pytest.mark.parametrize("block_rows", [1, 4, 1 << 14])
 def test_count_block_state_is_the_summed_state(monkeypatch, block_rows):
-    # A count-based S's block state is the low bits' count plus the high
-    # bits', the float64 row sum its ``batch_state`` builds, bit for bit.
+    # The enumeration's blocks in code order, and their state, which is
+    # S's ``batch_state`` of each block bit for bit, under count-based S.
     monkeypatch.setattr(core, "_BATCH_ROWS", block_rows)
     for summ in (Mean(9), MajorityFraction(10), Mean(1)):
         codes = []
