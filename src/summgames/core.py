@@ -937,24 +937,6 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_CELLS // n)
 
 
-def _select(x: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """f1 where the bool x is set, f0 elsewhere, bit for bit.
-
-    Computes f0 ^ ((f0 ^ f1) & -x) on the int64 views, which copies the
-    chosen bits exactly, signed zeros included, as ``np.where(x, f1, f0)``
-    does, but without a branch per element: on the i.i.d. masks of
-    weighted Monte Carlo ``np.where`` took 12-26 % longer at n = 1000. On
-    the regular masks of an enumeration, or one profile row, ``np.where``
-    is the faster of the two.
-    """
-    a = f0.view(np.int64)
-    mask = x.astype(np.int64)
-    np.negative(mask, out=mask)
-    mask &= a ^ f1.view(np.int64)
-    mask ^= a
-    return mask.view(np.float64)
-
-
 def _chunk_players(rows: int) -> int:
     """Players evaluated together on rows-long arrays of z: at most
     ``_CHUNK_PLAYER_CELLS`` cells, and at least one player."""
@@ -979,6 +961,16 @@ def _deviation_values(game: SummGame, state, x: np.ndarray, players: slice):
     lo, hi = game.summarization.batch_deviation(state, x, players)
     bank0, bank1 = game._banks
     return bank0.evaluate(players, lo), bank1.evaluate(players, hi)
+
+
+def _count_values(game: SummGame, counts: np.ndarray, players: slice):
+    """(f0, f1) under a count-based S for the consecutive players
+    ``players`` at the others' counts ``counts``: f0[j, k] = F_0^i(S(c_k))
+    and f1[j, k] = F_1^i(S(c_k + 1)) for i = players.start + j, the
+    ``_deviation_values`` of the state ``counts`` with one shared zero row
+    of x. Every count-based table of payoffs is read from here."""
+    state = np.asarray(counts, dtype=np.float64)
+    return _deviation_values(game, state, np.zeros((1, len(state))), players)
 
 
 def _deviation_payoffs(game: SummGame, bits: np.ndarray):
@@ -1039,7 +1031,7 @@ def _count_law_payoffs(game: SummGame, probs: np.ndarray) -> np.ndarray:
 
     The law of the others' count C_i is Poisson-binomial: the convolution
     of the players' laws before i (prefix tables) and after i (suffix
-    tables). One ``_deviation_values`` call at the counts c = 0 .. n - 1
+    tables). One ``_count_values`` call at the counts c = 0 .. n - 1
     gives F_0^i(S(c)) and F_1^i(S(c + 1)); d_b is their dot product with
     C_i's law.
     """
@@ -1053,9 +1045,7 @@ def _count_law_payoffs(game: SummGame, probs: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         laws[i] = np.convolve(prefix[i], suffix)
         suffix = np.convolve(suffix, factors[i])
-    f0, f1 = _deviation_values(
-        game, np.arange(n, dtype=np.float64), np.zeros((1, n)), slice(0, n)
-    )
+    f0, f1 = _count_values(game, np.arange(n), slice(0, n))
     return np.stack(((laws * f0).sum(axis=1), (laws * f1).sum(axis=1)), axis=1)
 
 
@@ -1247,7 +1237,7 @@ def _count_moments(
     times the spread of K in the cell. A gain the same in every sample has
     g_c = s bit for bit and V = 0 in every cell, so it adds exact zeros.
     Payoffs are evaluated once per player at each count drawn and the
-    count below it, by ``_deviation_values``, and every sum over counts
+    count below it, by ``_count_values``, and every sum over counts
     runs along a contiguous row in ascending count order.
     """
     n = game.n
@@ -1296,13 +1286,12 @@ def _count_moments(
     first = np.stack((k0, m - k0)) / m
     below, above = counts < n, counts > 0
     others = np.union1d(counts[below], counts[above] - 1)
-    state, x = others.astype(np.float64), np.zeros((1, len(others)))
     at0 = np.searchsorted(others, counts[below])
     at1 = np.searchsorted(others, counts[above] - 1)
     at_first = int(np.searchsorted(counts, first_count))
     moments = np.empty((3, n, 2))
     for players in _player_slices(n, len(others)):
-        f0, f1 = _deviation_values(game, state, x, players)
+        f0, f1 = _count_values(game, others, players)
         gain = np.zeros((2, len(f0), len(counts)))
         gain[0][:, above] = (f0 - f1)[:, at1]
         gain[1][:, below] = (f1 - f0)[:, at0]
@@ -1325,15 +1314,6 @@ def _count_moments(
         moments[1, players] = dev_held.sum(axis=2).T
         moments[2, players] = (dev_held * dev + gain * gain * t).sum(axis=2).T
     return moments
-
-
-def _sample_gains(game: SummGame, row: np.ndarray) -> np.ndarray:
-    """The (n, 2) gains g_b of each player deviating to b at the one
-    profile ``row``: Monte Carlo's per-player, per-action shift."""
-    chunks = _deviation_payoffs(game, row[None, :])
-    return np.concatenate(
-        [np.hstack((f0, f1)) - np.where(x, f1, f0) for _, x, f0, f1 in chunks]
-    )
 
 
 def _draw_profiles(
@@ -1360,12 +1340,14 @@ def _weighted_moments(
     a (rows, n) bool matrix and its (n, rows) transpose, and evaluates
     both payoffs per player and row. The gain of deviating to b in a
     sample is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x)); the shift s is the
-    gain in the first sample (a fresh stream's first row).
+    gain in the first sample, read off the first block's first row as it
+    is evaluated: a row's state does not depend on its block, so that row
+    gives the gains the first profile alone does.
     """
     n = len(probs)
     rng = np.random.default_rng(seed)
     moments = np.zeros((3, n, 2))
-    shift = _sample_gains(game, np.random.default_rng(seed).random(n) < probs)
+    shift = np.empty((n, 2))
     draws = np.empty((min(_chunk_rows(n), samples), n))
     # One bool buffer serves every block, so the short last block is not
     # allocated while a full one is still held.
@@ -1374,12 +1356,14 @@ def _weighted_moments(
         bits = buffer[: min(_BATCH_ROWS, samples - drawn)]
         _draw_profiles(rng, probs, draws, bits)
         for players, x, f0, f1 in _deviation_payoffs(game, bits):
-            current = _select(x, f0, f1)
+            current = np.where(x, f1, f0)
             for b, fb in ((0, f0), (1, f1)):
                 # Each row of g is contiguous, so its sum is the one that
                 # row alone gives; g then becomes g - s in place.
                 g = fb - current
                 plain = g.sum(axis=1)
+                if drawn == 0:
+                    shift[players, b] = g[:, 0]
                 g -= shift[players, b, None]
                 moments[:, players, b] += plain, g.sum(axis=1), (g * g).sum(axis=1)
     return moments

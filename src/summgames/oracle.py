@@ -18,6 +18,7 @@ from .core import (
     SummGame,
     _CountBase,
     _chunk_players,
+    _count_values,
     _deviation_values,
     _mixed_mode,
     _profile_blocks,
@@ -43,7 +44,8 @@ __all__ = [
 # n = 22; the cap holds for them too, as their report still counts 2^n.
 BRUTE_FORCE_MAX_PLAYERS = 22
 
-# Agreement tolerance for exactly recomputed regrets.
+# Agreement tolerance for exactly recomputed regrets, and the floor of every
+# validation allowance.
 _EXACT_TOL = 1e-9
 
 
@@ -64,7 +66,7 @@ def brute_min_epsilon(game: SummGame) -> BruteForceReport:
     order from +0.0, so a zero epsilon* carries the sign that fold gives.
     Under ``Mean`` and ``MajorityFraction`` a player's regret depends only
     on the count of ones and their own action, and the search runs over
-    counts (``_count_search``): 4n^2 payoff evaluations and O(n^2 log n)
+    counts (``_count_search``): 2n^2 payoff evaluations and O(n^2 log n)
     array work. A ``LinearWeighted`` game enumerates the 2^n profiles with
     pruning (``_pruned_enumeration``): 2n to 2n * 2^n payoff evaluations.
     Both reduce the deviation kernel ``regret_pure`` reads, on the same
@@ -89,10 +91,11 @@ def _count_search(game: SummGame) -> tuple[tuple[int, ...], float]:
     """The lexicographically smallest min-max-regret profile of a game
     under a count-based S, and its max regret, over counts.
 
-    One ``_deviation_values`` call per action b gives r_b[i, c], player
-    i's regret playing b when c players play 1, at each count where
-    someone can (state = the count, one x row of b shared by all players):
-    the floats the enumeration computes on every profile of that count.
+    One ``_count_values`` call at the others' counts c = 0 .. n - 1 gives
+    F_0^i(S(c)) and F_1^i(S(c + 1)), and so r_b[i, c], player i's regret
+    playing b when c players play 1, at each count where someone can:
+    r_0 at c from the others' count c, r_1 at c from c - 1. These are the
+    floats the enumeration computes on every profile of that count.
     An assignment with c ones keeps every regret within T exactly when
     each player has an action within T, at least c players may play 1
     and at least n - c may play 0, so the bottleneck of count c is the
@@ -106,11 +109,10 @@ def _count_search(game: SummGame) -> tuple[tuple[int, ...], float]:
     counts = np.arange(n + 1)
     # regret[b, i, c], inf where nobody plays b: c = n for 0, c = 0 for 1.
     regret = np.full((2, n, n + 1), np.inf)
-    for b in (0, 1):
-        x = np.full((1, n), b == 1)
-        state = np.arange(b, n + b, dtype=np.float64)
-        f0, f1 = _deviation_values(game, state, x, slice(0, n))
-        regret[b, :, b : n + b] = np.maximum(f0, f1) - np.where(x, f1, f0)
+    f0, f1 = _count_values(game, np.arange(n), slice(0, n))
+    best = np.maximum(f0, f1)
+    regret[0, :, :n] = best - f0
+    regret[1, :, 1:] = best - f1
     # ranked[b, k, c] is the k-th smallest r_b[:, c], ranked[b, 0] = -inf.
     ranked = np.concatenate(
         (np.full((2, 1, n + 1), -np.inf), np.sort(regret, axis=1)), axis=1
@@ -214,13 +216,15 @@ def validate_certificate(
     Pure profiles are recomputed with the pure regret oracle, mixed ones
     by ``regret_mixed`` in ``mode``: exact, seeded Monte Carlo, or auto,
     which is exact for n <= 20 and Monte Carlo above, as the learner
-    certifies. Recomputed values must match the certificate within 1e-9
-    when both are exact, and otherwise within 4 standard errors of their
-    difference: 4 * sqrt(se_cert^2 + se_fresh^2), where a certificate
-    without ``stderrs`` and an exact recomputation each contribute 0. A
-    pure profile's regrets are exact, so its certificate's ``stderrs``, if
-    any, are not used. The maximum must not exceed the claimed epsilon by
-    more than the same allowance. Claimed stderrs must pass
+    certifies. Recomputed values must match the certificate within
+    max(1e-9, 4 * sqrt(se_cert^2 + se_fresh^2)), 4 standard errors of
+    their difference but never less than 1e-9, where a certificate
+    without ``stderrs`` and an exact recomputation each contribute 0: two
+    exact values agree within 1e-9, and so does an exact recomputation
+    with a Monte-Carlo regret whose stderr is 0. A pure profile's regrets
+    are exact, so its certificate's ``stderrs``, if any, are not used. The
+    maximum must not exceed the claimed epsilon by more than the same
+    allowance. Claimed stderrs must pass
     ``EquilibriumCertificate.check_stderrs``, whose faults name
     ``stderrs`` or ``stderrs[j]``, and Monte Carlo needs samples >= 2: an
     infinite standard error would allow any regret. Violations are report
@@ -257,10 +261,9 @@ def validate_certificate(
         used_mode = result.mode
 
     def allowance(i: int) -> float:
-        if claimed_se is None:
-            return _EXACT_TOL if stderrs is None else 4.0 * stderrs[i]
-        fresh_se = 0.0 if stderrs is None else stderrs[i]
-        return 4.0 * math.hypot(claimed_se[i], fresh_se)
+        claimed_i = 0.0 if claimed_se is None else claimed_se[i]
+        fresh_i = 0.0 if stderrs is None else stderrs[i]
+        return max(_EXACT_TOL, 4.0 * math.hypot(claimed_i, fresh_i))
 
     # Both checks are negated so that a NaN claim, false in every
     # comparison, fails them.

@@ -161,9 +161,9 @@ def test_brute_bounds_the_first_block_by_the_first_profile(monkeypatch):
 @pytest.mark.parametrize("n", [1, 16, 22])
 def test_brute_searches_counts_of_count_based_games(monkeypatch, n):
     # Under the mean and the majority fraction a regret depends only on the
-    # count and the player's own action: one kernel call per action, each
-    # evaluating both banks for n players at n counts, 4 * n^2 cells
-    # whatever the game, not a number that grows with 2^n.
+    # count and the player's own action: one kernel call evaluating both
+    # banks for n players at the others' n counts, 2 * n^2 cells whatever
+    # the game, not a number that grows with 2^n.
     cells = _count_cells(monkeypatch)
     rng = np.random.default_rng(n)
     games = [bar_game(n), consensus_game(n), random_game(rng, n, "mean")]
@@ -172,7 +172,7 @@ def test_brute_searches_counts_of_count_based_games(monkeypatch, n):
         cells.clear()
         report = brute_min_epsilon(game)
         assert report.profiles_examined == 1 << n
-        assert sum(cells) == 4 * n * n
+        assert sum(cells) == 2 * n * n
         assert report.epsilon_star == max(regret_pure(game, report.best_profile))
 
 
@@ -368,6 +368,35 @@ def test_validate_mixed_exact_path():
     report = validate_certificate(game, cert)
     assert report.valid
     assert report.mode == "exact"
+
+
+def test_validate_exact_accepts_rounding_level_monte_carlo_regrets():
+    # Near-pure probabilities: no sample varies a gain, so the Monte-Carlo
+    # stderrs are 0.0, and the exact regrets differ from the sampled ones
+    # by rounding alone. Both allowances are 0 there, so the 1e-9 floor of
+    # exact agreement must still hold.
+    rng = np.random.default_rng(66)
+    mean = random_game(rng, 20)
+    majority = SummGame(MajorityFraction(20), mean.payoffs)
+    probs = np.where(rng.random(20) < 0.5, 4e-15, 1.0 - 4e-15)
+    profile = MixedProfile(tuple(probs.tolist()))
+    for game in (mean, majority):
+        sampled = regret_mixed(game, profile, "monte_carlo", 20000, seed=1)
+        assert max(sampled.stderrs) == 0.0
+        epsilon = max(sampled.regrets)
+        cert = EquilibriumCertificate(
+            profile, epsilon, sampled.regrets, Learned(), sampled.stderrs
+        )
+        report = validate_certificate(game, cert, mode="exact")
+        assert report.valid, report.violations
+        assert report.recomputed_regrets != sampled.regrets
+        regrets = list(sampled.regrets)
+        regrets[7] -= 1e-6
+        moved = EquilibriumCertificate(
+            profile, epsilon, tuple(regrets), Learned(), sampled.stderrs
+        )
+        violations = validate_certificate(game, moved, mode="exact").violations
+        assert [v.split(":")[0] for v in violations] == ["player 7"]
 
 
 def test_validate_arity_mismatch_is_input_error():

@@ -346,7 +346,7 @@ def _profile(rng, n):
 @pytest.mark.parametrize("chunk_rows", [1, 1024, 1 << 30])
 def test_kernel_matches_reference_kernel(monkeypatch, chunk_rows):
     # States built from chunks of one row, of 1024 rows (1500 rows make two
-    # chunks) and of all rows; both selects of the payoff a player receives.
+    # chunks) and of all rows; np.where selects the payoff a player receives.
     rng = np.random.default_rng(3)
     for kind, game in _regret_games(3, (1, 4, 9)):
         monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", chunk_rows * game.n)
@@ -361,18 +361,7 @@ def test_kernel_matches_reference_kernel(monkeypatch, chunk_rows):
             assert len(ours) == len(ref) == game.n
             for (x, f0, f1), (r0, r1, current) in zip(ours, ref):
                 assert _bits(f0) == _bits(r0) and _bits(f1) == _bits(r1), (kind, rows)
-                for select in (np.where(x, f1, f0), core._select(x, f0, f1)):
-                    assert _bits(select) == _bits(current), (kind, rows)
-
-
-def test_select_copies_the_bits_np_where_picks():
-    # Signed zeros included: 0.0 == -0.0, so only the bits tell them apart.
-    rng = np.random.default_rng(31)
-    values = np.array([0.0, -0.0, 1.0, 0.5, -2.5, 5e-324])
-    for shape in ((1,), (1, 7), (5, 1024), (3, 4099)):
-        x = rng.random(shape) < rng.uniform()
-        f0, f1 = (values[rng.integers(0, len(values), shape)] for _ in range(2))
-        assert _bits(core._select(x, f0, f1)) == _bits(np.where(x, f1, f0)), shape
+                assert _bits(np.where(x, f1, f0)) == _bits(current), (kind, rows)
 
 
 def test_regret_pure_matches_reference():
@@ -643,8 +632,8 @@ def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
             monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", chunk_rows * game.n)
         profile = _profile(rng, game.n)
-        # Below the bitwise select, above it, and two blocks; none a
-        # multiple of the 7-row draw chunk.
+        # One sample, part of a block, and two blocks; none a multiple of
+        # the 7-row draw chunk.
         for samples in (1, 999, 17389):
             _check_monte_carlo(kind, game, profile, samples, samples)
 
