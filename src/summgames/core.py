@@ -63,9 +63,14 @@ EXACT_REGRET_MAX_PLAYERS = 20
 # Profiles drawn by a Monte-Carlo regret when the caller names no count.
 MC_SAMPLES = 20000
 
-# Rows per block when enumerating or sampling profiles with numpy. Monte
-# Carlo sums its gains block by block, so this is also its summation unit.
+# Rows per block when enumerating or sampling profiles with numpy. Weighted
+# Monte Carlo sums its gains block by block, so its block, at most this many
+# rows and ``_BLOCK_CELLS`` bools, is also its summation unit.
 _BATCH_ROWS = 1 << 14
+
+# Bools per weighted Monte-Carlo block (16 MiB): a full ``_BATCH_ROWS`` block
+# up to n = 1024 players, fewer rows above.
+_BLOCK_CELLS = 1 << 24
 
 # Monte Carlo draws its uniforms in chunks of at most this many cells (2 MB
 # of float64). A weighted S fills a (rows, n) bool block with them; a
@@ -1334,15 +1339,16 @@ def _weighted_moments(
 ) -> np.ndarray:
     """Monte Carlo's (3, n, 2) moments for a weighted S, from profiles.
 
-    Profiles are drawn in blocks of up to ``_BATCH_ROWS`` rows, from one
-    PCG64 stream through one float64 buffer of ``_CHUNK_CELLS`` cells, and
-    each block goes through ``_deviation_payoffs``: it holds the block as
-    a (rows, n) bool matrix and its (n, rows) transpose, and evaluates
-    both payoffs per player and row. The gain of deviating to b in a
-    sample is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x)); the shift s is the
-    gain in the first sample, read off the first block's first row as it
-    is evaluated: a row's state does not depend on its block, so that row
-    gives the gains the first profile alone does.
+    Profiles are drawn in blocks of min(``_BATCH_ROWS``, max(1,
+    ``_BLOCK_CELLS`` // n)) rows, from one PCG64 stream through one
+    float64 buffer of ``_CHUNK_CELLS`` cells, and each block goes through
+    ``_deviation_payoffs``: it holds the block as a (rows, n) bool matrix
+    and its (n, rows) transpose, at most 2^24 bools each once n > 1024,
+    and evaluates both payoffs per player and row. The gain of deviating
+    to b in a sample is g_b = F_b(S(x[i:b])) - F_{x_i}(S(x)); the shift s
+    is the gain in the first sample, read off the first block's first row
+    as it is evaluated: a row's state does not depend on its block, so
+    that row gives the gains the first profile alone does.
     """
     n = len(probs)
     rng = np.random.default_rng(seed)
@@ -1351,9 +1357,10 @@ def _weighted_moments(
     draws = np.empty((min(_chunk_rows(n), samples), n))
     # One bool buffer serves every block, so the short last block is not
     # allocated while a full one is still held.
-    buffer = np.empty((min(_BATCH_ROWS, samples), n), dtype=bool)
-    for drawn in range(0, samples, _BATCH_ROWS):
-        bits = buffer[: min(_BATCH_ROWS, samples - drawn)]
+    rows = min(_BATCH_ROWS, max(1, _BLOCK_CELLS // n), samples)
+    buffer = np.empty((rows, n), dtype=bool)
+    for drawn in range(0, samples, rows):
+        bits = buffer[: min(rows, samples - drawn)]
         _draw_profiles(rng, probs, draws, bits)
         for players, x, f0, f1 in _deviation_payoffs(game, bits):
             current = np.where(x, f1, f0)
@@ -1378,8 +1385,9 @@ def _monte_carlo_mixed_regret(
     for each player i and deviation b, the sum of the sampled gains g_b,
     for the mean, and the first two moments of g_b - s, s being the gain
     in the first sample, for the standard error. The regret estimate is
-    max_b mean(g_b), with the standard error of that b's mean; about s, a
-    gain the same in every sample has stderr exactly 0.
+    max_b mean(g_b), with the standard error of that b's mean from
+    ``samples`` >= 2 (``_mixed_mode`` admits no fewer); about s, a gain
+    the same in every sample has stderr exactly 0.
     """
     probs = np.asarray(profile.probs)
     if isinstance(game.summarization, _CountBase):
@@ -1390,32 +1398,46 @@ def _monte_carlo_mixed_regret(
     # Each player's better deviation b and its mean.
     b = total[:, 1] / samples > total[:, 0] / samples
     regrets = np.where(b, total[:, 1], total[:, 0]) / samples
-    if samples >= 2:
-        # The variance of b's gains in place, rounded as Python floats
-        # round it: float_power is the C library's pow, as Python's ** is,
-        # where numpy's ** 2 squares and rounds differently on some values,
-        # and a negative variance reads 0.0, as max(var, 0.0) gives.
-        stderrs = np.where(b, dev_sq[:, 1], dev_sq[:, 0])
-        dev = np.where(b, dev_sum[:, 1], dev_sum[:, 0])
-        stderrs -= np.float_power(dev, 2) / samples
-        stderrs /= samples - 1
-        stderrs[stderrs < 0.0] = 0.0
-        stderrs /= samples
-        np.sqrt(stderrs, out=stderrs)
-    else:
-        stderrs = np.full(game.n, np.inf)
+    # The variance of b's gains in place, rounded as Python floats round
+    # it: float_power is the C library's pow, as Python's ** is, where
+    # numpy's ** 2 squares and rounds differently on some values, and a
+    # negative variance reads 0.0, as max(var, 0.0) gives.
+    stderrs = np.where(b, dev_sq[:, 1], dev_sq[:, 0])
+    dev = np.where(b, dev_sum[:, 1], dev_sum[:, 0])
+    stderrs -= np.float_power(dev, 2) / samples
+    stderrs /= samples - 1
+    stderrs[stderrs < 0.0] = 0.0
+    stderrs /= samples
+    np.sqrt(stderrs, out=stderrs)
     return MixedRegret(
         tuple(regrets.tolist()), tuple(stderrs.tolist()), "monte_carlo"
     )
 
 
-def _mixed_mode(n: int, mode: str) -> str:
-    """The regret mode that ``mode`` stands for on an n-player game: auto
-    is exact up to ``EXACT_REGRET_MAX_PLAYERS`` players and Monte Carlo
-    above; any other mode is itself."""
-    if mode != "auto":
-        return mode
-    return "exact" if n <= EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+def _mixed_mode(n: int, mode: str, samples: int, seed: int) -> str:
+    """The mode a mixed-regret request on an n-player game runs in, once
+    the request is admitted: auto is exact up to
+    ``EXACT_REGRET_MAX_PLAYERS`` players and Monte Carlo above, and any
+    other mode is itself. Refused, with InputError unless stated: a mode
+    other than "exact", "monte_carlo" or "auto"; a negative seed, in
+    either mode; exact mode above the cap (CapabilityError); and Monte
+    Carlo with fewer than 2 samples, whose standard errors one sample
+    cannot give. ``samples`` is read only when Monte Carlo runs. Every
+    caller that computes or certifies a mixed regret is admitted here."""
+    if mode not in ("exact", "monte_carlo", "auto"):
+        raise InputError(f"unknown regret mode {mode!r}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    if mode == "auto":
+        mode = "exact" if n <= EXACT_REGRET_MAX_PLAYERS else "monte_carlo"
+    if mode == "exact" and n > EXACT_REGRET_MAX_PLAYERS:
+        raise CapabilityError(
+            f"exact mixed regret is capped at n <= {EXACT_REGRET_MAX_PLAYERS} "
+            f"(got n={n}); use monte_carlo mode"
+        )
+    if mode == "monte_carlo" and samples < 2:
+        raise InputError(f"samples must be >= 2 for Monte Carlo, got {samples}")
+    return mode
 
 
 def regret_mixed(
@@ -1440,8 +1462,9 @@ def regret_mixed(
     with full enumeration to about 1e-15. Monte-Carlo mode draws i.i.d.
     samples from seeded PCG64 generators, so results are bit-identical for
     a fixed seed (``MC_SAMPLES`` samples by default). Under a weighted S
-    it draws blocks of up to 16384 profiles, so its memory is O(rows * n)
-    bools per block, and evaluates both payoffs for every player and row.
+    it draws blocks of up to 16384 profiles and ``_BLOCK_CELLS`` (2^24)
+    bools, so a block holds at most 16 MiB of bools and its transpose,
+    and evaluates both payoffs for every player and row.
     Under ``Mean`` or ``MajorityFraction`` it draws class counts instead:
     the players that share one probability form a class, and a sample draws
     one count per class, Binomial(m, p) for a class of m >= 2 players and
@@ -1454,22 +1477,10 @@ def regret_mixed(
     int32 (n, U) tallies when every probability is distinct, much less with
     few classes. Standard errors take the second moments of each gain about
     its value in the first sample, so a gain that is the same in every
-    sample has stderr exactly 0. The seed must be >= 0 in either mode.
+    sample has stderr exactly 0. ``_mixed_mode`` admits the request: the
+    seed must be >= 0 in either mode, and Monte Carlo needs samples >= 2.
     """
     game._check_profile(profile.n)
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    mode = _mixed_mode(game.n, mode)
-    if mode == "exact":
-        if game.n > EXACT_REGRET_MAX_PLAYERS:
-            raise CapabilityError(
-                "exact mixed regret is capped at n <= "
-                f"{EXACT_REGRET_MAX_PLAYERS} (got n={game.n}); use "
-                "monte_carlo mode"
-            )
+    if _mixed_mode(game.n, mode, samples, seed) == "exact":
         return _exact_mixed_regret(game, profile)
-    if mode == "monte_carlo":
-        if samples < 1:
-            raise InputError("monte_carlo mode needs samples >= 1")
-        return _monte_carlo_mixed_regret(game, profile, samples, seed)
-    raise InputError(f"unknown regret mode {mode!r}")
+    return _monte_carlo_mixed_regret(game, profile, samples, seed)

@@ -349,6 +349,16 @@ def certificate_to_doc(certificate: EquilibriumCertificate) -> dict:
     return doc
 
 
+def _built(path: str, cls, *args):
+    """cls(*args), an InputError of its constructor prefixed with ``path``:
+    the constructor names the field ("probs[j]" of a profile, "regrets" or
+    "stderrs[j]" of a certificate), and path names where the object sits."""
+    try:
+        return cls(*args)
+    except InputError as err:
+        raise InputError(f"{path}{err}") from err
+
+
 def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
     root = _expect_object(doc, "$")
     # Accept a whole result document (as emitted by the CLI) or a bare
@@ -368,12 +378,7 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
         cls = MixedProfile
     else:
         raise InputError(f"$.profile.kind: expected 'pure' or 'mixed', got {kind!r}")
-    try:
-        profile = cls(values)
-    except InputError as err:
-        # The constructor names the field: "actions" or "probs", with [j]
-        # for one entry.
-        raise InputError(f"$.profile.{err}") from err
+    profile = _built("$.profile.", cls, values)
     epsilon = _number_field(root, "epsilon_claimed", "$")
     regrets = tuple(_number_list(_get(root, "regrets", "$"), "$.regrets"))
     crossing_doc = _expect_object(_get(root, "crossing", "$"), "$.crossing")
@@ -392,13 +397,9 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
     stderrs = None
     if root.get("stderrs") is not None:
         stderrs = tuple(_number_list(root["stderrs"], "$.stderrs"))
-    if len(regrets) != profile.n:
-        raise InputError(
-            f"$.regrets: {len(regrets)} entries for a {profile.n}-player profile"
-        )
-    certificate = EquilibriumCertificate(profile, epsilon, regrets, crossing, stderrs)
-    certificate.check_stderrs("$.stderrs")
-    return certificate
+    return _built(
+        "$.", EquilibriumCertificate, profile, epsilon, regrets, crossing, stderrs
+    )
 
 
 def load_certificate(path: str) -> EquilibriumCertificate:

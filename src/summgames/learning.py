@@ -180,13 +180,20 @@ def broadcast_mean(game: SummGame, profile: MixedProfile) -> float:
     Exact only for linear summarizations, which is the supported case.
     """
     game._check_profile(profile.n)
+    summ = _linear(game)
+    return _mean(np.array(summ.weights, dtype=np.float64), np.array(profile.probs))
+
+
+def _linear(game: SummGame):
+    """The game's summarization, refused with CapabilityError unless it is
+    linear: the broadcast mean, and so the dynamics, need E[S] = S(p)."""
     summ = game.summarization
     if not summ.is_linear:
         raise CapabilityError(
-            "the broadcast mean requires a linear summarization (mean or "
+            "learning dynamics require a linear summarization (mean or "
             f"weighted vote); got {type(summ).__name__}"
         )
-    return _mean(np.array(summ.weights, dtype=np.float64), np.array(profile.probs))
+    return summ
 
 
 def _mean(weights: np.ndarray, probs: np.ndarray) -> float:
@@ -290,27 +297,18 @@ def run_summ_learn(
     trajectory. A run whose step cap could record more than
     ``MAX_RECORDED_STEPS`` trajectory steps, each counted n + 1 times with
     probability snapshots, raises CapabilityError before its first step,
-    and ``mc_samples`` < 1, ``mc_seed`` < 0 or delta >= beta raises
-    InputError there, whichever regret mode certifies the run, as does
-    ``mc_samples`` < 2 when Monte Carlo certifies it.
+    and delta >= beta raises InputError there. So does a certification
+    request that ``core._mixed_mode`` refuses: ``mc_seed`` < 0 in either
+    mode, and ``mc_samples`` < 2 when Monte Carlo certifies the run (exact
+    certification reads no samples).
     """
-    summ = game.summarization
-    if not summ.is_linear:
-        raise CapabilityError(
-            "learning dynamics require a linear summarization (mean or "
-            f"weighted vote); got {type(summ).__name__}"
-        )
+    summ = _linear(game)
     grid = make_grid(config.epsilon, game.rho)
     alpha = grid.alpha
     beta = config.beta if config.beta is not None else alpha / 2.0
     if math.isnan(beta) or not 0.0 < beta < alpha:
         raise InputError(f"beta must lie in (0, alpha={alpha}), got {beta}")
-    # A Monte-Carlo certificate's standard errors need two samples.
-    least = 2 if _mixed_mode(game.n, "auto") == "monte_carlo" else 1
-    if mc_samples < least:
-        raise InputError(f"mc_samples must be >= {least}, got {mc_samples}")
-    if mc_seed < 0:
-        raise InputError(f"mc_seed must be >= 0, got {mc_seed}")
+    mode = _mixed_mode(game.n, "auto", mc_samples, mc_seed)
     if config.max_steps is not None:
         max_steps = config.max_steps
     else:
@@ -418,7 +416,7 @@ def run_summ_learn(
     final = MixedProfile(tuple(p[class_of].tolist()))
     trajectory = Trajectory(tuple(records), terminated, final, grid, beta, max_steps)
 
-    result = regret_mixed(game, final, mode="auto", samples=mc_samples, seed=mc_seed)
+    result = regret_mixed(game, final, mode=mode, samples=mc_samples, seed=mc_seed)
     if result.stderrs is None:
         claimed = result.max_regret
     else:

@@ -112,10 +112,15 @@ class EquilibriumCertificate:
 
     ``regrets`` comes from the independent regret computation on the
     profile. Emitters verify max(regrets) <= epsilon_claimed before
-    handing a certificate out; the type itself stays permissive so that
-    untrusted (possibly tampered) certificates can be represented and fed
-    to the validation oracle. ``stderrs`` is present when the regrets were
-    estimated by Monte Carlo.
+    handing a certificate out; the type itself accepts any regret and
+    epsilon values so that untrusted (possibly tampered) certificates can
+    be represented and fed to the validation oracle. ``stderrs`` is
+    present when the regrets were estimated by Monte Carlo. Construction
+    checks the lists: ``regrets`` holds one entry per player, and
+    ``stderrs`` is absent or holds one finite nonnegative number per
+    player, since NaN would pass every comparison and an infinite stderr
+    would allow any regret. Faults are InputErrors that name ``regrets``,
+    ``stderrs`` or ``stderrs[j]``.
     """
 
     profile: Union[PureProfile, MixedProfile]
@@ -124,27 +129,22 @@ class EquilibriumCertificate:
     crossing: Crossing
     stderrs: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        n = self.profile.n
+        for field, values in (("regrets", self.regrets), ("stderrs", self.stderrs)):
+            if values is not None and len(values) != n:
+                raise InputError(
+                    f"{field}: {len(values)} entries for a {n}-player profile"
+                )
+        if self.stderrs is not None:
+            se = np.array(self.stderrs, dtype=np.float64)
+            bad = ~((0.0 <= se) & (se < np.inf))
+            text = "certificate stderrs must be finite nonnegative numbers"
+            _check_entries("stderrs", (bad, text))
+
     @property
     def max_regret(self) -> float:
         return max(self.regrets)
-
-    def check_stderrs(self, field: str = "stderrs") -> None:
-        """Refuse ``stderrs`` unless it is absent or holds one finite
-        nonnegative number per player, naming ``field`` or ``field[j]``:
-        NaN would pass every comparison, and an infinite stderr would allow
-        any regret. Certificates read from documents and certificates
-        handed to the validation oracle are checked by this one rule."""
-        if self.stderrs is None:
-            return
-        n = self.profile.n
-        if len(self.stderrs) != n:
-            raise InputError(
-                f"{field}: {len(self.stderrs)} entries for a {n}-player profile"
-            )
-        se = np.array(self.stderrs, dtype=np.float64)
-        bad = ~((0.0 <= se) & (se < np.inf))
-        text = "certificate stderrs must be finite nonnegative numbers"
-        _check_entries(field, (bad, text))
 
 
 def build_v_table(

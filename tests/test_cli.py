@@ -5,8 +5,18 @@ import re
 
 import pytest
 
-from summgames import cli, discretization
+from summgames import (
+    EquilibriumCertificate,
+    InputError,
+    Learned,
+    MixedProfile,
+    cli,
+    discretization,
+    regret_mixed,
+    validate_certificate,
+)
 from summgames.cli import main
+from summgames.documents import load_game
 
 SAMPLES = "samples"
 
@@ -391,6 +401,38 @@ def test_verify_negative_seed_exits_2(capsys, tmp_path):
         )
         assert (code, out) == (2, ""), mode
         assert "seed must be >= 0, got -3" in err, mode
+
+
+def test_one_rule_admits_monte_carlo_and_certificate_lists(capsys, tmp_path):
+    # The library, learn and verify refuse one Monte-Carlo sample with one
+    # message; bar100 (n = 100) is certified and verified by Monte Carlo.
+    message = "samples must be >= 2 for Monte Carlo, got 1"
+    game = f"{SAMPLES}/bar100.json"
+    bar100, _ = load_game(game)
+    profile = MixedProfile((0.5,) * 100)
+    with pytest.raises(InputError) as err:
+        regret_mixed(bar100, profile, "monte_carlo", samples=1)
+    assert str(err.value) == message
+    code, out, err = _run(
+        capsys, "learn", game, "--epsilon", "2", "--delta", "1e-3", "--samples", "1"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    doc = {
+        "profile": {"kind": "mixed", "probs": list(profile.probs)},
+        "epsilon_claimed": 1.0,
+        "regrets": [0.0] * 100,
+        "crossing": {"type": "learned"},
+    }
+    certificate = tmp_path / "mixed.json"
+    certificate.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "verify", game, str(certificate), "--samples", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # A certificate holds one regret per player, whoever builds it.
+    with pytest.raises(InputError) as err:
+        validate_certificate(
+            bar100, EquilibriumCertificate(profile, 1.0, (0.0,) * 99, Learned())
+        )
+    assert str(err.value) == "regrets: 99 entries for a 100-player profile"
 
 
 def test_verify_tampered_certificate_exits_1(capsys, tmp_path):

@@ -312,19 +312,18 @@ _BAD_STDERR = "certificate stderrs must be finite nonnegative numbers"
     ],
 )
 def test_certificate_stderr_faults_name_the_field(stderrs, message):
-    # The document boundary checks stderrs as it checks regrets, by the
-    # rule the validation oracle applies to a certificate built in code.
+    # The certificate's constructor checks stderrs, and the document
+    # boundary prefixes its fault with "$.".
     doc = _mixed_doc()
     doc["stderrs"] = stderrs
     with pytest.raises(InputError) as err:
         certificate_from_doc(doc)
     assert str(err.value) == message
-    cert = EquilibriumCertificate(
-        MixedProfile((0.25, 0.5, 0.75)), 0.3, (0.01, 0.02, 0.03), Learned(),
-        stderrs=tuple(stderrs),
-    )
     with pytest.raises(InputError) as err:
-        cert.check_stderrs()
+        EquilibriumCertificate(
+            MixedProfile((0.25, 0.5, 0.75)), 0.3, (0.01, 0.02, 0.03), Learned(),
+            stderrs=tuple(stderrs),
+        )
     assert str(err.value) == message.removeprefix("$.")
 
 

@@ -317,7 +317,7 @@ def test_validate_monte_carlo_needs_two_samples():
     profile = MixedProfile((0.5,) * 100)
     forged = EquilibriumCertificate(profile, 0.0, (0.9,) * 100, Learned())
     for mode in ("auto", "monte_carlo"):
-        with pytest.raises(InputError, match="needs samples >= 2, got 1"):
+        with pytest.raises(InputError, match="samples must be >= 2 for Monte Carlo, got 1"):
             validate_certificate(game, forged, mode=mode, samples=1)
     assert not validate_certificate(game, forged, samples=2).valid
     # Exact validation draws nothing, so its sample count is not read.
@@ -354,7 +354,7 @@ def test_learner_and_validator_take_the_mode_from_core(monkeypatch):
     report = validate_certificate(game, cert, mode="auto", samples=500)
     assert report.mode == "monte_carlo"
     assert report.valid
-    with pytest.raises(InputError, match="mc_samples must be >= 2, got 1"):
+    with pytest.raises(InputError, match="samples must be >= 2 for Monte Carlo, got 1"):
         run_summ_learn(game, config, mc_samples=1)
 
 

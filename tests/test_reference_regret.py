@@ -35,6 +35,7 @@ from conftest import (
 from summgames import (
     Affine,
     Constant,
+    InputError,
     LearnConfig,
     LinearWeighted,
     MajorityFraction,
@@ -57,6 +58,8 @@ from summgames import core, learning
 from summgames.learning import default_step_cap
 
 _REF_BATCH_ROWS = 1 << 14
+# Bools per weighted Monte-Carlo block.
+_REF_BLOCK_CELLS = 1 << 24
 
 
 def _bits(values):
@@ -145,7 +148,9 @@ def _ref_first_gains(game, probs, seed):
     )
 
 
-def _ref_monte_carlo(game, probs, samples, seed):
+def _ref_monte_carlo(game, probs, samples, seed, block_cells=_REF_BLOCK_CELLS):
+    """Weighted Monte Carlo summed block by block, a block being at most
+    ``_REF_BATCH_ROWS`` rows and ``block_cells`` bools (one row at least)."""
     n = game.n
     probs = np.asarray(probs)
     rng = np.random.default_rng(seed)
@@ -153,9 +158,10 @@ def _ref_monte_carlo(game, probs, samples, seed):
     g_sum = np.zeros((n, 2))
     d_sum = np.zeros((n, 2))
     d_sumsq = np.zeros((n, 2))
+    block = min(_REF_BATCH_ROWS, max(1, block_cells // n))
     drawn = 0
     while drawn < samples:
-        rows = min(_REF_BATCH_ROWS, samples - drawn)
+        rows = min(block, samples - drawn)
         bits = (rng.random((rows, n)) < probs[None, :]).astype(np.float64)
         for i, (f0, f1, current) in enumerate(_ref_deviation_payoffs(game, bits)):
             for b, fb in ((0, f0), (1, f1)):
@@ -176,11 +182,8 @@ def _ref_moments_to_regret(g_sum, d_sum, d_sumsq, samples):
     for i in range(n):
         b = 1 if means[i, 1] > means[i, 0] else 0
         regrets.append(float(means[i, b]))
-        if samples >= 2:
-            var = (d_sumsq[i, b] - d_sum[i, b] ** 2 / samples) / (samples - 1)
-            stderrs.append(float(math.sqrt(max(var, 0.0) / samples)))
-        else:
-            stderrs.append(float("inf"))
+        var = (d_sumsq[i, b] - d_sum[i, b] ** 2 / samples) / (samples - 1)
+        stderrs.append(float(math.sqrt(max(var, 0.0) / samples)))
     return tuple(regrets), tuple(stderrs)
 
 
@@ -612,30 +615,47 @@ def test_brute_count_search_matches_reference():
     assert max(regret_pure(game, PureProfile((1, 0, 0)))) == 0.0
 
 
-def _check_monte_carlo(kind, game, profile, samples, seed):
+def _check_monte_carlo(
+    kind, game, profile, samples, seed, block_cells=_REF_BLOCK_CELLS
+):
     """Count-based S is byte-equal to the per-row class-count reference;
-    the others are byte-equal to the per-row profile reference."""
+    the others are byte-equal to the per-row profile reference, summed in
+    blocks of at most ``block_cells`` bools."""
     result = regret_mixed(game, profile, "monte_carlo", samples, seed=seed)
     if kind in ("mean", "majority"):
         regrets, stderrs = _ref_monte_carlo_classes(game, profile.probs, samples, seed)
     else:
-        regrets, stderrs = _ref_monte_carlo(game, profile.probs, samples, seed)
+        regrets, stderrs = _ref_monte_carlo(
+            game, profile.probs, samples, seed, block_cells
+        )
     assert _bits(result.regrets) == _bits(regrets), (kind, samples)
     assert _bits(result.stderrs) == _bits(stderrs), (kind, samples)
+
+
+def _check_one_sample_refused(game, profile):
+    """One sample gives no standard error, so Monte Carlo refuses it."""
+    message = "samples must be >= 2 for Monte Carlo, got 1"
+    with pytest.raises(InputError, match=message):
+        regret_mixed(game, profile, "monte_carlo", 1, seed=1)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 7])
 def test_monte_carlo_regret_mixed_matches_reference(monkeypatch, chunk_rows):
     rng = np.random.default_rng(6)
     for kind, game in _regret_games(6, (1, 3, 12)):
+        block_cells = _REF_BLOCK_CELLS
         if chunk_rows is not None:
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_rows * game.n)
             monkeypatch.setattr(core, "_STATE_CHUNK_CELLS", chunk_rows * game.n)
+            # Weighted blocks of 5000 // n rows: 5000, 1666 and 416.
+            block_cells = 5000
+            monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
         profile = _profile(rng, game.n)
-        # One sample, part of a block, and two blocks; none a multiple of
-        # the 7-row draw chunk.
-        for samples in (1, 999, 17389):
-            _check_monte_carlo(kind, game, profile, samples, samples)
+        _check_one_sample_refused(game, profile)
+        # Part of a block, and two blocks (many with the small cell
+        # bound); none a multiple of the 7-row draw chunk.
+        for samples in (999, 17389):
+            _check_monte_carlo(kind, game, profile, samples, samples, block_cells)
 
 
 def test_monte_carlo_at_scale_matches_reference():
@@ -669,7 +689,8 @@ def test_monte_carlo_counts_edge_cases(monkeypatch, player_cells):
             rng.uniform(size=n),
         ):
             profile = MixedProfile(tuple(float(p) for p in probs))
-            for samples in (1, 2, 300):
+            _check_one_sample_refused(game, profile)
+            for samples in (2, 300):
                 _check_monte_carlo(kind, game, profile, samples, samples)
     # Constant(-0.0) against Constant(0.0), and a constant pair.
     pairs = [
@@ -700,14 +721,16 @@ def _class_profile(rng, n):
 def test_count_monte_carlo_matches_per_row_reference(n):
     # Every class kind, under the mean and the majority fraction, with
     # signed-zero and constant payoffs mixed in: all-0, all-1, pure and
-    # mixed profiles; one sample, two, and more than one draw block.
+    # mixed profiles; one sample (refused), two, and more than one draw
+    # block.
     rng = np.random.default_rng(60 + n)
     payoffs = _with_edge_payoffs(random_game(rng, n), rng).payoffs
     for kind, summ in (("mean", Mean(n)), ("majority", MajorityFraction(n))):
         game = SummGame(summ, payoffs)
         pure = tuple(float(a) for a in rng.integers(0, 2, n))
         for probs in ((0.0,) * n, (1.0,) * n, pure, _class_profile(rng, n).probs):
-            for samples in (1, 2, 999, 17389):
+            _check_one_sample_refused(game, MixedProfile(probs))
+            for samples in (2, 999, 17389):
                 _check_monte_carlo(kind, game, MixedProfile(probs), samples, samples)
 
 
