@@ -63,6 +63,12 @@ EXACT_REGRET_MAX_PLAYERS = 20
 # Profiles drawn by a Monte-Carlo regret when the caller names no count.
 MC_SAMPLES = 20000
 
+# The most player cells a request may ask for: Monte Carlo's samples times
+# n, and a learning run's step cap times n (every learner class may hold
+# one player). Learning on 60000 players at epsilon = 0.1 and delta = 1e-4
+# has a default step cap of 117973, about 7e9 cells.
+WORK_CELLS = 2**35
+
 # Rows per block when enumerating or sampling profiles with numpy. Weighted
 # Monte Carlo sums its gains block by block, so its block, at most this many
 # rows and ``_BLOCK_CELLS`` bools, is also its summation unit.
@@ -1414,6 +1420,16 @@ def _monte_carlo_mixed_regret(
     )
 
 
+def _admit_work(cells: int, request: str) -> None:
+    """Refuse, with CapabilityError, a request for more than ``WORK_CELLS``
+    player cells; ``request`` names it in the message."""
+    if cells > WORK_CELLS:
+        raise CapabilityError(
+            f"{request} asks for {cells} player cells, over the cap of "
+            f"WORK_CELLS = {WORK_CELLS}"
+        )
+
+
 def _mixed_mode(n: int, mode: str, samples: int, seed: int) -> str:
     """The mode a mixed-regret request on an n-player game runs in, once
     the request is admitted: auto is exact up to
@@ -1422,8 +1438,10 @@ def _mixed_mode(n: int, mode: str, samples: int, seed: int) -> str:
     other than "exact", "monte_carlo" or "auto"; a negative seed, in
     either mode; exact mode above the cap (CapabilityError); and Monte
     Carlo with fewer than 2 samples, whose standard errors one sample
-    cannot give. ``samples`` is read only when Monte Carlo runs. Every
-    caller that computes or certifies a mixed regret is admitted here."""
+    cannot give, or with samples times n above ``WORK_CELLS``
+    (CapabilityError). ``samples`` is read only when Monte Carlo runs.
+    Every caller that computes or certifies a mixed regret is admitted
+    here."""
     if mode not in ("exact", "monte_carlo", "auto"):
         raise InputError(f"unknown regret mode {mode!r}")
     if seed < 0:
@@ -1435,8 +1453,10 @@ def _mixed_mode(n: int, mode: str, samples: int, seed: int) -> str:
             f"exact mixed regret is capped at n <= {EXACT_REGRET_MAX_PLAYERS} "
             f"(got n={n}); use monte_carlo mode"
         )
-    if mode == "monte_carlo" and samples < 2:
-        raise InputError(f"samples must be >= 2 for Monte Carlo, got {samples}")
+    if mode == "monte_carlo":
+        if samples < 2:
+            raise InputError(f"samples must be >= 2 for Monte Carlo, got {samples}")
+        _admit_work(samples * n, f"Monte Carlo over {samples} samples of n={n} players")
     return mode
 
 

@@ -23,16 +23,13 @@ oscillation can also keep delta > 0 runs alive indefinitely, so a default
 cap on the scale of the worst-case convergence time applies when none is
 given.
 
-Players that share a weight, an initial probability and their best
-response on every interval entered so far move identically, so the loop
-runs on classes of such players: each step costs O(C) for C classes, and
-a class splits the first time an interval it disagrees on is entered. The
-mean is still the exactly rounded sum over the n players: each class's
-term is split (Veltkamp) into two halves whose products with the class
-size are exact (for classes below 2**26 players; larger sizes are split
-too), and one ``math.fsum`` over those 2C products rounds their exact sum
-once, as it rounds the n players' terms. Where n is not well above 2C,
-the n terms themselves are summed, which is then cheaper.
+Players that share an initial probability and their best response on
+every interval entered so far move identically, whatever their weights, so
+the loop runs on classes of such players: each step costs O(C) for C
+classes, and a class splits the first time an interval it disagrees on is
+entered. The mean is one ``math.fsum`` over the C products W_c * p_c,
+where W_c is the ``math.fsum`` of class c's weights: every term is
+nonnegative, so it lies within a few ulps of the exact sum_i w_i * p_i.
 
 The dynamics themselves are deterministic; randomness enters only in the
 Monte-Carlo regret certification of large games.
@@ -42,12 +39,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
 
-from .core import MC_SAMPLES, MixedProfile, SummGame, _mixed_mode, regret_mixed
+from .core import (
+    MC_SAMPLES,
+    MixedProfile,
+    SummGame,
+    _admit_work,
+    _mixed_mode,
+    regret_mixed,
+)
 from .discretization import AlphaGrid, _probe, interval_of, make_grid
 from .errors import CapabilityError, ContractError, InputError
 from .solver import EquilibriumCertificate, Learned
@@ -165,7 +168,9 @@ class LearnDiagnostics:
     distribution; psi_expression multiplies in the derivative bound and
     log factor with unit constant. The true constant is unknown, which is
     why certificates never include these numbers. classes is the number of
-    player classes the run ended with (0 when not reported).
+    player classes the run ended with, players who share an initial
+    probability and their best response on every interval entered, whatever
+    their weights (0 when not reported).
     """
 
     psi_scale: float
@@ -197,54 +202,17 @@ def _linear(game: SummGame):
 
 
 def _mean(weights: np.ndarray, probs: np.ndarray) -> float:
-    """sum_i w_i * p_i, exactly rounded, so the mean does not depend on how
-    the products are laid out."""
+    """The ``math.fsum`` of the products w_i * p_i, so the mean does not
+    depend on how the products are laid out: over the players in
+    ``broadcast_mean``, over the classes in the learner."""
     return math.fsum((weights * probs).tolist())
 
 
-# Veltkamp's splitter: q = hi + lo exactly, with at most 26 significant bits
-# in each of hi and lo.
-_SPLITTER = 2.0**27 + 1.0
-
-# Class sizes below this have at most 26 bits, so their product with a
-# 26-bit hi or lo is exact.
-_COUNT_PART = 2.0**26
-
-# The split costs a few array operations a step whatever C is, about as
-# much as summing 70 more terms on the bar game (1 class): up to this many
-# terms more than the split's 2C, the n players' terms are summed instead.
-_EXPAND_SLACK = 64
-
-
-def _class_summer(counts: np.ndarray) -> Callable[[np.ndarray], float]:
-    """The function that maps q, one term per class, to sum_c m_c * q_c for
-    the class sizes m = counts, exactly rounded: the value ``math.fsum``
-    gives over the n = sum(m) players' terms.
-
-    While n is at most 2C + ``_EXPAND_SLACK``, it is that ``math.fsum``
-    over each q_c repeated m_c times. Otherwise each q_c is split into
-    hi + lo, and m_c * hi and m_c * lo are exact, so 2C terms sum exactly
-    to sum_c m_c * q_c and one ``math.fsum`` rounds that once. A size of
-    ``_COUNT_PART`` or more is split in turn into its remainder modulo
-    ``_COUNT_PART`` and the multiple of it left over, which has at most 27
-    significant bits below 2**53, giving 2C more terms. lo's term is taken
-    as (hi - q) times -m, which is -0.0 for a zero q: a -0.0 q gives two
-    -0.0 terms and a 0.0 q one 0.0 term, so a zero sum has the sign it has
-    over the n terms.
-    """
-    if counts.sum() <= 2 * len(counts) + _EXPAND_SLACK:
-        return lambda q: math.fsum(q.repeat(counts).tolist())
-    m = counts.astype(np.float64)
-    parts = [m] if m.max() < _COUNT_PART else [m % _COUNT_PART, m - m % _COUNT_PART]
-    factors = np.concatenate([x for part in parts for x in (part, -part)])
-
-    def total(q: np.ndarray) -> float:
-        c = _SPLITTER * q
-        hi = c - (c - q)
-        halves = np.concatenate((hi, hi - q) * len(parts))
-        return math.fsum((halves * factors).tolist())
-
-    return total
+def _class_weights(weights: np.ndarray, class_of: np.ndarray) -> np.ndarray:
+    """W_c, the ``math.fsum`` of the weights of the players in class c."""
+    ends = np.cumsum(np.bincount(class_of))
+    parts = np.split(weights[np.argsort(class_of)], ends[:-1])
+    return np.array([math.fsum(part.tolist()) for part in parts])
 
 
 def default_step_cap(grid: AlphaGrid, beta: float, delta: float) -> int:
@@ -284,23 +252,23 @@ def run_summ_learn(
 
     The loop runs on player classes (see the module docstring): a step
     costs O(C) for C classes. O(n) work is left only where the run reads
-    all players: probability snapshots, the final profile, and entering an
-    interval other than the last two entered. BR(I_k) and V(I_k) come from
-    ``_probe`` there, so no grid-cell cap applies, and the first entry of
-    an interval splits the classes by BR(I_k). Each step's mean is the
-    exactly rounded sum over the n players, taken from 2C terms once n is
-    well above 2C (``_class_summer``), so trajectories do not depend on how
-    the players are grouped. The mean
-    recursion is asserted at every step against V(I_k); a violation means
-    the linearity contract broke and raises ContractError. The grid, beta
-    and step cap the run resolved from the config are reported on the
-    trajectory. A run whose step cap could record more than
-    ``MAX_RECORDED_STEPS`` trajectory steps, each counted n + 1 times with
-    probability snapshots, raises CapabilityError before its first step,
-    and delta >= beta raises InputError there. So does a certification
-    request that ``core._mixed_mode`` refuses: ``mc_seed`` < 0 in either
-    mode, and ``mc_samples`` < 2 when Monte Carlo certifies the run (exact
-    certification reads no samples).
+    all players: probability snapshots, the final profile, the class
+    weights W after a split, and entering an interval other than the last
+    two entered. BR(I_k) and V(I_k) come from ``_probe`` there, so no
+    grid-cell cap applies, and the first entry of an interval splits the
+    classes by BR(I_k). Each step's mean is the ``math.fsum`` of the C
+    products W_c * p_c. The mean recursion is asserted at every step
+    against V(I_k); a violation means the linearity contract broke and
+    raises ContractError. The grid, beta and step cap the run resolved
+    from the config are reported on the trajectory. A run whose step cap
+    could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
+    counted n + 1 times with probability snapshots, raises CapabilityError
+    before its first step, as does one whose step cap times n exceeds
+    ``core.WORK_CELLS``, since every class may hold one player; delta >=
+    beta raises InputError there. So does a certification request that
+    ``core._mixed_mode`` refuses: ``mc_seed`` < 0 in either mode, and
+    ``mc_samples`` < 2, or times n above ``WORK_CELLS``, when Monte Carlo
+    certifies the run (exact certification reads no samples).
     """
     summ = _linear(game)
     grid = make_grid(config.epsilon, game.rho)
@@ -330,6 +298,8 @@ def run_summ_learn(
             f"of MAX_RECORDED_STEPS = {MAX_RECORDED_STEPS}; raise "
             "snapshot_every, lower max_steps or drop snapshot_probs"
         )
+    # Every class may hold one player.
+    _admit_work(max_steps * game.n, f"a run of {max_steps} steps on n={game.n} players")
 
     if initial is None:
         profile = MixedProfile((0.5,) * game.n)
@@ -343,51 +313,42 @@ def run_summ_learn(
     def probe(k: int) -> tuple[np.ndarray, float]:
         return _probe(game, grid, k)
 
-    # beta * BR(I_k) of each class, with V(I_k). Classes only ever split, so
-    # their number tells the current classes from earlier ones.
-    @lru_cache(maxsize=2)
-    def toward(k: int, classes: int) -> tuple[np.ndarray, float]:
-        row, v = probe(k)
-        return beta * row[rep], v
-
     # Player classes: player i is in class class_of[i], rep[c] is one player
-    # of class c, and p[c] the probability all its players share. Classes
-    # start from the distinct (weight, initial probability) pairs, keyed on
-    # their IEEE bits so that -0.0 and 0.0 stay apart.
+    # of class c, p[c] the probability all its players share and W[c] their
+    # summed weight. Classes start from the distinct initial probabilities,
+    # keyed on their IEEE bits so that -0.0 and 0.0 stay apart.
     weights = np.array(summ.weights, dtype=np.float64)
     probs = np.array(profile.probs, dtype=np.float64)
-    _, by_weight = np.unique(weights.view(np.int64), return_inverse=True)
-    _, by_prob = np.unique(probs.view(np.int64), return_inverse=True)
     _, rep, class_of = np.unique(
-        by_weight * (by_prob.max() + 1) + by_prob, return_index=True, return_inverse=True
+        probs.view(np.int64), return_index=True, return_inverse=True
     )
     p = probs[rep]
-    w = weights[rep]
-    mean_of = _class_summer(np.bincount(class_of))
+    W = _class_weights(weights, class_of)
     entered: set[int] = set()
 
     records: list[TrajectoryStep] = []
     starts: list[tuple[int, int]] = []  # (interval, first step) of each visit
-    mu = mean_of(w * p)
+    mu = _mean(W, p)
     for t in range(max_steps):
         # Normalized weights may sum to just above 1, and so may mu.
         k = interval_of(grid, min(mu, 1.0))
         if not starts or starts[-1][0] != k:
             starts.append((k, t))
+            row, v = probe(k)
             # Split every class whose players disagree on BR(I_k); once
             # every class holds one player, none can split.
             if k not in entered and len(p) < len(probs):
                 entered.add(k)
                 split, rep, class_of = np.unique(
-                    class_of * 2 + probe(k)[0], return_index=True, return_inverse=True
+                    class_of * 2 + row, return_index=True, return_inverse=True
                 )
-                p = p[split // 2]
-                w = weights[rep]
-                mean_of = _class_summer(np.bincount(class_of))
-            push, v = toward(k, len(p))
+                if len(split) > len(p):
+                    p = p[split // 2]
+                    W = _class_weights(weights, class_of)
+            push = beta * row[rep]
         # Every class moves beta of the way toward its BR(I_k).
         new_p = (1.0 - beta) * p + push
-        new_mu = mean_of(w * new_p)
+        new_mu = _mean(W, new_p)
         if abs((new_mu - mu) - beta * (v - mu)) > _MU_RECURSION_TOL:
             raise ContractError(
                 f"mean recursion violated at step {t}: the summarization is "

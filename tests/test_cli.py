@@ -274,6 +274,29 @@ def test_learn_refuses_delta_at_or_above_beta(capsys):
     assert "delta=0.001 must be below beta=0.000625" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--samples", "1000000000000"),
+        ("--max-steps", "1000000000000000", "--snapshot-every", "1000000000"),
+    ],
+)
+def test_learn_refuses_unbounded_requests_before_the_loop(capsys, monkeypatch, flags):
+    # Samples times n and the step cap times n are bounded by WORK_CELLS;
+    # neither request gets as far as a best response.
+    def no_best_response(*args):
+        raise AssertionError("a best response was evaluated")
+
+    monkeypatch.setattr(discretization, "_best_responses", no_best_response)
+    code, out, err = _run(
+        capsys,
+        "learn", f"{SAMPLES}/bar100.json", "--epsilon", "0.5", "--delta", "1e-4",
+        "--initial-prob", "0", *flags,
+    )
+    assert (code, out) == (3, "")
+    assert "over the cap of WORK_CELLS = 34359738368" in err
+
+
 def test_learn_accepts_weights_summing_just_above_one(capsys, tmp_path):
     # Normalized, these weights sum to one ulp above 1, and so does the
     # mean of the all-ones start.

@@ -580,6 +580,18 @@ def test_regret_mixed_bad_mode_and_samples():
             regret_mixed(g, p, mode=mode, seed=-3)
 
 
+def test_monte_carlo_refuses_samples_times_n_over_the_work_cap(monkeypatch):
+    # At the boundary: 4 samples of 25 players make 100 cells.
+    monkeypatch.setattr(core, "WORK_CELLS", 100)
+    game = constant_game(25)
+    profile = MixedProfile((0.5,) * 25)
+    regret_mixed(game, profile, mode="auto", samples=4)
+    with pytest.raises(CapabilityError, match="WORK_CELLS = 100"):
+        regret_mixed(game, profile, mode="auto", samples=5)
+    # Exact mode reads no samples.
+    regret_mixed(constant_game(2), MixedProfile((0.5, 0.5)), mode="auto", samples=101)
+
+
 def test_monte_carlo_regret_memory_is_bounded():
     # Blocks are bools built in chunks: one call at n = 1000 with 20000
     # samples peaked at 157 MiB while it drew whole float64 blocks, and at

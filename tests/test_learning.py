@@ -1,7 +1,6 @@
 """Learning dynamics: updates, stopping, trajectories, diagnostics."""
 
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ from summgames import (
     make_grid,
     run_summ_learn,
 )
-from summgames import discretization, learning
+from summgames import core, discretization, learning
 from summgames.learning import default_step_cap
 
 
@@ -188,6 +187,15 @@ def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
         run_summ_learn(game, LearnConfig(max_steps=fits, **config))
         with pytest.raises(CapabilityError, match="MAX_RECORDED_STEPS"):
             run_summ_learn(game, LearnConfig(max_steps=refused, **config))
+
+
+def test_run_refuses_step_caps_over_the_work_cap(monkeypatch):
+    # Every class may hold one player, so the step cap times n is bounded.
+    # At the boundary: 100 steps of 4 players make 400 cells.
+    monkeypatch.setattr(core, "WORK_CELLS", 400)
+    run_summ_learn(bar_game(4), LearnConfig(epsilon=2.0, delta=0.0, max_steps=100))
+    with pytest.raises(CapabilityError, match="WORK_CELLS = 400"):
+        run_summ_learn(bar_game(4), LearnConfig(epsilon=2.0, delta=0.0, max_steps=101))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +382,15 @@ def test_diagnostics_report_the_final_classes():
     config = LearnConfig(epsilon=0.5, delta=1e-4)
     _, _, diagnostics = run_summ_learn(bar_game(200), config, MixedProfile((0.0,) * 200))
     assert diagnostics.classes == 1
-    # Distinct weights put every player in a class of their own.
+    # Weights do not key the classes: 12 distinct weights on one payoff
+    # pair make one class.
     weights = tuple(float(i + 1) for i in range(12))
     game = SummGame(
         LinearWeighted(weights, normalize=True),
         ((Affine(0.0, 1.0), Affine(1.0, -1.0)),) * 12,
     )
     _, _, diagnostics = run_summ_learn(game, config, MixedProfile((0.0,) * 12))
-    assert diagnostics.classes == 12
+    assert diagnostics.classes == 1
     # One class until the mean passes 0.3, where it splits in two.
     game = threshold_game((0.3, 0.7) * 10)
     trajectory, _, diagnostics = run_summ_learn(game, config, MixedProfile((0.0,) * 20))
@@ -389,58 +398,10 @@ def test_diagnostics_report_the_final_classes():
     assert len(set(trajectory.final.probs)) == 2
 
 
-def _bits(x):
-    return np.float64(x).tobytes()
-
-
-def _sum_cases(rng):
-    """(q, class sizes) draws: generic, near-1, subnormal and signed-zero q,
-    with sizes of 1, small, up to the 2**26 bound and past it."""
-    for _ in range(300):
-        c = int(rng.integers(1, 10))
-        kind = rng.integers(5, size=c)
-        q = rng.uniform(size=c)
-        q[kind == 1] = 1.0 - rng.integers(0, 4, size=int((kind == 1).sum())) * 2.0**-53
-        q[kind == 2] = rng.integers(1, 2**30, size=int((kind == 2).sum())) * 5e-324
-        q[kind == 3] = rng.choice([0.0, -0.0], size=int((kind == 3).sum()))
-        q[kind == 4] *= 2.0 ** -rng.integers(900, 1030, size=int((kind == 4).sum()))
-        size = rng.choice(4, size=c, p=[0.4, 0.4, 0.1, 0.1])
-        m = np.ones(c, dtype=np.int64)
-        m[size == 1] = rng.integers(2, 50, size=int((size == 1).sum()))
-        m[size == 2] = rng.integers(2**25, 2**26, size=int((size == 2).sum()))
-        m[size == 3] = rng.integers(2**26, 2**44, size=int((size == 3).sum()))
-        yield q, m
-
-
-def test_class_sum_is_the_exactly_rounded_sum(monkeypatch):
-    rng = np.random.default_rng(31)
-    expanded = 0
-    for q, m in _sum_cases(rng):
-        exact = sum(Fraction(int(k)) * Fraction(float(x)) for k, x in zip(m, q))
-        # The split sum, forced at every n; small n sum the repeated terms.
-        monkeypatch.setattr(learning, "_EXPAND_SLACK", -math.inf)
-        got = learning._class_summer(m)(q)
-        assert got == float(exact)
-        if m.sum() <= 1000:
-            # Bit for bit, signed zeros included, with fsum over the players.
-            want = math.fsum(np.repeat(q, m).tolist())
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
-            assert got == want
-            monkeypatch.undo()
-            assert _bits(learning._class_summer(m)(q)) == _bits(want)
-            expanded += 1
-    assert expanded > 50
-    monkeypatch.setattr(learning, "_EXPAND_SLACK", -math.inf)
-    for q in ([-0.0, -0.0], [0.0, -0.0], [-0.0]):
-        m = np.array([3, 1][: len(q)])
-        got = learning._class_summer(m)(np.array(q))
-        want = math.fsum(np.repeat(q, m).tolist())
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-
-
 def test_learner_sums_over_classes_not_players(monkeypatch):
-    # Counts the terms the learner passes to math.fsum, not time: bar at
-    # n = 10^4 is one class over 4732 capped steps.
+    # Counts the terms the learner passes to math.fsum, not time: C terms a
+    # step, and n to sum the class weights at the start and after each
+    # split, and once more for psi_scale.
     calls = []
 
     def counting_fsum(terms):
@@ -452,12 +413,22 @@ def test_learner_sums_over_classes_not_players(monkeypatch):
         learning, "math", SimpleNamespace(**{**vars(math), "fsum": counting_fsum})
     )
     n = 10_000
-    config = LearnConfig(epsilon=0.5, delta=1e-4)
-    trajectory, _, diagnostics = run_summ_learn(
-        bar_game(n), config, MixedProfile((0.0,) * n), mc_samples=2
+    up, down = Affine(0.0, 1.0), Affine(1.0, -1.0)
+    # Weights 1..n, normalized; contrarians and followers alternate.
+    weighted = SummGame(
+        LinearWeighted(tuple(float(i + 1) for i in range(n)), normalize=True),
+        ((up, down), (down, up)) * (n // 2),
     )
-    steps = trajectory.terminated.step
-    assert steps == 4732
-    entered = len({v.interval for v in diagnostics.visit_log})
-    assert sum(calls) <= 2 * diagnostics.classes * (steps + 1) + n * (1 + entered)
-    assert sum(calls) * 1000 < steps * n
+    config = LearnConfig(epsilon=0.5, delta=1e-4)
+    for game, initial in ((bar_game(n), MixedProfile((0.0,) * n)), (weighted, None)):
+        calls.clear()
+        trajectory, _, diagnostics = run_summ_learn(game, config, initial, mc_samples=2)
+        steps = trajectory.terminated.step
+        entered = len({v.interval for v in diagnostics.visit_log})
+        assert sum(calls) <= 2 * diagnostics.classes * (steps + 1) + n * (1 + entered)
+        if game is weighted:
+            assert diagnostics.classes <= 2
+        else:
+            # Bar is one class over 4732 capped steps.
+            assert steps == 4732
+            assert sum(calls) * 1000 < steps * n

@@ -19,6 +19,7 @@ a two-pass ``math.fsum`` variance checks that choice.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from summgames import (
     PureProfile,
     Quadratic,
     SummGame,
-    broadcast_mean,
     brute_min_epsilon,
     build_v_table,
     interval_of,
@@ -54,7 +54,7 @@ from summgames import (
     regret_pure,
     run_summ_learn,
 )
-from summgames import core, learning
+from summgames import core
 from summgames.learning import default_step_cap
 
 _REF_BATCH_ROWS = 1 << 14
@@ -269,7 +269,12 @@ def _ref_monte_carlo_classes(game, probs, samples, seed):
 
 
 def _ref_learn(game, epsilon, delta, initial, max_steps=None):
-    """The tuple learner loop: (records, final step, final probs, visits)."""
+    """The tuple learner loop: (records, final step, final probs, visits).
+
+    A class is keyed on a player's initial probability, to the bit, and
+    their best response on every interval entered so far; the mean is the
+    fsum over the classes of their weights' fsum times their probability.
+    """
     summ = game.summarization
     grid = make_grid(epsilon, game.rho)
     beta = grid.alpha / 2.0
@@ -279,7 +284,16 @@ def _ref_learn(game, epsilon, delta, initial, max_steps=None):
     records, visits = [], []
     visit_interval, visit_start, visit_len = None, 0, 0
     probs = initial.probs
-    mu = broadcast_mean(game, initial)
+    keys = [(struct.pack("<d", p),) for p in probs]
+    entered = set()
+
+    def mean(probs):
+        classes = {}
+        for key, w, p in zip(keys, summ.weights, probs):
+            classes.setdefault(key, ([], p))[0].append(w)
+        return math.fsum(math.fsum(ws) * p for ws, p in classes.values())
+
+    mu = mean(probs)
     t = 0
     while t < max_steps:
         k = interval_of(grid, mu)
@@ -289,8 +303,11 @@ def _ref_learn(game, epsilon, delta, initial, max_steps=None):
             visit_interval, visit_start, visit_len = k, t, 0
         visit_len += 1
         target = table.br[k].actions
+        if k not in entered:
+            entered.add(k)
+            keys = [key + (a,) for key, a in zip(keys, target)]
         new_probs = tuple((1.0 - beta) * p + beta * a for p, a in zip(probs, target))
-        new_mu = math.fsum(w * p for w, p in zip(summ.weights, new_probs))
+        new_mu = mean(new_probs)
         assert abs((new_mu - mu) - beta * (table.v[k] - mu)) <= 1e-12
         max_delta = max(abs(np_ - p) for np_, p in zip(new_probs, probs))
         records.append((t, mu, max_delta, probs))
@@ -891,10 +908,7 @@ def _learn_cases():
     yield random_game(rng, 1, "linear"), 0.5, 1e-4, MixedProfile((0.9,)), 3000, 6
 
 
-def test_learner_matches_reference_loop(monkeypatch):
-    # Below n = 2C + _EXPAND_SLACK the learner sums the n players' terms;
-    # a slack of -inf makes it split every class's term, at every n.
-    slacks = (learning._EXPAND_SLACK, -math.inf)
+def test_learner_matches_reference_loop():
     for game, epsilon, delta, initial, cap, every in _learn_cases():
         records, steps, final, visits = _ref_learn(game, epsilon, delta, initial, cap)
         # Every snapshot_every-th step and the final one are recorded.
@@ -906,21 +920,19 @@ def test_learner_matches_reference_loop(monkeypatch):
             snapshot_every=every,
             snapshot_probs=True,
         )
-        for slack in slacks:
-            monkeypatch.setattr(learning, "_EXPAND_SLACK", slack)
-            trajectory, cert, diagnostics = run_summ_learn(game, config, initial=initial)
-            assert trajectory.terminated.step == steps
-            assert [s.t for s in trajectory.steps] == [r[0] for r in records]
-            assert _bits([s.mu for s in trajectory.steps]) == _bits([r[1] for r in records])
-            assert _bits([s.max_delta for s in trajectory.steps]) == _bits(
-                [r[2] for r in records]
-            )
-            for step, record in zip(trajectory.steps, records):
-                assert _bits(step.probs) == _bits(record[3])
-                assert all(type(p) is float for p in step.probs)
-            assert _bits(trajectory.final.probs) == _bits(final)
-            assert _bits(cert.profile.probs) == _bits(final)
-            assert [(v.interval, v.start, v.duration) for v in diagnostics.visit_log] == visits
-            assert all(
-                type(s.mu) is float and type(s.max_delta) is float for s in trajectory.steps
-            )
+        trajectory, cert, diagnostics = run_summ_learn(game, config, initial=initial)
+        assert trajectory.terminated.step == steps
+        assert [s.t for s in trajectory.steps] == [r[0] for r in records]
+        assert _bits([s.mu for s in trajectory.steps]) == _bits([r[1] for r in records])
+        assert _bits([s.max_delta for s in trajectory.steps]) == _bits(
+            [r[2] for r in records]
+        )
+        for step, record in zip(trajectory.steps, records):
+            assert _bits(step.probs) == _bits(record[3])
+            assert all(type(p) is float for p in step.probs)
+        assert _bits(trajectory.final.probs) == _bits(final)
+        assert _bits(cert.profile.probs) == _bits(final)
+        assert [(v.interval, v.start, v.duration) for v in diagnostics.visit_log] == visits
+        assert all(
+            type(s.mu) is float and type(s.max_delta) is float for s in trajectory.steps
+        )
