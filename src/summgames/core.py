@@ -64,9 +64,9 @@ EXACT_REGRET_MAX_PLAYERS = 20
 MC_SAMPLES = 20000
 
 # The most player cells a request may ask for: Monte Carlo's samples times
-# n, and a learning run's step cap times n (every learner class may hold
-# one player). Learning on 60000 players at epsilon = 0.1 and delta = 1e-4
-# has a default step cap of 117973, about 7e9 cells.
+# n, and a learning run's step cap times a bound on its player classes.
+# Learning on 60000 players at epsilon = 0.1 and delta = 1e-4 has a default
+# step cap of 117973, about 7e9 cells even if every player is a class.
 WORK_CELLS = 2**35
 
 # Rows per block when enumerating or sampling profiles with numpy. Weighted
@@ -196,21 +196,22 @@ def _profile_blocks(summ: "Summarization"):
 class Summarization:
     """Aggregates a joint pure play into a single value in [0, 1].
 
-    Subclasses provide the influence bound tau, ``influence_bound()``, and
-    one arithmetic path, the batch protocol, over a (rows, n) bool block of
-    profiles: ``batch_state`` builds a per-row intermediate from the block,
-    an array whose first axis is the rows (only ``LinearWeighted`` copies
-    rows to float64, a row chunk at a time), ``batch_value`` maps it to
-    summarization values, and
+    The kinds are ``Mean``, ``MajorityFraction`` and ``LinearWeighted``; a
+    game accepts these three and no subclass of them. Each computes its
+    influence bound tau, ``influence_bound()``: a bound on
+    |S(x with i playing 0) - S(x with i playing 1)| over every player i
+    and profile x. Each has one arithmetic path, the batch protocol, over
+    a (rows, n) bool block of profiles: ``batch_state`` builds a per-row
+    intermediate from the block, an array whose first axis is the rows
+    (only ``LinearWeighted`` copies rows to float64, a row chunk at a
+    time), ``batch_value`` maps it to summarization values, and
     ``batch_deviation(state, x, players)``, given the 0/1 columns x (bool
     or float) of the players in the slice ``players``, one row per player,
     yields the values after forcing each of them alone to 0 and to 1,
     shaped like x; one player index with its 1-D column works too. A row's
-    state must not depend on the other rows of the batch, so ``evaluate``
+    state does not depend on the other rows of the batch, so ``evaluate``
     -- that path on one row -- agrees bit for bit with every row-major
-    batch containing the same profile. A game accepts only the three kinds
-    below, ``Mean``, ``MajorityFraction`` and ``LinearWeighted``, not
-    subclasses, so its tau is always computed.
+    batch containing the same profile.
     """
 
     n: int
@@ -221,43 +222,27 @@ class Summarization:
         bits = np.asarray(actions, dtype=bool)[None, :]
         return float(self.batch_value(self.batch_state(bits))[0])
 
-    def influence_bound(self) -> float:
-        """tau: a bound on |S(x with i playing 0) - S(x with i playing 1)|
-        over every player i and profile x."""
-        raise NotImplementedError
-
     def _check_arity(self, actions: Sequence[int]) -> None:
         if len(actions) != self.n:
             raise InputError(
                 f"profile has {len(actions)} players, summarization expects {self.n}"
             )
 
-    # Batch protocol (rows are profiles, columns are players).
-
-    def batch_state(self, bits: np.ndarray):
-        raise NotImplementedError
-
-    def batch_value(self, state) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_deviation(self, state, x: np.ndarray, players):
-        raise NotImplementedError
-
 
 class _CountBase(Summarization):
-    """Summarizations that depend only on the number of players playing 1.
+    """The count-based kinds, ``Mean`` and ``MajorityFraction``: S depends
+    only on the number of players playing 1.
 
-    The state is that count, an exact integer in float64, so a deviation's
-    count is exact and its value is the float that evaluating the deviated
-    profile gives. n is the player count, at least 1.
+    Each kind gives S of a count as ``_of_count``, and this class builds
+    tau and the batch protocol from it. The state is that count, an exact
+    integer in float64, so a deviation's count is exact and its value is
+    the float that evaluating the deviated profile gives. n is the player
+    count, at least 1.
     """
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("player count must be >= 1")
-
-    def _of_count(self, ones: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def influence_bound(self) -> float:
         # Every player moves the count by one, so tau is S's largest float
@@ -389,14 +374,16 @@ class MajorityFraction(_CountBase):
 class Payoff:
     """A payoff function mapping [0, 1] into [0, 1].
 
-    Constructors reject parameterizations whose range escapes [0, 1];
-    evaluation additionally clamps float dust so outputs never leave the
-    interval. ``derivative_bound`` returns a finite upper bound on |F'|
-    over [0, 1].
+    The kinds are the catalog's four, ``Constant``, ``Affine``,
+    ``Quadratic`` and ``PiecewiseLinear``; a game accepts these and no
+    subclass of them. Constructors reject parameterizations whose range
+    escapes [0, 1]; evaluation additionally clamps float dust so outputs
+    never leave the interval. ``derivative_bound`` returns a finite upper
+    bound on |F'| over [0, 1].
 
-    Each catalog kind states each of its rules once, on columns with one
-    row per payoff, so one payoff and a game's whole payoff bank share
-    them bit for bit:
+    Each kind states each of its rules once, on columns with one row per
+    payoff, so one payoff and a game's whole payoff bank share them bit
+    for bit:
 
     * ``_check(*fields)`` takes the document fields of m payoffs as columns
       (a scalar kind's coefficients as (m,) arrays, a piecewise payoff's
@@ -418,8 +405,8 @@ class Payoff:
     ``_row`` is a payoff's fields as one flat document row, ``_split``
     cuts an (m, L) array of such rows into the fields, and
     ``_of_columns`` builds a payoff from its row of the coefficient
-    columns. A game accepts only the four catalog kinds themselves, not
-    subclasses.
+    columns. The ``_split`` and ``_of_columns`` here serve the scalar
+    kinds, and the ``_pieces`` here the one-piece linear ones.
     """
 
     _coefficients: tuple[str, ...] = ()
@@ -429,9 +416,6 @@ class Payoff:
         if fault is not None:
             raise InputError(fault[1])
 
-    def _row(self) -> tuple[float, ...]:
-        raise NotImplementedError
-
     @staticmethod
     def _split(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(rows.T)
@@ -439,18 +423,6 @@ class Payoff:
     @classmethod
     def _of_columns(cls, *values) -> "Payoff":
         return cls(*values)
-
-    @staticmethod
-    def _check(*fields):
-        raise NotImplementedError
-
-    @staticmethod
-    def _formula(*coefficients_and_z):
-        raise NotImplementedError
-
-    @staticmethod
-    def _bound(*columns) -> np.ndarray:
-        raise NotImplementedError
 
     @staticmethod
     def _pieces(*coefficients) -> tuple[np.ndarray, float]:
@@ -877,11 +849,9 @@ class SummGame:
                         "Constant, Affine, Quadratic or PiecewiseLinear payoff"
                     )
                 rows.add(i, b, type(fn), fn._row())
-        groups, fault = rows.groups()
-        if fault is not None:
-            i, b, message = fault
-            raise InputError(f"payoffs[{i}][{b}]: {message}")
-        self._set(summarization, groups, pairs)
+        # Each payoff passed its kind's ``_check`` on these rows when it
+        # was built, so no group reports a fault.
+        self._set(summarization, rows.groups()[0], pairs)
 
     @classmethod
     def _of_groups(cls, summarization: Summarization, groups) -> "SummGame":

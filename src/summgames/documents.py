@@ -232,11 +232,7 @@ def _parse_summarization(spec: Any, n: int, path: str) -> Summarization:
         normalize = obj.get("normalize", False)
         if not isinstance(normalize, bool):
             raise InputError(f"{path}.normalize: expected true or false")
-        try:
-            return LinearWeighted(weights, normalize=normalize)
-        except InputError as err:
-            # The constructor names the field: "weights" or "weights[j]".
-            raise InputError(f"{path}.{err}") from err
+        return _built(f"{path}.", LinearWeighted, weights, normalize)
     raise InputError(
         f"{path}.type: unknown summarization type {kind!r}; expected mean, "
         "majority_fraction, or linear_weighted"
@@ -351,8 +347,9 @@ def certificate_to_doc(certificate: EquilibriumCertificate) -> dict:
 
 def _built(path: str, cls, *args):
     """cls(*args), an InputError of its constructor prefixed with ``path``:
-    the constructor names the field ("probs[j]" of a profile, "regrets" or
-    "stderrs[j]" of a certificate), and path names where the object sits."""
+    the constructor names the field ("weights[j]" of a weighted vote,
+    "probs[j]" of a profile, "regrets" or "stderrs[j]" of a certificate),
+    and path names where the object sits."""
     try:
         return cls(*args)
     except InputError as err:

@@ -43,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import core
 from .core import (
     MC_SAMPLES,
     MixedProfile,
@@ -215,6 +216,23 @@ def _class_weights(weights: np.ndarray, class_of: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(part.tolist()) for part in parts])
 
 
+def _class_bound(game: SummGame, probs: np.ndarray) -> int:
+    """A bound on the learner's classes: the number of distinct keys of an
+    initial probability's bits and a payoff pair's coefficient bits.
+    Players who share both share every best response."""
+    keys = [probs.view(np.int64)]
+    for bank in game._banks:
+        key = np.empty(game.n, dtype=np.int64)
+        seen = 0
+        for group in bank.groups:
+            rows = np.hstack([c.reshape(len(group.index), -1) for c in group.columns])
+            _, at = np.unique(rows.view(np.int64), axis=0, return_inverse=True)
+            key[group.index] = seen + at.ravel()
+            seen += int(at.max()) + 1
+        keys.append(key)
+    return len(np.unique(np.stack(keys, axis=1), axis=0))
+
+
 def default_step_cap(grid: AlphaGrid, beta: float, delta: float) -> int:
     """Step cap used when a delta > 0 run gives no explicit max_steps.
 
@@ -263,8 +281,10 @@ def run_summ_learn(
     from the config are reported on the trajectory. A run whose step cap
     could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
     counted n + 1 times with probability snapshots, raises CapabilityError
-    before its first step, as does one whose step cap times n exceeds
-    ``core.WORK_CELLS``, since every class may hold one player; delta >=
+    before its first step, as does one whose step cap times its class
+    bound exceeds ``core.WORK_CELLS``. That bound is n, or, when the step
+    cap times n is over the cap, the number of distinct pairs of an
+    initial probability and a payoff pair (``_class_bound``); delta >=
     beta raises InputError there. So does a certification request that
     ``core._mixed_mode`` refuses: ``mc_seed`` < 0 in either mode, and
     ``mc_samples`` < 2, or times n above ``WORK_CELLS``, when Monte Carlo
@@ -298,14 +318,22 @@ def run_summ_learn(
             f"of MAX_RECORDED_STEPS = {MAX_RECORDED_STEPS}; raise "
             "snapshot_every, lower max_steps or drop snapshot_probs"
         )
-    # Every class may hold one player.
-    _admit_work(max_steps * game.n, f"a run of {max_steps} steps on n={game.n} players")
 
     if initial is None:
         profile = MixedProfile((0.5,) * game.n)
     else:
         game._check_profile(initial.n)
         profile = initial
+    probs = np.array(profile.probs, dtype=np.float64)
+    # A step costs O(C), and C is at most n; the keys that bound C are
+    # counted only when n does not fit.
+    if max_steps * game.n > core.WORK_CELLS:
+        classes = _class_bound(game, probs)
+        _admit_work(
+            max_steps * classes,
+            f"a run of {max_steps} steps on n={game.n} players with a class "
+            f"bound of {classes}",
+        )
 
     # BR(I_k) and V(I_k) of the last two intervals entered; the bar game
     # alternates between two.
@@ -318,7 +346,6 @@ def run_summ_learn(
     # summed weight. Classes start from the distinct initial probabilities,
     # keyed on their IEEE bits so that -0.0 and 0.0 stay apart.
     weights = np.array(summ.weights, dtype=np.float64)
-    probs = np.array(profile.probs, dtype=np.float64)
     _, rep, class_of = np.unique(
         probs.view(np.int64), return_index=True, return_inverse=True
     )

@@ -263,6 +263,25 @@ def test_learn_rejects_bad_certification_flags_before_the_loop(
     assert f"{flag[2:]} must be >= " in err and f"got {value}" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--initial-prob", "1.5", "error: --initial-prob must lie in [0, 1], got 1.5"),
+        ("--epsilon", "abc", "error: argument --epsilon: not a number: 'abc'"),
+    ],
+)
+def test_learn_rejects_malformed_flags_naming_them(capsys, flag, value, message):
+    # A value argparse cannot read exits 2 from the parser itself.
+    flags = {"--epsilon": "0.5", "--delta": "1e-3", flag: value}
+    argv = [x for item in flags.items() for x in item]
+    try:
+        code, out, err = _run(capsys, "learn", f"{SAMPLES}/bar4.json", *argv)
+    except SystemExit as exit:
+        (out, err), code = capsys.readouterr(), exit.code
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_learn_refuses_delta_at_or_above_beta(capsys):
     # bar100 at epsilon = 0.01 has beta = alpha/2 = 6.25e-4 < delta.
     code, out, err = _run(

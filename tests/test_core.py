@@ -178,6 +178,24 @@ def test_linear_weighted_validation():
             )
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Mean(0), "player count must be >= 1"),
+        (lambda: MajorityFraction(0), "player count must be >= 1"),
+        (lambda: LinearWeighted(()), "weights: at least one weight is required"),
+        (
+            lambda: LinearWeighted((0.0, 0.0), normalize=True),
+            "weights: cannot normalize an all-zero weight vector",
+        ),
+    ],
+)
+def test_summarization_constructors_name_their_faults(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_linear_weighted_reads_its_weights_as_one_column():
     ints = LinearWeighted((1, 2, 1), normalize=True)
     assert ints.weights == (0.25, 0.5, 0.25)

@@ -1,6 +1,7 @@
 """Grid construction, interval membership, step approximation quality and
 the best-response table against the per-function step view."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,11 @@ def test_make_grid_input_errors():
         make_grid(0.0, 1.0)
     with pytest.raises(InputError):
         make_grid(-1.0, 1.0)
+    for rho in (math.nan, -1.0):
+        with pytest.raises(InputError, match=rf"^rho must be >= 0, got {rho}$"):
+            make_grid(0.5, rho)
+    with pytest.raises(InputError, match="^interval count must be >= 1$"):
+        AlphaGrid(0)
 
 
 def test_make_grid_interval_cap():

@@ -118,6 +118,17 @@ def test_parse_linear_weighted():
             "$.summarization.weights",
         ),
         (lambda d: d.update(summarization={"type": "median"}), "$.summarization.type"),
+        (lambda d: d.update(players=0), "$.players: must be >= 1"),
+        (
+            lambda d: d.update(
+                summarization={
+                    "type": "linear_weighted",
+                    "weights": [0.25] * 4,
+                    "normalize": "yes",
+                }
+            ),
+            "$.summarization.normalize: expected true or false",
+        ),
         (
             lambda d: d["payoffs"][3].update(
                 action1={
@@ -255,6 +266,24 @@ def test_certificate_doc_validation():
                 "crossing": {"type": "learned"},
             }
         )
+    doc = certificate_to_doc(
+        EquilibriumCertificate(PureProfile((1, 0)), 0.5, (0.0, 0.0), Learned())
+    )
+    for edit, message in (
+        (
+            lambda d: d["profile"].update(kind="other"),
+            "$.profile.kind: expected 'pure' or 'mixed', got 'other'",
+        ),
+        (
+            lambda d: d.update(crossing={"type": "diagonal"}),
+            "$.crossing.type: unknown crossing type 'diagonal'",
+        ),
+    ):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(InputError) as err:
+            certificate_from_doc(bad)
+        assert str(err.value) == message
 
 
 def _mixed_doc():

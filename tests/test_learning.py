@@ -22,7 +22,9 @@ from summgames import (
     LinearWeighted,
     MajorityFraction,
     MaxStepsReached,
+    Mean,
     MixedProfile,
+    PiecewiseLinear,
     SummGame,
     Constant,
     Visit,
@@ -102,6 +104,8 @@ def test_config_validation():
     LearnConfig(epsilon=0.5, delta=0.0, max_steps=100)
     with pytest.raises(InputError):
         LearnConfig(epsilon=0.5, delta=0.01, snapshot_every=0)
+    with pytest.raises(InputError, match="^max_steps must be positive when given$"):
+        LearnConfig(epsilon=0.5, delta=0.01, max_steps=0)
 
 
 def test_default_step_cap_is_finite_or_refused():
@@ -190,12 +194,42 @@ def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
 
 
 def test_run_refuses_step_caps_over_the_work_cap(monkeypatch):
-    # Every class may hold one player, so the step cap times n is bounded.
-    # At the boundary: 100 steps of 4 players make 400 cells.
+    # A step costs O(C), and players who share an initial probability and
+    # a payoff pair stay in one class, so the step cap times the number of
+    # such keys is bounded. At the boundary, on 4 players: 400 // keys steps
+    # fit in 400 cells. One key is the case a bound of n refused.
+    bar = (Affine(0.0, 1.0), Affine(1.0, -1.0))
+    kinked = tuple(
+        PiecewiseLinear(((0.0, 0.0), (z, 0.5), (1.0, 1.0))) for z in (0.25, 0.75)
+    )
+    zigzag = (kinked, (kinked[1], kinked[0]))
+    halves = MixedProfile((0.0, 0.0, 0.5, 0.5))
     monkeypatch.setattr(core, "WORK_CELLS", 400)
-    run_summ_learn(bar_game(4), LearnConfig(epsilon=2.0, delta=0.0, max_steps=100))
-    with pytest.raises(CapabilityError, match="WORK_CELLS = 400"):
-        run_summ_learn(bar_game(4), LearnConfig(epsilon=2.0, delta=0.0, max_steps=101))
+    for pairs, initial, keys in (
+        ((bar,) * 4, None, 1),
+        ((bar,) * 4, halves, 2),
+        ((bar, bar) + zigzag, None, 3),
+        ((bar, zigzag[0], bar, zigzag[1]), halves, 4),
+    ):
+        game = SummGame(Mean(4), pairs)
+        fits = 400 // keys
+        config = dict(epsilon=2.0, delta=0.0)
+        _, _, diagnostics = run_summ_learn(
+            game, LearnConfig(max_steps=fits, **config), initial=initial
+        )
+        assert diagnostics.classes <= keys
+        with pytest.raises(CapabilityError) as err:
+            run_summ_learn(
+                game, LearnConfig(max_steps=fits + 1, **config), initial=initial
+            )
+        assert str(err.value) == (
+            f"a run of {fits + 1} steps on n=4 players with a class bound of "
+            f"{keys} asks for {(fits + 1) * keys} player cells, over the cap of "
+            "WORK_CELLS = 400"
+        )
+    # The keys are counted only when the step cap times n is over the cap.
+    monkeypatch.setattr(learning, "_class_bound", None)
+    run_summ_learn(bar_game(4), LearnConfig(max_steps=100, **config))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +378,12 @@ def test_psi_scale_dominates_tau():
         config = LearnConfig(epsilon=0.5, delta=1e-2)
         _, _, diagnostics = run_summ_learn(game, config)
         assert diagnostics.psi_scale >= game.tau - 1e-15
+    # All-zero weights: S is 0 on every profile, so tau and psi_scale are
+    # 0, and so is psi_expression, whose log(1 / psi_scale) is not finite.
+    pair = (Affine(0.0, 1.0), Affine(1.0, -1.0))
+    game = SummGame(LinearWeighted((0.0, 0.0, 0.0)), (pair,) * 3)
+    _, _, diagnostics = run_summ_learn(game, LearnConfig(epsilon=0.5, delta=1e-2))
+    assert (game.tau, diagnostics.psi_scale, diagnostics.psi_expression) == (0, 0, 0)
 
 
 def test_mean_just_above_one_lies_in_the_last_interval():
