@@ -6,10 +6,15 @@ game), ``verify`` (re-derive a certificate's regrets from scratch), and
 ``brute`` (exhaustive minimum-regret search for small games).
 
 Every command prints one JSON result document to stdout with a stable
-field order; the trailing wall-clock field is the only thing that varies
-between identical invocations. Exit codes: 0 success, 1 a certificate
-failed validation, 2 input error (bad file, bad parameters), 3 capability
-error (the request is over an explicit cap).
+field order. ``main`` is its only frame: it starts the clock, loads the
+game, and prints ``tool``, ``command`` and ``game`` first and
+``duration_seconds`` last. Between them come the sections of the
+command's function (``_cmd_solve``, ``_cmd_learn``, ``_cmd_verify``,
+``_cmd_brute``), which takes the parsed arguments and the loaded game and
+returns its sections and its exit code. The trailing wall-clock field is
+the only thing that varies between identical invocations. Exit codes: 0
+success, 1 a certificate failed validation, 2 input error (bad file, bad
+parameters), 3 capability error (the request is over an explicit cap).
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
-from .core import MC_SAMPLES, MixedProfile
+from .core import MC_SAMPLES, MixedProfile, SummGame
 from .discretization import make_grid
 from .documents import (
     certificate_to_doc,
@@ -44,34 +50,14 @@ __all__ = ["main"]
 _TOOL = {"name": "summgames", "version": __version__}
 
 
-def _emit(doc: dict, started: float) -> None:
-    doc["duration_seconds"] = time.perf_counter() - started
-    print(json.dumps(doc, indent=2))
-
-
-def _game_section(path: str, digest: str, game) -> dict:
-    return {
-        "path": path,
-        "sha256": digest,
-        "players": game.n,
-        "tau": game.tau,
-        "rho": game.rho,
-    }
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    game, digest = load_game(args.game)
+def _cmd_solve(args: argparse.Namespace, game: SummGame) -> tuple[dict, int]:
     grid = make_grid(args.epsilon, game.rho)
     # Built first, so a table over the grid-cell cap refuses before solving.
     table = build_v_table(game, grid) if args.emit_vtable else None
     certificate = summ_nash(game, args.epsilon)
     if table is not None:
         write_vtable(args.emit_vtable, table)
-    doc = {
-        "tool": _TOOL,
-        "command": "solve",
-        "game": _game_section(args.game, digest, game),
+    return {
         "parameters": {
             "epsilon": args.epsilon,
             "alpha": grid.alpha,
@@ -79,16 +65,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         },
         "certificate": certificate_to_doc(certificate),
         "outputs": {"vtable": args.emit_vtable},
-    }
-    _emit(doc, started)
-    return 0
+    }, 0
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_learn(args: argparse.Namespace, game: SummGame) -> tuple[dict, int]:
     if args.snapshot_probs and not args.trajectory:
         raise InputError("--snapshot-probs needs --trajectory to write the probabilities")
-    game, digest = load_game(args.game)
     config = LearnConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -97,27 +79,24 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         snapshot_probs=args.snapshot_probs,
     )
+    if not args.trajectory:
+        # No step is written, so the run keeps only its first and final
+        # steps; the flag was checked above all the same.
+        config = replace(config, snapshot_every=sys.maxsize)
     if not 0.0 <= args.initial_prob <= 1.0:
         raise InputError(
             f"--initial-prob must lie in [0, 1], got {args.initial_prob}"
         )
     initial = MixedProfile((args.initial_prob,) * game.n)
     trajectory, certificate, diagnostics = run_summ_learn(
-        game,
-        config,
-        initial=initial,
-        mc_samples=args.samples,
-        mc_seed=args.seed,
+        game, config, initial=initial, mc_samples=args.samples, mc_seed=args.seed
     )
     if args.trajectory:
         write_trajectory_csv(args.trajectory, trajectory, args.delta, args.seed)
     terminated = (
         "converged" if isinstance(trajectory.terminated, Converged) else "max_steps"
     )
-    doc = {
-        "tool": _TOOL,
-        "command": "learn",
-        "game": _game_section(args.game, digest, game),
+    return {
         "parameters": {
             "epsilon": args.epsilon,
             "alpha": trajectory.grid.alpha,
@@ -139,23 +118,16 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         },
         "certificate": certificate_to_doc(certificate),
         "outputs": {"trajectory": args.trajectory},
-    }
-    _emit(doc, started)
-    return 0
+    }, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    game, digest = load_game(args.game)
+def _cmd_verify(args: argparse.Namespace, game: SummGame) -> tuple[dict, int]:
     certificate = load_certificate(args.certificate)
     mode = {"exact": "exact", "mc": "monte_carlo", "auto": "auto"}[args.mode]
     report = validate_certificate(
         game, certificate, mode=mode, samples=args.samples, seed=args.seed
     )
-    doc = {
-        "tool": _TOOL,
-        "command": "verify",
-        "game": _game_section(args.game, digest, game),
+    return {
         "parameters": {
             "certificate": args.certificate,
             "mode": args.mode,
@@ -173,27 +145,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ),
             "violations": list(report.violations),
         },
-    }
-    _emit(doc, started)
-    return 0 if report.valid else 1
+    }, (0 if report.valid else 1)
 
 
-def _cmd_brute(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    game, digest = load_game(args.game)
+def _cmd_brute(args: argparse.Namespace, game: SummGame) -> tuple[dict, int]:
     report = brute_min_epsilon(game)
-    doc = {
-        "tool": _TOOL,
-        "command": "brute",
-        "game": _game_section(args.game, digest, game),
+    return {
         "report": {
             "epsilon_star": report.epsilon_star,
             "best_profile": list(report.best_profile.actions),
             "profiles_examined": report.profiles_examined,
         },
-    }
-    _emit(doc, started)
-    return 0
+    }, 0
 
 
 def _float_arg(text: str) -> float:
@@ -271,10 +234,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        started = time.perf_counter()
+        game, digest = load_game(args.game)
+        sections, code = args.handler(args, game)
+        doc = {
+            "tool": _TOOL,
+            "command": args.command,
+            "game": {
+                "path": args.game,
+                "sha256": digest,
+                "players": game.n,
+                "tau": game.tau,
+                "rho": game.rho,
+            },
+            **sections,
+            "duration_seconds": time.perf_counter() - started,
+        }
+        print(json.dumps(doc, indent=2))
+        return code
     except (InputError, ContractError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -64,9 +64,10 @@ EXACT_REGRET_MAX_PLAYERS = 20
 MC_SAMPLES = 20000
 
 # The most player cells a request may ask for: Monte Carlo's samples times
-# n, and a learning run's step cap times a bound on its player classes.
-# Learning on 60000 players at epsilon = 0.1 and delta = 1e-4 has a default
-# step cap of 117973, about 7e9 cells even if every player is a class.
+# n, and a learning run's step cap times ``learning.STEP_CELLS`` (a step's
+# fixed cost) plus a bound on its player classes. Learning on 60000 players
+# at epsilon = 0.1 and delta = 1e-4 has a default step cap of 117973, about
+# 7e9 cells even if every player is a class.
 WORK_CELLS = 2**35
 
 # Rows per block when enumerating or sampling profiles with numpy. Weighted

@@ -20,6 +20,12 @@ Payoff specs: {"type": "constant", "c": ...}, {"type": "affine", "a": ...,
 "b": ...}, {"type": "quadratic", "a": ..., "b": ..., "c": ...}, or
 {"type": "piecewise_linear", "points": [[z, value], ...]}.
 
+A certificate document holds its profile and its crossing as tagged
+objects, each written and read through one table: ``_PROFILES`` maps a
+profile's ``kind`` and ``_CROSSINGS`` a crossing's ``type`` to its
+dataclass. The object's document holds the tag, then the dataclass's
+fields in order, each read by the reader of its name (``_READERS``).
+
 Payoffs are read into per-kind coefficient columns and range-checked as
 arrays. Number lists (weights, and a certificate's probabilities, regrets
 and stderrs) are read by one reader, ``_number_list``, and checked as
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from itertools import chain
 from typing import Any
 
@@ -112,6 +119,13 @@ def _expect_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{path}: expected an integer, got {type(value).__name__}")
     return value
+
+
+def _int_list(value: Any, path: str) -> list[int]:
+    """The JSON array at path as ints, each checked by ``_expect_int``."""
+    return [
+        _expect_int(v, f"{path}[{j}]") for j, v in enumerate(_expect_list(value, path))
+    ]
 
 
 def _get(obj: dict, key: str, path: str) -> Any:
@@ -313,32 +327,52 @@ def load_game(path: str) -> tuple[SummGame, str]:
 # ---------------------------------------------------------------------------
 
 
-def _crossing_to_doc(crossing) -> dict:
-    if isinstance(crossing, Horizontal):
-        return {"type": "horizontal", "k": crossing.k}
-    if isinstance(crossing, Vertical):
-        return {
-            "type": "vertical",
-            "k": crossing.k,
-            "walk_position": crossing.walk_position,
-        }
-    return {"type": "learned"}
+# A certificate's tagged objects by the names their documents give them
+# (see the module docstring).
+_CROSSINGS = {"horizontal": Horizontal, "vertical": Vertical, "learned": Learned}
+_PROFILES = {"pure": PureProfile, "mixed": MixedProfile}
+_NAMES = {cls: name for table in (_CROSSINGS, _PROFILES) for name, cls in table.items()}
+_READERS = {
+    "k": _expect_int,
+    "walk_position": _expect_int,
+    "actions": _int_list,
+    "probs": _number_list,
+}
+
+
+def _tagged_to_doc(tag: str, obj) -> dict:
+    """obj as ``{tag: name, field: value, ...}``, a tuple field as a list."""
+    doc = {tag: _NAMES[type(obj)]}
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        doc[field.name] = list(value) if type(value) is tuple else value
+    return doc
+
+
+def _tagged_from_doc(root: dict, key: str, tag: str, table: dict, unknown: str):
+    """The object at ``$.key`` that its ``tag`` names in table. An unknown
+    name raises InputError with ``unknown`` formatted with the name and the
+    table's names."""
+    path = f"$.{key}"
+    doc = _expect_object(_get(root, key, "$"), path)
+    name = _get(doc, tag, path)
+    if not isinstance(name, str) or name not in table:
+        names = " or ".join(map(repr, table))
+        raise InputError(f"{path}.{tag}: " + unknown.format(name=name, names=names))
+    cls = table[name]
+    values = [
+        _READERS[field.name](_get(doc, field.name, path), f"{path}.{field.name}")
+        for field in fields(cls)
+    ]
+    return _built(f"{path}.", cls, *values)
 
 
 def certificate_to_doc(certificate: EquilibriumCertificate) -> dict:
-    profile = certificate.profile
-    if isinstance(profile, PureProfile):
-        profile_doc: dict[str, Any] = {
-            "kind": "pure",
-            "actions": list(profile.actions),
-        }
-    else:
-        profile_doc = {"kind": "mixed", "probs": list(profile.probs)}
     doc = {
-        "profile": profile_doc,
+        "profile": _tagged_to_doc("kind", certificate.profile),
         "epsilon_claimed": certificate.epsilon_claimed,
         "regrets": list(certificate.regrets),
-        "crossing": _crossing_to_doc(certificate.crossing),
+        "crossing": _tagged_to_doc("type", certificate.crossing),
     }
     if certificate.stderrs is not None:
         doc["stderrs"] = list(certificate.stderrs)
@@ -362,35 +396,14 @@ def certificate_from_doc(doc: Any) -> EquilibriumCertificate:
     # certificate object.
     if "certificate" in root:
         root = _expect_object(root["certificate"], "$.certificate")
-    prof = _expect_object(_get(root, "profile", "$"), "$.profile")
-    kind = _get(prof, "kind", "$.profile")
-    if kind == "pure":
-        raw = _expect_list(_get(prof, "actions", "$.profile"), "$.profile.actions")
-        values = [
-            _expect_int(a, f"$.profile.actions[{j}]") for j, a in enumerate(raw)
-        ]
-        cls = PureProfile
-    elif kind == "mixed":
-        values = _number_list(_get(prof, "probs", "$.profile"), "$.profile.probs")
-        cls = MixedProfile
-    else:
-        raise InputError(f"$.profile.kind: expected 'pure' or 'mixed', got {kind!r}")
-    profile = _built("$.profile.", cls, values)
+    profile = _tagged_from_doc(
+        root, "profile", "kind", _PROFILES, "expected {names}, got {name!r}"
+    )
     epsilon = _number_field(root, "epsilon_claimed", "$")
     regrets = tuple(_number_list(_get(root, "regrets", "$"), "$.regrets"))
-    crossing_doc = _expect_object(_get(root, "crossing", "$"), "$.crossing")
-    ckind = _get(crossing_doc, "type", "$.crossing")
-    if ckind == "horizontal":
-        crossing = Horizontal(_int_field(crossing_doc, "k", "$.crossing"))
-    elif ckind == "vertical":
-        crossing = Vertical(
-            _int_field(crossing_doc, "k", "$.crossing"),
-            _int_field(crossing_doc, "walk_position", "$.crossing"),
-        )
-    elif ckind == "learned":
-        crossing = Learned()
-    else:
-        raise InputError(f"$.crossing.type: unknown crossing type {ckind!r}")
+    crossing = _tagged_from_doc(
+        root, "crossing", "type", _CROSSINGS, "unknown crossing type {name!r}"
+    )
     stderrs = None
     if root.get("stderrs") is not None:
         stderrs = tuple(_number_list(root["stderrs"], "$.stderrs"))

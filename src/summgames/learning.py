@@ -79,6 +79,11 @@ _MU_RECURSION_TOL = 1e-12
 # stays under about 1 GB.
 MAX_RECORDED_STEPS = 3 * 10**6
 
+# The cells a step is charged before its classes: on bar payoffs with
+# delta = 0, a step took 4.6 us plus 24.7 ns per class from C = 1 to
+# C = 10^4 (one run each), so its fixed cost is about 185 class cells.
+STEP_CELLS = 2**8
+
 
 @dataclass(frozen=True)
 class LearnConfig:
@@ -281,11 +286,11 @@ def run_summ_learn(
     from the config are reported on the trajectory. A run whose step cap
     could record more than ``MAX_RECORDED_STEPS`` trajectory steps, each
     counted n + 1 times with probability snapshots, raises CapabilityError
-    before its first step, as does one whose step cap times its class
-    bound exceeds ``core.WORK_CELLS``. That bound is n, or, when the step
-    cap times n is over the cap, the number of distinct pairs of an
-    initial probability and a payoff pair (``_class_bound``); delta >=
-    beta raises InputError there. So does a certification request that
+    before its first step, as does one whose step cap times
+    ``STEP_CELLS`` plus its class bound exceeds ``core.WORK_CELLS``. That
+    bound is n, or, when the step cap times ``STEP_CELLS`` + n is over the
+    cap, the number of distinct pairs of an initial probability and a
+    payoff pair (``_class_bound``); delta >= beta raises InputError there. So does a certification request that
     ``core._mixed_mode`` refuses: ``mc_seed`` < 0 in either mode, and
     ``mc_samples`` < 2, or times n above ``WORK_CELLS``, when Monte Carlo
     certifies the run (exact certification reads no samples).
@@ -325,14 +330,14 @@ def run_summ_learn(
         game._check_profile(initial.n)
         profile = initial
     probs = np.array(profile.probs, dtype=np.float64)
-    # A step costs O(C), and C is at most n; the keys that bound C are
-    # counted only when n does not fit.
-    if max_steps * game.n > core.WORK_CELLS:
+    # A step is charged STEP_CELLS plus its C classes, and C is at most n;
+    # the keys that bound C are counted only when n does not fit.
+    if max_steps * (STEP_CELLS + game.n) > core.WORK_CELLS:
         classes = _class_bound(game, probs)
         _admit_work(
-            max_steps * classes,
-            f"a run of {max_steps} steps on n={game.n} players with a class "
-            f"bound of {classes}",
+            max_steps * (STEP_CELLS + classes),
+            f"a run of {max_steps} steps, each {STEP_CELLS} cells plus a class "
+            f"bound of {classes}, on n={game.n} players",
         )
 
     # BR(I_k) and V(I_k) of the last two intervals entered; the bar game

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import summgames
 from summgames import (
     EquilibriumCertificate,
     InputError,
@@ -12,6 +13,7 @@ from summgames import (
     MixedProfile,
     cli,
     discretization,
+    learning,
     regret_mixed,
     validate_certificate,
 )
@@ -268,6 +270,8 @@ def test_learn_rejects_bad_certification_flags_before_the_loop(
     [
         ("--initial-prob", "1.5", "error: --initial-prob must lie in [0, 1], got 1.5"),
         ("--epsilon", "abc", "error: argument --epsilon: not a number: 'abc'"),
+        # Checked even without --trajectory, where it has no other effect.
+        ("--snapshot-every", "0", "error: snapshot_every must be >= 1"),
     ],
 )
 def test_learn_rejects_malformed_flags_naming_them(capsys, flag, value, message):
@@ -298,11 +302,13 @@ def test_learn_refuses_delta_at_or_above_beta(capsys):
     [
         ("--samples", "1000000000000"),
         ("--max-steps", "1000000000000000", "--snapshot-every", "1000000000"),
+        # One class, but 3e10 steps of about 4.6 us each: some 37 hours.
+        ("--max-steps", "30000000000", "--snapshot-every", "1000000000"),
     ],
 )
 def test_learn_refuses_unbounded_requests_before_the_loop(capsys, monkeypatch, flags):
-    # Samples times n and the step cap times n are bounded by WORK_CELLS;
-    # neither request gets as far as a best response.
+    # Samples times n, and the step cap times STEP_CELLS plus the classes,
+    # are bounded by WORK_CELLS; no request gets as far as a best response.
     def no_best_response(*args):
         raise AssertionError("a best response was evaluated")
 
@@ -358,6 +364,22 @@ def test_learn_trajectory_snapshot_probs(capsys, tmp_path):
     lines = trajectory.read_text().splitlines()
     assert lines[1] == "t,mu,max_delta,p_0,p_1,p_2,p_3"
     assert len(lines[2].split(",")) == 7
+
+
+def test_learn_without_a_trajectory_records_no_thinned_steps(
+    capsys, monkeypatch, tmp_path
+):
+    # bar4 at epsilon 0.5 and delta 1e-3 has a default cap of 3553 steps.
+    # Without --trajectory only the first and final steps are kept, so a
+    # record cap of 100 admits the run; with one, every step would count.
+    monkeypatch.setattr(learning, "MAX_RECORDED_STEPS", 100)
+    argv = ("learn", f"{SAMPLES}/bar4.json", "--epsilon", "0.5", "--delta", "1e-3")
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["parameters"]["max_steps"] == 3553
+    code, out, err = _run(capsys, *argv, "--trajectory", str(tmp_path / "t.csv"))
+    assert (code, out) == (3, "")
+    assert "over the cap of MAX_RECORDED_STEPS = 100" in err
 
 
 def test_learn_snapshot_probs_needs_a_trajectory(capsys):
@@ -633,9 +655,33 @@ def test_overflowing_parameters_fail_cleanly(capsys, argv, expected):
     assert err.startswith("capability error: " if expected == 3 else "error: ")
 
 
-def test_solve_documents_byte_identical_modulo_duration(capsys):
-    _, out1, _ = _run(capsys, "solve", f"{SAMPLES}/weighted-voting10.json", "--epsilon", "0.4")
-    _, out2, _ = _run(capsys, "solve", f"{SAMPLES}/weighted-voting10.json", "--epsilon", "0.4")
-    assert out1 != ""
-    assert _strip_duration(out1) == _strip_duration(out2)
-    assert json.loads(out1)["duration_seconds"] >= 0.0
+def test_solve_documents_byte_identical_modulo_duration(capsys, tmp_path):
+    # Every command's document, not only solve's: the frame puts tool,
+    # command and game first and duration_seconds last, around the
+    # command's own sections.
+    game = f"{SAMPLES}/weighted-voting10.json"
+    certificate = tmp_path / "solve.json"
+    for argv, sections in (
+        (
+            ("solve", game, "--epsilon", "0.4"),
+            ["parameters", "certificate", "outputs"],
+        ),
+        (
+            ("learn", game, "--epsilon", "0.5", "--delta", "1e-3"),
+            ["parameters", "learning", "certificate", "outputs"],
+        ),
+        (("verify", game, str(certificate)), ["parameters", "report"]),
+        (("brute", game), ["report"]),
+    ):
+        (code1, out1, err1), (code2, out2, err2) = (_run(capsys, *argv) for _ in range(2))
+        assert (code1, err1) == (code2, err2) == (0, ""), argv
+        assert _strip_duration(out1) == _strip_duration(out2)
+        doc = json.loads(out1)
+        assert list(doc) == ["tool", "command", "game", *sections, "duration_seconds"]
+        assert doc["tool"] == {"name": "summgames", "version": summgames.__version__}
+        assert doc["command"] == argv[0]
+        assert list(doc["game"]) == ["path", "sha256", "players", "tau", "rho"]
+        assert (doc["game"]["path"], doc["game"]["players"]) == (game, 10)
+        assert doc["duration_seconds"] >= 0.0
+        if argv[0] == "solve":
+            certificate.write_text(out1)

@@ -6,6 +6,7 @@ import pytest
 
 from summgames import (
     Affine,
+    Horizontal,
     InputError,
     Learned,
     LinearWeighted,
@@ -216,25 +217,50 @@ def test_loaders_report_unreadable_files_and_invalid_json(tmp_path, load, what):
     )
 
 
+# Each crossing kind, with the fields its document holds after the tag.
+_CROSSINGS = (
+    (Horizontal(3), {"type": "horizontal", "k": 3}),
+    (Vertical(2, 1), {"type": "vertical", "k": 2, "walk_position": 1}),
+    (Learned(), {"type": "learned"}),
+)
+
+
 def test_certificate_roundtrip_pure():
-    cert = EquilibriumCertificate(
-        PureProfile((0, 1, 1)), 0.75, (0.0, 0.1, 0.05), Vertical(2, 1)
-    )
-    doc = certificate_to_doc(cert)
-    back = certificate_from_doc(doc)
-    assert back == cert
+    for crossing, crossing_doc in _CROSSINGS:
+        cert = EquilibriumCertificate(
+            PureProfile((0, 1, 1)), 0.75, (0.0, 0.1, 0.05), crossing
+        )
+        doc = certificate_to_doc(cert)
+        expected = {
+            "profile": {"kind": "pure", "actions": [0, 1, 1]},
+            "epsilon_claimed": 0.75,
+            "regrets": [0.0, 0.1, 0.05],
+            "crossing": crossing_doc,
+        }
+        # Key order included: the emitted document is printed as it is.
+        assert doc == expected and json.dumps(doc) == json.dumps(expected)
+        assert certificate_from_doc(doc) == cert
 
 
 def test_certificate_roundtrip_mixed_with_stderrs():
-    cert = EquilibriumCertificate(
-        MixedProfile((0.25, 0.5)),
-        0.3,
-        (0.01, 0.02),
-        Learned(),
-        stderrs=(0.001, 0.002),
-    )
-    back = certificate_from_doc(certificate_to_doc(cert))
-    assert back == cert
+    for crossing, crossing_doc in _CROSSINGS:
+        cert = EquilibriumCertificate(
+            MixedProfile((0.25, 0.5)),
+            0.3,
+            (0.01, 0.02),
+            crossing,
+            stderrs=(0.001, 0.002),
+        )
+        doc = certificate_to_doc(cert)
+        expected = {
+            "profile": {"kind": "mixed", "probs": [0.25, 0.5]},
+            "epsilon_claimed": 0.3,
+            "regrets": [0.01, 0.02],
+            "crossing": crossing_doc,
+            "stderrs": [0.001, 0.002],
+        }
+        assert doc == expected and json.dumps(doc) == json.dumps(expected)
+        assert certificate_from_doc(doc) == cert
 
 
 def test_certificate_from_result_document():
@@ -275,8 +301,16 @@ def test_certificate_doc_validation():
             "$.profile.kind: expected 'pure' or 'mixed', got 'other'",
         ),
         (
+            lambda d: d["profile"].update(kind=["pure"]),
+            "$.profile.kind: expected 'pure' or 'mixed', got ['pure']",
+        ),
+        (
             lambda d: d.update(crossing={"type": "diagonal"}),
             "$.crossing.type: unknown crossing type 'diagonal'",
+        ),
+        (
+            lambda d: d.update(crossing={"type": ["learned"]}),
+            "$.crossing.type: unknown crossing type ['learned']",
         ),
     ):
         bad = json.loads(json.dumps(doc))

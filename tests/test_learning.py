@@ -194,25 +194,27 @@ def test_run_refuses_trajectories_over_the_record_cap(monkeypatch):
 
 
 def test_run_refuses_step_caps_over_the_work_cap(monkeypatch):
-    # A step costs O(C), and players who share an initial probability and
-    # a payoff pair stay in one class, so the step cap times the number of
-    # such keys is bounded. At the boundary, on 4 players: 400 // keys steps
-    # fit in 400 cells. One key is the case a bound of n refused.
+    # A step is charged STEP_CELLS plus its C classes, and players who share
+    # an initial probability and a payoff pair stay in one class, so the
+    # step cap times STEP_CELLS plus the number of such keys is bounded. At
+    # the boundary, on 4 players: 10**5 // (STEP_CELLS + keys) steps fit in
+    # 10**5 cells. One key is the case a bound of n refused.
     bar = (Affine(0.0, 1.0), Affine(1.0, -1.0))
     kinked = tuple(
         PiecewiseLinear(((0.0, 0.0), (z, 0.5), (1.0, 1.0))) for z in (0.25, 0.75)
     )
     zigzag = (kinked, (kinked[1], kinked[0]))
     halves = MixedProfile((0.0, 0.0, 0.5, 0.5))
-    monkeypatch.setattr(core, "WORK_CELLS", 400)
-    for pairs, initial, keys in (
-        ((bar,) * 4, None, 1),
-        ((bar,) * 4, halves, 2),
-        ((bar, bar) + zigzag, None, 3),
-        ((bar, zigzag[0], bar, zigzag[1]), halves, 4),
+    cells, step = 10**5, learning.STEP_CELLS
+    monkeypatch.setattr(core, "WORK_CELLS", cells)
+    for pairs, initial, keys, fits in (
+        ((bar,) * 4, None, 1, 389),
+        ((bar,) * 4, halves, 2, 387),
+        ((bar, bar) + zigzag, None, 3, 386),
+        ((bar, zigzag[0], bar, zigzag[1]), halves, 4, 384),
     ):
+        assert fits == cells // (step + keys)
         game = SummGame(Mean(4), pairs)
-        fits = 400 // keys
         config = dict(epsilon=2.0, delta=0.0)
         _, _, diagnostics = run_summ_learn(
             game, LearnConfig(max_steps=fits, **config), initial=initial
@@ -223,11 +225,12 @@ def test_run_refuses_step_caps_over_the_work_cap(monkeypatch):
                 game, LearnConfig(max_steps=fits + 1, **config), initial=initial
             )
         assert str(err.value) == (
-            f"a run of {fits + 1} steps on n=4 players with a class bound of "
-            f"{keys} asks for {(fits + 1) * keys} player cells, over the cap of "
-            "WORK_CELLS = 400"
+            f"a run of {fits + 1} steps, each {step} cells plus a class bound "
+            f"of {keys}, on n=4 players asks for {(fits + 1) * (step + keys)} "
+            f"player cells, over the cap of WORK_CELLS = {cells}"
         )
-    # The keys are counted only when the step cap times n is over the cap.
+    # The keys are counted only when the step cap times STEP_CELLS + n is
+    # over the cap.
     monkeypatch.setattr(learning, "_class_bound", None)
     run_summ_learn(bar_game(4), LearnConfig(max_steps=100, **config))
 
